@@ -77,7 +77,7 @@ def cmd_run_fqi(args):
     out.mkdir(parents=True, exist_ok=True)
     rows = ["k,train_loss,residual"]
     for k in range(args.K):
-        rows.append(f"{k + 1},{trace.train_losses[k]!r},{residuals[k]!r}")
+        rows.append(f"{k + 1},{float(trace.train_losses[k])!r},{float(residuals[k])!r}")
     (out / "trace.csv").write_text("\n".join(rows) + "\n")
     payload = {
         "mode": args.mode,

@@ -297,7 +297,8 @@ def _fmt(value):
     if isinstance(value, bool):
         return "1" if value else "0"
     if isinstance(value, float):
-        return repr(value)
+        # float() drops numpy-2's np.float64(...) repr wrapper; digits are unchanged
+        return repr(float(value))
     return str(value)
 
 

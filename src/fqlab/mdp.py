@@ -71,9 +71,10 @@ class SeparableNextOp:
         return vals.reshape(n_nodes, self.n_actions)
 
     def push(self, occupancy: np.ndarray) -> np.ndarray:
+        # out[i, j] = sum_x occ[x] m0[x, i] m1[x, j] as one GEMM; m0.T is a
+        # view, so the only temporary is the occupancy-scaled (G0, X) factor
         occ = occupancy.ravel()
-        out = np.einsum("x,xi,xj->ij", occ, self.m0, self.m1)
-        return out.ravel()
+        return ((self.m0.T * occ) @ self.m1).ravel()
 
 
 class FiniteChainKernel:

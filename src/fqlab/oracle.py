@@ -265,15 +265,6 @@ def tabulate_visitation(oracle: GridOracle, eta: Policy, tail_tol: float = 1e-14
     return mu
 
 
-def occupancy_at(oracle: GridOracle, policy: Policy, t: int) -> np.ndarray:
-    """Joint (state, action) occupancy after t steps from the initial distribution."""
-    probs = oracle.policy_probs(policy)
-    occ = oracle.init_mass()[:, None] * probs
-    for _ in range(t):
-        occ = oracle.next_op.push(occ)[:, None] * probs
-    return occ
-
-
 def estimate_concentration(mdp: SyntheticMdp, eta: Policy, probes: list, horizon_set,
                            resolution: int | None = None) -> ConcentrationReport:
     """Estimate the concentration coefficient by tabulating probe occupancies.

@@ -18,7 +18,12 @@ _MAGIC = b"FQLNET01"
 
 
 class TrainingDiverged(RuntimeError):
-    """Every restart saw its loss blow past 10x the initialization loss."""
+    """Every restart saw its loss blow past 10x the initialization loss or
+    turn non-finite."""
+
+
+class NonFiniteLoss(ValueError):
+    """A training loss overflowed to inf or NaN."""
 
 
 @dataclass(frozen=True)
@@ -262,7 +267,7 @@ class ReluNetwork:
         resid = cache[0] - y
         loss = float(np.mean(resid ** 2))
         if not np.isfinite(loss):
-            raise ValueError("non-finite training loss")
+            raise NonFiniteLoss("non-finite training loss")
         gw, gb = self.weighted_output_gradient(x, 2.0 * resid / len(y), _cache=cache)
         return loss, gw, gb
 
@@ -312,21 +317,30 @@ class ReluNetwork:
     @classmethod
     def load(cls, path):
         raw = Path(path).read_bytes()
-        if raw[:8] != _MAGIC:
+        if len(raw) < 16 or raw[:8] != _MAGIC:
             raise ValueError("not a network record")
         version, clamp = struct.unpack("<BB6x", raw[8:16])
         if version != 1:
             raise ValueError(f"unsupported record version {version}")
         flat = np.frombuffer(raw[16:], dtype="<f8")
-        height, width = int(flat[0]), int(flat[1])
-        sparsity, bound = int(flat[2]), float(flat[3])
+        if len(flat) < 4:
+            raise ValueError("record header is truncated")
+        sizes = flat[:3]
+        if not (np.all(np.isfinite(sizes)) and np.all(sizes == np.floor(sizes))
+                and np.all(sizes >= 1)):
+            raise ValueError("record sizes must be finite integers >= 1")
+        height, width, sparsity = (int(v) for v in sizes)
+        bound = float(flat[3])
         rest = flat[4:]
-        if height == 1:
-            input_dim = len(rest) - 1
-        else:
-            inner = (height - 2) * (width * width + width)
-            first = len(rest) - inner - (width + 1)
-            input_dim = (first - width) // width
+        # everything but the first layer's weight matrix has a known length;
+        # what is left must fill `rows` rows of at least one input each
+        rows = 1 if height == 1 else width
+        first = len(rest) - rows
+        if height > 1:
+            first -= (height - 2) * (width * width + width) + width + 1
+        if first < rows or first % rows:
+            raise ValueError("record length does not match the declared sizes")
+        input_dim = first // rows
         ws, bs, pos = [], [], 0
 
         def take(shape):
@@ -347,8 +361,6 @@ class ReluNetwork:
                 bs.append(take((width,)))
             ws.append(take((1, width)))
             bs.append(take((1,)))
-        if pos != len(rest):
-            raise ValueError("record length does not match the declared sizes")
         return cls(ws, bs, sparsity, bound, bool(clamp))
 
 
@@ -367,8 +379,9 @@ def fit_least_squares(net: ReluNetwork, xs, ys, cfg: TrainConfig) -> ReluNetwork
     best projected iterate seen, so the returned loss never exceeds the
     winning restart's initialization loss.  epochs counts passes over the
     data; with batch_size set, each pass walks a fresh shuffled partition.
-    Divergence (full-data loss past 10x the initialization) aborts a restart;
-    TrainingDiverged is raised only if every restart blows up.
+    Divergence (full-data loss past 10x the initialization, or any non-finite
+    loss) aborts a restart; TrainingDiverged is raised only if every restart
+    blows up.
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
@@ -403,7 +416,11 @@ def fit_least_squares(net: ReluNetwork, xs, ys, cfg: TrainConfig) -> ReluNetwork
             for start in range(0, n, batch):
                 idx = order[start:start + batch]
                 lr = base_step * cfg.lr_decay ** (step / max(1, total_steps - 1))
-                loss, gw, gb = cand.mse_gradient(xs[idx], ys[idx])
+                try:
+                    loss, gw, gb = cand.mse_gradient(xs[idx], ys[idx])
+                except NonFiniteLoss:
+                    blew_up = True
+                    break
                 for l in range(cand.height):
                     cand.weights[l] -= lr * gw[l]
                     cand.biases[l] -= lr * gb[l]
@@ -413,7 +430,7 @@ def fit_least_squares(net: ReluNetwork, xs, ys, cfg: TrainConfig) -> ReluNetwork
                     loss_now = cand.mse(xs, ys)
                     if loss_now < local_loss:
                         local_net, local_loss = cand.copy(), loss_now
-                    if loss_now > 10.0 * init_loss + 1e-12:
+                    if not loss_now <= 10.0 * init_loss + 1e-12:  # also catches NaN
                         blew_up = True
                         break
             if blew_up:
@@ -424,5 +441,6 @@ def fit_least_squares(net: ReluNetwork, xs, ys, cfg: TrainConfig) -> ReluNetwork
         if local_loss < best_loss:
             best_net, best_loss = local_net, local_loss
     if best_net is None:
-        raise TrainingDiverged(f"all {diverged} restart(s) exceeded 10x the initial loss")
+        raise TrainingDiverged(f"all {diverged} restart(s) exceeded 10x the initial loss "
+                               "or went non-finite")
     return best_net

@@ -27,6 +27,8 @@ from fqlab.relunet import (ArchitectureSpec, ReluNetwork, TrainConfig,
                            architecture_for, fit_least_squares, project_constraints)
 from test_rademacher import exact_mean_abs_sign_sum
 
+pytestmark = pytest.mark.acceptance
+
 ARCH = ArchitectureSpec(height=2, width=24, sparsity=10**6, weight_bound=8.0)
 TRAIN = TrainConfig(restarts=1, learning_rate=1.5, batch_size=1024, seed=0)
 N_GRID = (1024, 2048, 4096, 8192, 16384)

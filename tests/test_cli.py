@@ -32,6 +32,10 @@ class TestRunFqi:
         trace = (out / "trace.csv").read_text().splitlines()
         assert trace[0] == "k,train_loss,residual"
         assert len(trace) == 4
+        for k, row in enumerate(trace[1:], start=1):
+            step, loss, residual = row.split(",")
+            assert int(step) == k
+            float(loss), float(residual)  # plain floats, no np.float64(...) wrapper
         result = json.loads((out / "result.json").read_text())
         assert {"subopt", "kappa_hat", "bound_rhs", "value"} <= set(result)
         net = fqlab.ReluNetwork.load(out / "q_final.net")

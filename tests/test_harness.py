@@ -69,6 +69,21 @@ class TestRunSweep:
         for rec in tiny_report.records:
             assert np.isfinite(rec.bound_slack)
 
+    def test_nonfinite_loss_recorded_as_failed_cell(self):
+        # lr 1e8 overflows the loss between projection checkpoints
+        cfg = tiny_config(
+            n_values=(256,), k_values=(2,), seeds=(0,),
+            arch=fqlab.ArchitectureSpec(height=3, width=32, sparsity=10**6,
+                                        weight_bound=1e9),
+            train=TrainConfig(epochs=50, restarts=1, learning_rate=1e8, seed=0),
+            residual_samples=256, probe_horizons=(0, 1))
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = run_sweep(cfg)
+        (rec,) = report.records
+        assert rec.failed
+        assert rec.fail_reason.startswith("attempt 1:")
+        assert "non-finite" in rec.fail_reason
+
 
 class TestAudit:
     def test_zero_residual_slack_is_algorithmic_tail(self):
@@ -107,11 +122,24 @@ class TestReportEmission:
         assert (out1 / "report.csv").read_bytes() == (out2 / "report.csv").read_bytes()
 
     def test_csv_columns_match_schema(self, tmp_path):
-        cfg = tiny_config(n_values=(256,), seeds=(0,), k_values=(2,))
+        cfg = tiny_config(n_values=(256,), seeds=(0,), k_values=(2,),
+                          modes=("ope", "opl"), data_modes=("reuse", "split"))
         write_report(run_sweep(cfg), tmp_path)
-        header = (tmp_path / "report.csv").read_text().splitlines()[0].split(",")
+        header, *rows = (tmp_path / "report.csv").read_text().splitlines()
         schema = json.loads((tmp_path / "report_schema.json").read_text())
-        assert header == list(schema.keys())
+        assert header.split(",") == list(schema.keys())
+        # every cell is a plain int, float or label: no np.float64(...) wrapper
+        assert len(rows) == 4
+        for row in rows:
+            cells = row.split(",")
+            assert len(cells) == len(schema)
+            for col, cell in zip(schema, cells):
+                if col in ("mode", "data_mode"):
+                    assert cell in ("ope", "opl", "reuse", "split")
+                elif col in ("n", "K", "seed", "failed"):
+                    int(cell)
+                else:
+                    float(cell)
 
     def test_json_has_audit_and_exponents(self, tmp_path):
         cfg = tiny_config(n_values=(256,), seeds=(0,), k_values=(2,))

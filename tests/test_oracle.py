@@ -209,6 +209,29 @@ class TestTwoDimensionalStates:
         mu = tabulate_visitation(oracle, UniformPolicy(5))
         assert abs(mu.sum() - 1.0) < 1e-8
 
+    @pytest.fixture(scope="class")
+    def small_op(self):
+        mdp = fqlab.make_gaussian_mdp(gamma=0.5, sigma=0.2, n_actions=3,
+                                      noise=0.0, state_dim=2)
+        return build_oracle(mdp, resolution=9).next_op
+
+    def test_separable_push_matches_joint_kernel(self, small_op):
+        # explicit joint kernel P[x, i*G1 + j] = m0[x, i] * m1[x, j]
+        joint = (small_op.m0[:, :, None] * small_op.m1[:, None, :]).reshape(243, 81)
+        rng = np.random.default_rng(0)
+        occ = rng.random((81, 3))
+        np.testing.assert_allclose(small_op.push(occ), joint.T @ occ.ravel(),
+                                   rtol=1e-13, atol=0.0)
+
+    def test_separable_push_is_adjoint_of_expect(self, small_op):
+        rng = np.random.default_rng(1)
+        for _ in range(5):
+            occ = rng.random((81, 3))
+            g = rng.random(81)
+            lhs = small_op.push(occ) @ g
+            rhs = np.sum(occ * small_op.expect(g))
+            assert lhs == pytest.approx(rhs, rel=1e-12, abs=0.0)
+
     def test_sampler_stays_in_cube(self, mdp2):
         data = fqlab.sample_visitation(mdp2, UniformPolicy(5), 2000, seed=0)
         assert data.states.shape == (2000, 2)

@@ -268,6 +268,30 @@ class TestSerialization:
         for a, b in zip(net.weights + net.biases, back.weights + back.biases):
             np.testing.assert_array_equal(a, b)
 
+    def test_rejects_truncated_first_layer(self, tmp_path):
+        rng = np.random.default_rng(5)
+        net = random_net(rng, input_dim=2, height=2, width=4)
+        path = tmp_path / "net.bin"
+        net.save(path)
+        raw = path.read_bytes()
+        # drop the 4x2 first-layer weights that follow the 16-byte magic and
+        # the 4-value size header
+        path.write_bytes(raw[:16 + 4 * 8] + raw[16 + 12 * 8:])
+        with pytest.raises(ValueError):
+            ReluNetwork.load(path)
+
+    @pytest.mark.parametrize("slot,value", [(0, 0.0), (0, 2.5), (0, np.nan), (1, 0.0),
+                                            (1, np.inf), (2, -1.0), (2, np.inf)])
+    def test_rejects_bad_header_sizes(self, tmp_path, slot, value):
+        rng = np.random.default_rng(6)
+        path = tmp_path / "net.bin"
+        random_net(rng, input_dim=2, height=2, width=4).save(path)
+        raw = bytearray(path.read_bytes())
+        raw[16 + 8 * slot:24 + 8 * slot] = np.array([value], dtype="<f8").tobytes()
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError):
+            ReluNetwork.load(path)
+
     def test_rejects_garbage(self, tmp_path):
         path = tmp_path / "x.bin"
         path.write_bytes(b"not a network record at all")
