@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from math import comb
+from math import comb, prod
 from pathlib import Path
 
 import numpy as np
@@ -74,11 +74,21 @@ class FunctionOnGrid:
     @classmethod
     def load_binary(cls, path):
         raw = Path(path).read_bytes()
-        if raw[:8] != _MAGIC:
+        if len(raw) < 16 or raw[:8] != _MAGIC:
             raise ValueError("not a grid record")
-        _, ndim = struct.unpack("<BB6x", raw[8:16])
+        version, ndim = struct.unpack("<BB6x", raw[8:16])
+        if version != 1:
+            raise ValueError(f"unsupported grid record version {version}")
+        if ndim < 1:
+            raise ValueError("grid record has no axes")
         flat = np.frombuffer(raw[16:], dtype="<f8")
-        sizes = flat[:ndim].astype(int)
+        head = flat[:ndim]
+        if not (len(head) == ndim and np.all(np.isfinite(head))
+                and np.all(head == np.floor(head)) and np.all(head >= 1)):
+            raise ValueError("grid axis sizes must be finite integers >= 1")
+        sizes = [int(g) for g in head]
+        if len(flat) != ndim + sum(sizes) + prod(sizes):
+            raise ValueError("grid payload length does not match its axis sizes")
         pos = ndim
         axes = []
         for g in sizes:
@@ -137,20 +147,35 @@ def translation_difference(f: FunctionOnGrid, h_steps: int, order: int, axis: in
         raise ValueError("order must be >= 1")
     if h_steps < 1:
         raise ValueError("step must be a positive number of grid cells")
-    g = f.values.shape[axis]
-    valid = g - order * h_steps
+    valid = f.values.shape[axis] - order * h_steps
     if valid < 1:
         raise ValueError("step too large: empty valid subgrid")
-    out = np.zeros_like(np.take(f.values, np.arange(valid), axis=axis))
-    for k in range(order + 1):
-        sl = np.take(f.values, np.arange(k * h_steps, k * h_steps + valid), axis=axis)
-        out = out + comb(order, k) * (-1.0) ** (order - k) * sl
-    new_axes = list(f.axes)
-    new_axes[axis] = f.axes[axis][:valid]
+    out = _difference_values(f.values, h_steps, order, axis)
     if valid < 4:
         # below FunctionOnGrid's resolution floor; hand back raw values
         return out
+    new_axes = list(f.axes)
+    new_axes[axis] = f.axes[axis][:valid]
     return FunctionOnGrid(tuple(new_axes), out)
+
+
+def _difference_values(values: np.ndarray, h_steps: int, order: int, axis: int) -> np.ndarray:
+    """sum_k comb(order, k) (-1)^(order-k) values[k*h : k*h + valid] along axis.
+
+    Unchecked kernel behind translation_difference: the shifted copies are
+    basic-slice views and the sum accumulates in place, term by term in
+    increasing k, so the result matches the validated path bit for bit up to
+    the sign of an exact zero.
+    """
+    valid = values.shape[axis] - order * h_steps
+    lead = (slice(None),) * axis
+    out = (-1.0) ** order * values[lead + (slice(0, valid),)]
+    term = np.empty_like(out)
+    for k in range(1, order + 1):
+        shifted = values[lead + (slice(k * h_steps, k * h_steps + valid),)]
+        np.multiply(comb(order, k) * (-1.0) ** (order - k), shifted, out=term)
+        np.add(out, term, out=out)
+    return out
 
 
 def _pnorm(values: np.ndarray, p: float) -> float:
@@ -168,9 +193,7 @@ def _axis_step_norms(f: FunctionOnGrid, order: int, p: float):
         g = f.values.shape[axis]
         max_j = (g - 1) // order
         for j in range(1, max_j + 1):
-            d = translation_difference(f, j, order, axis)
-            vals = d.values if isinstance(d, FunctionOnGrid) else d
-            pairs.append((j * step, _pnorm(vals, p)))
+            pairs.append((j * step, _pnorm(_difference_values(f.values, j, order, axis), p)))
     pairs.sort(key=lambda hv: hv[0])
     return pairs
 

@@ -69,7 +69,7 @@ def cmd_run_fqi(args):
     residuals = measure_bellman_residuals(
         trace, oracle, mdp, (mu_data.states, mu_data.actions),
         policy=target if args.mode == "ope" else None)
-    conc = estimate_concentration(mdp, eta, default_probes(mdp.n_actions), range(21))
+    conc = estimate_concentration(oracle, eta, default_probes(mdp.n_actions), range(21))
     gap = subopt(oracle, result.value if args.mode == "ope" else result.policy)
     rhs = decomposition_bound(args.mode, conc.kappa_hat, mdp.gamma, args.K, float(residuals.max()))
 

@@ -172,9 +172,12 @@ def run_sweep(cfg: ExperimentConfig, eta: Policy | None = None,
     target_policy = target_policy or UniformPolicy(mdp.n_actions)
     d = mdp.dim
 
+    # one grid build serves both targets and the concentration estimate:
+    # ground_truth only rebinds q/target/sweep_deltas, so a shallow copy
+    # keeps the two targets apart while sharing the grid and next_op
     oracle_pi = ground_truth(build_oracle(mdp), mdp, target_policy)
-    oracle_star = ground_truth(build_oracle(mdp), mdp, None)
-    conc = estimate_concentration(mdp, eta, default_probes(mdp.n_actions),
+    oracle_star = ground_truth(replace(oracle_pi), mdp, None)
+    conc = estimate_concentration(oracle_pi, eta, default_probes(mdp.n_actions),
                                   cfg.probe_horizons)
     kappa = conc.kappa_hat
     mu_data = sample_visitation(mdp, eta, cfg.residual_samples, seed=940_001)
@@ -197,6 +200,7 @@ def run_sweep(cfg: ExperimentConfig, eta: Policy | None = None,
         t0 = time.perf_counter()
         per_fit = n // k_iter if data_mode == "split" else n
         for attempt, use_seed in enumerate((seed, seed + RETRY_SEED_OFFSET)):
+            rec.seed = use_seed
             try:
                 data = sample_visitation(mdp, eta, n, use_seed)
                 fqi_cfg = FqiConfig(
@@ -209,7 +213,6 @@ def run_sweep(cfg: ExperimentConfig, eta: Policy | None = None,
                 resid = measure_bellman_residuals(
                     trace, oracle, mdp, mu_samples,
                     policy=target_policy if mode == "ope" else None)
-                rec.seed = use_seed
                 rec.subopt = subopt(oracle, result.value if mode == "ope" else result.policy)
                 rec.max_residual = float(resid.max())
                 rec.bound_rhs = decomposition_bound(mode, kappa, mdp.gamma, k_iter, rec.max_residual)

@@ -265,16 +265,17 @@ def tabulate_visitation(oracle: GridOracle, eta: Policy, tail_tol: float = 1e-14
     return mu
 
 
-def estimate_concentration(mdp: SyntheticMdp, eta: Policy, probes: list, horizon_set,
-                           resolution: int | None = None) -> ConcentrationReport:
+def estimate_concentration(oracle: GridOracle, eta: Policy, probes: list,
+                           horizon_set) -> ConcentrationReport:
     """Estimate the concentration coefficient by tabulating probe occupancies.
 
-    Cells where the visitation mass is below 1e-12 while a probe assigns mass
-    are reported as undefined (infinite ratio) rather than silently clipped.
+    Uses only the oracle's grid and next-state operator, so a populated
+    oracle can be shared with the value-iteration ground truth.  Cells where
+    the visitation mass is below 1e-12 while a probe assigns mass are
+    reported as undefined (infinite ratio) rather than silently clipped.
     """
     if not probes:
         raise ValueError("need at least one probe policy")
-    oracle = build_oracle(mdp, resolution)
     mu = tabulate_visitation(oracle, eta)
     best = (-np.inf, -1, -1, (0, 0))
     nu_tables = {}

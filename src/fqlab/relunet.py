@@ -247,8 +247,8 @@ class ReluNetwork:
         """
         out, pre, acts = self._forward_cached(x) if _cache is None else _cache
         w = np.asarray(out_weights, dtype=float)
-        gw = [np.zeros_like(m) for m in self.weights]
-        gb = [np.zeros_like(b) for b in self.biases]
+        gw = [None] * self.height
+        gb = [None] * self.height
         delta = w[:, None]  # upstream derivative at the output node
         gw[-1] = delta.T @ acts[-1]
         gb[-1] = delta.sum(axis=0)

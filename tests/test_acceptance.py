@@ -158,7 +158,7 @@ class TestCriterion6DecompositionAudit:
             probes = ([UniformPolicy(mdp.n_actions)]
                       + [fqlab.FixedActionPolicy(i, mdp.n_actions)
                          for i in range(mdp.n_actions)])
-            conc = estimate_concentration(mdp, UniformPolicy(mdp.n_actions),
+            conc = estimate_concentration(build_oracle(mdp), UniformPolicy(mdp.n_actions),
                                           probes, range(40))
             from fqlab.fqi import decomposition_bound
             still = [v for v in violations

@@ -1,15 +1,32 @@
+from math import comb
+
 import numpy as np
 import pytest
 
 import fqlab
-from fqlab.besov import (BesovParams, FunctionOnGrid, besov_norm, besov_seminorm,
-                         estimate_smoothness_exponent, modulus_of_smoothness,
-                         synth_function, translation_difference)
+from fqlab.besov import (BesovParams, FunctionOnGrid, _axis_step_norms, _pnorm, besov_norm,
+                         besov_seminorm, estimate_smoothness_exponent,
+                         modulus_of_smoothness, synth_function, translation_difference)
 
 
 def grid_1d(fn, g=101):
     xs = np.linspace(0.0, 1.0, g)
     return FunctionOnGrid((xs,), fn(xs))
+
+
+def random_grid(shape, seed=0):
+    rng = np.random.default_rng(seed)
+    return FunctionOnGrid(tuple(np.linspace(0.0, 1.0, g) for g in shape), rng.random(shape))
+
+
+def take_difference(values, h_steps, order, axis):
+    """Reference r-th difference: gathered copies summed into a fresh array."""
+    valid = values.shape[axis] - order * h_steps
+    out = np.zeros_like(np.take(values, np.arange(valid), axis=axis))
+    for k in range(order + 1):
+        sl = np.take(values, np.arange(k * h_steps, k * h_steps + valid), axis=axis)
+        out = out + comb(order, k) * (-1.0) ** (order - k) * sl
+    return out
 
 
 class TestTranslationDifference:
@@ -54,8 +71,33 @@ class TestTranslationDifference:
         assert np.abs(d0.values).max() > 1e-6
         np.testing.assert_allclose(d1.values, 0.0, atol=1e-14)
 
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_matches_gathered_reference_on_both_axes(self, order):
+        f = random_grid((23, 17), seed=order)
+        for axis in (0, 1):
+            for h in range(1, (f.values.shape[axis] - 1) // order + 1):
+                d = translation_difference(f, h, order, axis)
+                vals = d.values if isinstance(d, FunctionOnGrid) else d
+                # equal up to the sign of an exact zero
+                assert np.array_equal(vals, take_difference(f.values, h, order, axis))
+
 
 class TestModulus:
+    @pytest.mark.parametrize("shape", [(41,), (19, 14)])
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    @pytest.mark.parametrize("p", [1.0, 2.0, np.inf])
+    def test_step_norms_bit_identical_to_public_difference(self, shape, order, p):
+        f = random_grid(shape, seed=len(shape) * 10 + order)
+        expected = []
+        for axis in range(f.ndim):
+            for j in range(1, (f.values.shape[axis] - 1) // order + 1):
+                d = translation_difference(f, j, order, axis)
+                vals = d.values if isinstance(d, FunctionOnGrid) else d
+                expected.append((j * f.step(axis), _pnorm(vals, p)))
+        expected.sort(key=lambda hv: hv[0])
+        # norms are abs-based, so == on the floats is bit-for-bit equality
+        assert _axis_step_norms(f, order, p) == expected
+
     def test_constant_gives_zero(self):
         f = grid_1d(lambda x: np.full_like(x, 2.0))
         for order in (1, 2):
@@ -237,6 +279,29 @@ class TestGridIO:
         back = FunctionOnGrid.load_binary(path)
         assert back.values.shape == (33, 33)
         np.testing.assert_array_equal(back.values, f.values)
+
+    @pytest.mark.parametrize("damage", ["truncated", "padded", "version", "no_axes",
+                                        "nan_size", "fractional_size", "zero_size"])
+    def test_binary_rejects_damaged_record(self, tmp_path, damage):
+        f = synth_function("weierstrass", 0.5, d=2, resolution=9)
+        path = tmp_path / "f.bin"
+        f.save_binary(path)
+        raw = bytearray(path.read_bytes())
+        size = {"nan_size": np.nan, "fractional_size": 8.5, "zero_size": 0.0}
+        if damage == "truncated":
+            raw = raw[:-8]
+        elif damage == "padded":
+            raw += np.zeros(1, dtype="<f8").tobytes()
+        elif damage == "version":
+            raw[8] = 2
+        elif damage == "no_axes":
+            # a single-value payload read as a 0-d grid
+            raw = raw[:9] + bytes([0]) + raw[10:16] + np.ones(1, dtype="<f8").tobytes()
+        else:
+            raw[16:24] = np.array([size[damage]], dtype="<f8").tobytes()
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError):
+            FunctionOnGrid.load_binary(path)
 
 
 class TestDynamicClosure:

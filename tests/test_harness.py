@@ -6,7 +6,7 @@ import pytest
 
 import fqlab
 from fqlab.fqi import FqiConfig, decomposition_bound, measure_bellman_residuals, run_lsvi
-from fqlab.harness import (AuditSummary, CellRecord, ExperimentConfig,
+from fqlab.harness import (RETRY_SEED_OFFSET, AuditSummary, CellRecord, ExperimentConfig,
                            ExperimentReport, audit_decomposition, run_sweep,
                            sample_size_hint, write_report)
 from fqlab.mdp import UniformPolicy
@@ -69,6 +69,27 @@ class TestRunSweep:
         for rec in tiny_report.records:
             assert np.isfinite(rec.bound_slack)
 
+    def test_one_grid_build_serves_both_targets(self, monkeypatch):
+        import fqlab.harness as harness
+        builds = []
+
+        def counting_build(*args, **kwargs):
+            builds.append(args)
+            return fqlab.build_oracle(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "build_oracle", counting_build)
+        cfg = tiny_config(n_values=(256,), k_values=(2,), seeds=(0,), modes=("ope", "opl"),
+                          probe_horizons=(0, 1, 2))
+        report = run_sweep(cfg)
+        assert len(builds) == 1
+        assert not any(r.failed for r in report.records)
+        mdp = fqlab.mdp_from_config(cfg.mdp)
+        pi = UniformPolicy(mdp.n_actions)
+        fresh = fqlab.estimate_concentration(fqlab.build_oracle(mdp), pi,
+                                             fqlab.harness.default_probes(mdp.n_actions),
+                                             cfg.probe_horizons)
+        assert report.kappa_hat == fresh.kappa_hat
+
     def test_nonfinite_loss_recorded_as_failed_cell(self):
         # lr 1e8 overflows the loss between projection checkpoints
         cfg = tiny_config(
@@ -81,6 +102,7 @@ class TestRunSweep:
             report = run_sweep(cfg)
         (rec,) = report.records
         assert rec.failed
+        assert rec.seed == 0 + RETRY_SEED_OFFSET
         assert rec.fail_reason.startswith("attempt 1:")
         assert "non-finite" in rec.fail_reason
 

@@ -132,19 +132,19 @@ class TestConcentration:
         mdp = fqlab.make_finite_mdp(np.full((n, n), 1.0 / n), np.full(n, 0.5),
                                     gamma=0.9, n_actions=3)
         eta = UniformPolicy(3)
-        rep = estimate_concentration(mdp, eta, [UniformPolicy(3)], range(5))
+        rep = estimate_concentration(build_oracle(mdp), eta, [UniformPolicy(3)], range(5))
         assert abs(rep.kappa_hat - 1.0) <= 1e-6
 
     def test_single_state_deterministic_probe(self):
         mdp = fqlab.make_single_state_mdp(gamma=0.5, reward=0.5, n_actions=2)
-        rep = estimate_concentration(mdp, UniformPolicy(2),
+        rep = estimate_concentration(build_oracle(mdp), UniformPolicy(2),
                                      [FixedActionPolicy(0, 2)], [0, 1, 2])
         assert abs(rep.kappa_hat - 2.0) <= 1e-9
 
     def test_two_state_matches_matrix_powers(self, two_state_mdp):
         eta = UniformPolicy(2)
         probe = FixedActionPolicy(0, 2)
-        rep = estimate_concentration(two_state_mdp, eta, [probe], range(21))
+        rep = estimate_concentration(build_oracle(two_state_mdp), eta, [probe], range(21))
         # independent enumeration: occupancy vectors by exact matrix powers
         p = np.array([[0.9, 0.1], [0.2, 0.8]])
         rho = np.array([0.5, 0.5])
@@ -166,12 +166,12 @@ class TestConcentration:
     def test_flags_unreachable_cells(self, two_state_mdp):
         eta = FixedActionPolicy(0, 2)          # never takes action 1
         probe = FixedActionPolicy(1, 2)        # only takes action 1
-        rep = estimate_concentration(two_state_mdp, eta, [probe], [0, 1])
+        rep = estimate_concentration(build_oracle(two_state_mdp), eta, [probe], [0, 1])
         assert rep.kappa_hat == np.inf
         assert len(rep.undefined_cells) > 0
 
     def test_kappa_at_least_one(self, chain_mdp, uniform_pi):
-        rep = estimate_concentration(chain_mdp, uniform_pi,
+        rep = estimate_concentration(build_oracle(chain_mdp), uniform_pi,
                                      [FixedActionPolicy(0, 11), uniform_pi], range(10))
         assert rep.kappa_hat >= 1.0
 
