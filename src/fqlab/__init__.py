@@ -24,6 +24,6 @@ from .rademacher import (FiniteFunctionClass, NetworkFunctionClass, RademacherEs
                          localized_rademacher, rate_exponent, sub_root_fixed_point,
                          theoretical_psi)
 from .relunet import (ArchitectureSpec, ReluNetwork, TrainConfig, TrainingDiverged,
-                      architecture_for, fit_least_squares, project_constraints)
+                      architecture_for, fit_least_squares)
 
 __version__ = "0.1.0"

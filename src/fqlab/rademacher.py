@@ -7,7 +7,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .relunet import ArchitectureSpec, ReluNetwork, TrainConfig, fit_least_squares
+from .relunet import (ArchitectureSpec, ReluNetwork, TrainConfig, _clip_and_prune, _forward,
+                      _output_gradient, fit_least_squares)
 
 
 @dataclass
@@ -37,10 +38,6 @@ class FiniteFunctionClass:
             raise ValueError("expected a (n_functions, n_points) matrix")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("non-finite function values")
-
-    @classmethod
-    def from_callables(cls, fns, xs):
-        return cls(np.stack([np.asarray(fn(xs), dtype=float) for fn in fns]))
 
     @classmethod
     def all_sign_patterns(cls, n_points: int):
@@ -104,6 +101,18 @@ def empirical_rademacher(function_class, xs, sigma_draws: int, seed: int) -> Rad
     )
 
 
+# the ascent stacks whole sign draws until candidates x max(n, m) x width
+# reaches this many elements, which bounds the activation memory
+_STACK_ELEMENTS = 1 << 22
+
+
+def _project_each(weights, biases, anchor):
+    """Project every network of a stack onto the anchor's constraints."""
+    for c in range(len(weights[0])):
+        _clip_and_prune([w[c] for w in weights] + [b[c] for b in biases],
+                        anchor.weight_bound, anchor.sparsity)
+
+
 def localized_rademacher(spec: ArchitectureSpec, anchor: ReluNetwork, radius: float,
                          xs, mu_samples, sigma_draws: int, seed: int,
                          ascent_steps: int = 120, ascent_lr: float = 0.1,
@@ -114,48 +123,77 @@ def localized_rademacher(spec: ArchitectureSpec, anchor: ReluNetwork, radius: fl
     the signed correlation with a hinge penalty outside the ball; candidates
     are accepted only if the evaluated norm is inside the ball, and the zero
     difference (f = anchor) is always feasible, so the estimate is >= 0.
+
+    Every restart of every sign draw is one candidate network; the candidates
+    ascend in lockstep as one stacked network, in chunks of whole draws, and
+    each gets exactly the numbers it would get ascending on its own.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
+    if sigma_draws < 1:
+        raise ValueError("need at least one sign draw")
+    if restarts < 1:
+        raise ValueError("need at least one restart")
     xs = np.asarray(xs, dtype=float)
     mu_samples = np.asarray(mu_samples, dtype=float)
+    if xs.ndim != 2 or mu_samples.ndim != 2 or len(xs) < 1 or len(mu_samples) < 1:
+        raise ValueError("xs and mu_samples must be nonempty (points, dim) arrays")
     n, m = len(xs), len(mu_samples)
     anchor_xs = anchor.forward(xs)
     anchor_mu = anchor.forward(mu_samples)
+    width = max(w.shape[0] for w in anchor.weights)
+    chunk = max(1, _STACK_ELEMENTS // (restarts * max(n, m) * width))
     rng = np.random.default_rng(seed)
     sups = np.empty(sigma_draws)
     rejected_all = True
-    for i in range(sigma_draws):
-        sigma = rng.choice([-1.0, 1.0], size=n)
-        best = 0.0  # the anchor itself: zero difference, always inside the ball
-        for _ in range(restarts):
-            cand = anchor.copy()
-            for l in range(cand.height):
-                cand.weights[l] = cand.weights[l] + 0.01 * rng.standard_normal(cand.weights[l].shape)
-            cand._project_inplace()
-            for step in range(ascent_steps):
-                out_xs = cand.forward(xs, clamp=False)
-                out_mu = cand.forward(mu_samples, clamp=False)
-                sq = float(np.mean((out_mu - anchor_mu) ** 2))
-                w_xs = sigma / n
-                gw, gb = cand.weighted_output_gradient(xs, w_xs)
-                if sq > radius:
-                    pw, pb = cand.weighted_output_gradient(
-                        mu_samples, -penalty * 2.0 * (out_mu - anchor_mu) / m)
-                    gw = [a + b for a, b in zip(gw, pw)]
-                    gb = [a + b for a, b in zip(gb, pb)]
-                for l in range(cand.height):
-                    cand.weights[l] += ascent_lr * gw[l]
-                    cand.biases[l] += ascent_lr * gb[l]
-                if (step + 1) % 20 == 0 or step + 1 == ascent_steps:
-                    cand._project_inplace()
-                    f_xs = cand.forward(xs)
-                    f_mu = cand.forward(mu_samples)
-                    if float(np.mean((f_mu - anchor_mu) ** 2)) <= radius:
-                        rejected_all = False
-                        corr = float(sigma @ (f_xs - anchor_xs) / n)
-                        best = max(best, corr)
-        sups[i] = best
+    for start in range(0, sigma_draws, chunk):
+        # every sign and perturbation of the chunk, in one-draw-at-a-time order
+        sigmas, perturbed = [], [[] for _ in anchor.weights]
+        for _ in range(min(chunk, sigma_draws - start)):
+            sigmas.append(rng.choice([-1.0, 1.0], size=n))
+            for _ in range(restarts):
+                for l, w in enumerate(anchor.weights):
+                    perturbed[l].append(w + 0.01 * rng.standard_normal(w.shape))
+        weights = [np.stack(p) for p in perturbed]
+        count = len(weights[0])
+        biases = [np.repeat(b[None], count, axis=0) for b in anchor.biases]
+        _project_each(weights, biases, anchor)
+        w_xs = np.repeat(np.stack(sigmas) / n, restarts, axis=0)
+        best = [0.0] * len(sigmas)  # the anchor itself: zero difference, inside the ball
+        cache_xs = _forward(weights, biases, xs)
+        cache_mu = _forward(weights, biases, mu_samples)
+        for step in range(ascent_steps):
+            diff_mu = cache_mu[0] - anchor_mu
+            over = np.mean(diff_mu ** 2, axis=-1) > radius
+            gw, gb = _output_gradient(weights, cache_xs[1], cache_xs[2], w_xs)
+            if over.any():
+                pw, pb = _output_gradient(weights, cache_mu[1], cache_mu[2],
+                                          -penalty * 2.0 * diff_mu / m)
+                # np.where, not a 0/1 mask: a masked add can flip a zero's sign
+                gw = [np.where(over[:, None, None], a + b, a) for a, b in zip(gw, pw)]
+                gb = [np.where(over[:, None], a + b, a) for a, b in zip(gb, pb)]
+            for w, g in zip(weights, gw):
+                w += ascent_lr * g
+            for b, g in zip(biases, gb):
+                b += ascent_lr * g
+            checkpoint = (step + 1) % 20 == 0 or step + 1 == ascent_steps
+            if checkpoint:
+                _project_each(weights, biases, anchor)
+            # one pass per point set serves this checkpoint and the next step
+            cache_xs = _forward(weights, biases, xs, reuse=cache_xs)
+            cache_mu = _forward(weights, biases, mu_samples, reuse=cache_mu)
+            if not checkpoint:
+                continue
+            f_xs, f_mu = cache_xs[0], cache_mu[0]
+            if anchor.output_clamp:
+                f_xs, f_mu = np.clip(f_xs, 0.0, 1.0), np.clip(f_mu, 0.0, 1.0)
+            for c in range(count):
+                if float(np.mean((f_mu[c] - anchor_mu) ** 2)) <= radius:
+                    rejected_all = False
+                    i = c // restarts
+                    corr = float(sigmas[i] @ (f_xs[c] - anchor_xs) / n)
+                    best[i] = max(best[i], corr)
+        sups[start:start + len(sigmas)] = best
     note = "trained supremum: lower estimate of the true sup"
     if rejected_all:
         note += "; no ascent candidate stayed inside the radius (estimate is the anchor's 0)"

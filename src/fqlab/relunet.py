@@ -119,6 +119,74 @@ class TrainConfig:
             raise ValueError("batch_size must be positive when set")
 
 
+# -- kernels ----------------------------------------------------------------
+# Each kernel takes one network's parameters (weights[l] shaped (out, in),
+# biases[l] shaped (out,)) or a stack of networks with a leading batch axis
+# (weights[l] shaped (C, out, in)).  Per slice a stacked call runs the same
+# routines on the same operand layouts as the unstacked one, so its results
+# are bit-identical to C separate calls.
+
+
+def _forward(weights, biases, x, reuse=None):
+    """(out, pre, acts) of the ReLU network on the rows of x.
+
+    x is (n, d); a stack of networks shares it.  pre holds the hidden
+    pre-activations, acts the inputs of every affine layer.  Passing the
+    result of an earlier call on the same shapes as reuse overwrites its
+    hidden arrays instead of allocating new ones.
+    """
+    z = np.maximum(x, 0.0)  # ReLU on the raw input; identity on [0,1]^d
+    pre, acts = [], [z]
+    for l, (w, b) in enumerate(zip(weights[:-1], biases[:-1])):
+        a = np.matmul(z, np.swapaxes(w, -1, -2), out=None if reuse is None else reuse[1][l])
+        a += b[..., None, :]
+        pre.append(a)
+        z = np.maximum(a, 0.0, out=None if reuse is None else reuse[2][l + 1])
+        acts.append(z)
+    y = z @ np.swapaxes(weights[-1], -1, -2)
+    y += biases[-1][..., None, :]
+    return y[..., 0], pre, acts
+
+
+def _output_gradient(weights, pre, acts, w):
+    """Gradient of sum_i w_i f(x_i) w.r.t. every parameter, from a _forward
+    cache; w is (n,), or (C, n) for a stack.  The ReLU subgradient at a kink
+    is taken as 0."""
+    height = len(weights)
+    gw = [None] * height
+    gb = [None] * height
+    delta = w[..., None]  # upstream derivative at the output node
+    for l in range(height - 1, -1, -1):
+        if l < height - 1:
+            if l == height - 2:
+                # (n, 1) @ (1, width) is an outer product, which matmul forms
+                # without BLAS as 0 + a*b; einsum gives the same bits faster
+                delta = np.einsum("...ni,...ij->...nj", delta, weights[l + 1])
+            else:
+                delta = delta @ weights[l + 1]
+            delta *= pre[l] > 0.0
+        gw[l] = np.swapaxes(delta, -1, -2) @ acts[l]
+        gb[l] = np.add.reduce(delta, axis=-2)
+    return gw, gb
+
+
+def _clip_and_prune(arrays, bound, sparsity):
+    """Clip every entry into [-bound, bound], then keep the sparsity largest
+    magnitudes across all arrays (ties to the earlier entry); in place."""
+    for arr in arrays:
+        np.clip(arr, -bound, bound, out=arr)
+    nnz = sum(int(np.count_nonzero(arr)) for arr in arrays)
+    if nnz > sparsity:
+        flat = np.concatenate([a.ravel() for a in arrays])
+        order = np.argsort(-np.abs(flat), kind="stable")
+        keep = np.zeros(len(flat), dtype=bool)
+        keep[order[:sparsity]] = True
+        pos = 0
+        for arr in arrays:
+            arr *= keep[pos:pos + arr.size].reshape(arr.shape)
+            pos += arr.size
+
+
 class ReluNetwork:
     """Feed-forward ReLU network under sparsity and sup-norm constraints.
 
@@ -215,16 +283,7 @@ class ReluNetwork:
             x = x[None, :]
         if x.shape[1] != self.input_dim:
             raise ValueError("input dimension mismatch")
-        pre = []
-        z = np.maximum(x, 0.0)  # ReLU on the raw input; identity on [0,1]^d
-        acts = [z]
-        for l in range(self.height - 1):
-            a = z @ self.weights[l].T + self.biases[l]
-            pre.append(a)
-            z = np.maximum(a, 0.0)
-            acts.append(z)
-        out = (z @ self.weights[-1].T + self.biases[-1])[:, 0]
-        return out, pre, acts
+        return _forward(self.weights, self.biases, x)
 
     def forward(self, x, clamp: bool | None = None) -> np.ndarray:
         """Evaluate on a batch of points; clamp defaults to the instance flag."""
@@ -245,18 +304,8 @@ class ReluNetwork:
         The ReLU subgradient at a kink is taken as 0.  Returns (grad_weights,
         grad_biases) shaped like the parameters.
         """
-        out, pre, acts = self._forward_cached(x) if _cache is None else _cache
-        w = np.asarray(out_weights, dtype=float)
-        gw = [None] * self.height
-        gb = [None] * self.height
-        delta = w[:, None]  # upstream derivative at the output node
-        gw[-1] = delta.T @ acts[-1]
-        gb[-1] = delta.sum(axis=0)
-        for l in range(self.height - 2, -1, -1):
-            delta = (delta @ self.weights[l + 1]) * (pre[l] > 0.0)
-            gw[l] = delta.T @ acts[l]
-            gb[l] = delta.sum(axis=0)
-        return gw, gb
+        _, pre, acts = self._forward_cached(x) if _cache is None else _cache
+        return _output_gradient(self.weights, pre, acts, np.asarray(out_weights, dtype=float))
 
     def mse_gradient(self, x, y):
         """(loss, grads) for the mean squared error over the batch, no clamp."""
@@ -278,23 +327,13 @@ class ReluNetwork:
     # -- constraint projection ----------------------------------------------
 
     def _project_inplace(self):
-        b = self.weight_bound
-        for arr in self.weights + self.biases:
-            np.clip(arr, -b, b, out=arr)
-        nnz = self.nnz()
-        if nnz > self.sparsity:
-            flat = np.concatenate([a.ravel() for a in self.weights + self.biases])
-            order = np.argsort(-np.abs(flat), kind="stable")
-            keep = np.zeros(len(flat), dtype=bool)
-            keep[order[: self.sparsity]] = True
-            pos = 0
-            for arr in self.weights + self.biases:
-                mask = keep[pos:pos + arr.size].reshape(arr.shape)
-                arr *= mask
-                pos += arr.size
+        _clip_and_prune(self.weights + self.biases, self.weight_bound, self.sparsity)
         return self
 
     def projected(self):
+        """Clip every parameter into [-B, B], then keep the sparsity-budget
+        largest magnitudes (global magnitude pruning).  Clip first, prune
+        second; the map is idempotent."""
         return self.copy()._project_inplace()
 
     def feasible(self, atol=0.0):
@@ -365,9 +404,7 @@ class ReluNetwork:
 
 
 def project_constraints(net: ReluNetwork) -> ReluNetwork:
-    """Clip every parameter into [-B, B], then keep the sparsity-budget largest
-    magnitudes (global magnitude pruning).  Clip first, prune second; the map
-    is idempotent."""
+    """The same map as net.projected()."""
     return net.projected()
 
 

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import fqlab
+
+# property tests replay the same examples on every run (no example database,
+# no wall-clock deadline), so a loaded machine can neither flake nor shift them
+settings.register_profile("fqlab", deadline=None, derandomize=True, database=None)
+settings.load_profile("fqlab")
 
 
 @pytest.fixture(scope="session")

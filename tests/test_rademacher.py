@@ -5,6 +5,7 @@ import pytest
 from scipy.special import gammaln
 
 import fqlab
+from fqlab import rademacher
 from fqlab.rademacher import (FiniteFunctionClass, NetworkFunctionClass,
                               RateExponents, SubRootSpec, empirical_rademacher,
                               localized_rademacher, rate_exponent,
@@ -97,6 +98,147 @@ class TestLocalizedRademacher:
         spec, anchor, xs, mu = setup
         with pytest.raises(ValueError):
             localized_rademacher(spec, anchor, 0.0, xs, mu, 1, 0)
+
+    def test_rejects_no_sign_draw(self, setup):
+        spec, anchor, xs, mu = setup
+        with pytest.raises(ValueError, match="sign draw"):
+            localized_rademacher(spec, anchor, 0.1, xs, mu, sigma_draws=0, seed=0)
+
+    def test_rejects_no_restart(self, setup):
+        spec, anchor, xs, mu = setup
+        with pytest.raises(ValueError, match="restart"):
+            localized_rademacher(spec, anchor, 0.1, xs, mu, 2, 0, restarts=0)
+
+    def test_rejects_empty_xs(self, setup):
+        spec, anchor, xs, mu = setup
+        with pytest.raises(ValueError, match="nonempty"):
+            localized_rademacher(spec, anchor, 0.1, xs[:0], mu, 2, 0)
+
+    def test_rejects_empty_mu_samples(self, setup):
+        spec, anchor, xs, mu = setup
+        with pytest.raises(ValueError, match="nonempty"):
+            localized_rademacher(spec, anchor, 0.1, xs, mu[:0], 2, 0)
+
+
+def reference_localized(anchor, radius, xs, mu_samples, sigma_draws, seed,
+                        ascent_steps=120, ascent_lr=0.1, penalty=10.0, restarts=2):
+    """The per-candidate ascent, one network at a time through the public
+    methods, kept as the reference the stacked ascent must reproduce.
+
+    Returns (per_draw, value, bias_note, penalized), where penalized lists,
+    per candidate, the steps at which the hinge penalty was added.
+    """
+    n, m = len(xs), len(mu_samples)
+    anchor_xs = anchor.forward(xs)
+    anchor_mu = anchor.forward(mu_samples)
+    rng = np.random.default_rng(seed)
+    sups = np.empty(sigma_draws)
+    rejected_all = True
+    penalized = []
+    for i in range(sigma_draws):
+        sigma = rng.choice([-1.0, 1.0], size=n)
+        best = 0.0
+        for _ in range(restarts):
+            steps_over = set()
+            cand = anchor.copy()
+            for l in range(cand.height):
+                cand.weights[l] = cand.weights[l] + 0.01 * rng.standard_normal(cand.weights[l].shape)
+            cand._project_inplace()
+            for step in range(ascent_steps):
+                out_mu = cand.forward(mu_samples, clamp=False)
+                sq = float(np.mean((out_mu - anchor_mu) ** 2))
+                gw, gb = cand.weighted_output_gradient(xs, sigma / n)
+                if sq > radius:
+                    steps_over.add(step)
+                    pw, pb = cand.weighted_output_gradient(
+                        mu_samples, -penalty * 2.0 * (out_mu - anchor_mu) / m)
+                    gw = [a + b for a, b in zip(gw, pw)]
+                    gb = [a + b for a, b in zip(gb, pb)]
+                for l in range(cand.height):
+                    cand.weights[l] += ascent_lr * gw[l]
+                    cand.biases[l] += ascent_lr * gb[l]
+                if (step + 1) % 20 == 0 or step + 1 == ascent_steps:
+                    cand._project_inplace()
+                    f_xs = cand.forward(xs)
+                    f_mu = cand.forward(mu_samples)
+                    if float(np.mean((f_mu - anchor_mu) ** 2)) <= radius:
+                        rejected_all = False
+                        best = max(best, float(sigma @ (f_xs - anchor_xs) / n))
+            penalized.append(steps_over)
+        sups[i] = best
+    note = "trained supremum: lower estimate of the true sup"
+    if rejected_all:
+        note += "; no ascent candidate stayed inside the radius (estimate is the anchor's 0)"
+    return sups, float(sups.mean()), note, penalized
+
+
+def headed_anchor(spec, rng, input_dim=2, clamp=True):
+    # random hidden layers and a nonzero head, so the anchor is not constant
+    net = ReluNetwork.random(input_dim, spec, rng, output_clamp=clamp)
+    net.weights[-1] = rng.uniform(-0.3, 0.3, net.weights[-1].shape)
+    net.biases[-1] = np.array([0.5])
+    return net
+
+
+def stacked_and_reference(spec, anchor, radius, xs, mu, draws, seed, **kw):
+    est = localized_rademacher(spec, anchor, radius, xs, mu, draws, seed, **kw)
+    ref = reference_localized(anchor, radius, xs, mu, draws, seed, **kw)
+    assert est.per_draw.tobytes() == ref[0].tobytes()
+    assert est.value == ref[1]
+    assert est.bias_note == ref[2]
+    return est, ref
+
+
+class TestStackedAscentMatchesReference:
+    """The stacked ascent reproduces the per-candidate loop bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def small(self):
+        rng = np.random.default_rng(31)
+        spec = ArchitectureSpec(height=2, width=8, sparsity=10**4, weight_bound=5.0)
+        return spec, headed_anchor(spec, rng), rng.random((48, 2)), rng.random((96, 2))
+
+    def test_benchmark_shape(self):
+        rng = np.random.default_rng(30)
+        spec = ArchitectureSpec(height=2, width=16, sparsity=10**6, weight_bound=8.0)
+        anchor = headed_anchor(spec, rng)
+        xs, mu = rng.random((128, 2)), rng.random((256, 2))
+        est, _ = stacked_and_reference(spec, anchor, 0.16, xs, mu, 10, 7)
+        assert np.any(est.per_draw > 0.0)
+
+    def test_binding_sparsity_prunes(self):
+        rng = np.random.default_rng(32)
+        spec = ArchitectureSpec(height=3, width=5, sparsity=20, weight_bound=2.0)
+        anchor = headed_anchor(spec, rng)
+        assert anchor.n_params() > spec.sparsity
+        stacked_and_reference(spec, anchor, 0.05, rng.random((40, 2)),
+                              rng.random((80, 2)), 3, 8)
+
+    def test_penalty_binds_for_some_candidates_only(self, small):
+        spec, anchor, xs, mu = small
+        _, ref = stacked_and_reference(spec, anchor, 2e-4, xs, mu, 3, 9, ascent_steps=60)
+        penalized = ref[3]
+        assert any(0 < sum(step in steps for steps in penalized) < len(penalized)
+                   for step in range(60))
+
+    def test_all_candidates_rejected(self, small):
+        spec, anchor, xs, mu = small
+        est, _ = stacked_and_reference(spec, anchor, 1e-12, xs, mu, 3, 10, ascent_steps=40)
+        assert "no ascent candidate" in est.bias_note
+        assert np.all(est.per_draw == 0.0)
+
+    def test_unclamped_anchor(self):
+        rng = np.random.default_rng(33)
+        spec = ArchitectureSpec(height=2, width=8, sparsity=10**4, weight_bound=5.0)
+        anchor = headed_anchor(spec, rng, clamp=False)
+        stacked_and_reference(spec, anchor, 0.05, rng.random((48, 2)),
+                              rng.random((96, 2)), 3, 11, ascent_steps=60)
+
+    def test_several_chunks(self, small, monkeypatch):
+        spec, anchor, xs, mu = small
+        # two draws of two restarts per chunk: five draws take three chunks
+        monkeypatch.setattr(rademacher, "_STACK_ELEMENTS", 2 * 2 * len(mu) * spec.width)
+        stacked_and_reference(spec, anchor, 0.02, xs, mu, 5, 12, ascent_steps=40)
 
 
 class TestSubRootFixedPoint:

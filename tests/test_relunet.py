@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import fqlab
 from fqlab.relunet import (ArchitectureSpec, ReluNetwork, TrainConfig,
-                           TrainingDiverged, architecture_for, fit_least_squares,
-                           project_constraints)
+                           TrainingDiverged, _clip_and_prune, _forward,
+                           _output_gradient, architecture_for, fit_least_squares)
 
 
 def small_spec(height=2, width=8, sparsity=10**6, bound=50.0):
@@ -117,20 +119,68 @@ class TestGradient:
         assert checked == 100
 
 
+def same_bits(a, b):
+    """Equal shapes and bytes: stricter than array_equal, which lets 0.0 == -0.0."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def stack_params(nets):
+    return ([np.stack([net.weights[l] for net in nets]) for l in range(nets[0].height)],
+            [np.stack([net.biases[l] for net in nets]) for l in range(nets[0].height)])
+
+
+class TestStackedKernels:
+    @pytest.mark.parametrize("height", [1, 2, 3])
+    @pytest.mark.parametrize("rows", [1, 7, 128])
+    def test_stack_matches_each_network_bit_for_bit(self, height, rows):
+        rng = np.random.default_rng(100 * height + rows)
+        nets = [random_net(rng, input_dim=2, height=height, width=5) for _ in range(4)]
+        nets[1].weights[0][0] = 0.0  # a dead unit: exact zeros through the backward pass
+        x = rng.random((rows, 2))
+        w = rng.standard_normal((len(nets), rows))
+        weights, biases = stack_params(nets)
+        out, pre, acts = _forward(weights, biases, x)
+        gw, gb = _output_gradient(weights, pre, acts, w)
+        for c, net in enumerate(nets):
+            ref_out, ref_pre, ref_acts = net._forward_cached(x)
+            assert same_bits(out[c], ref_out)
+            assert all(same_bits(a[c], b) for a, b in zip(pre, ref_pre))
+            assert same_bits(acts[0], ref_acts[0])  # the shared input layer
+            assert all(same_bits(a[c], b) for a, b in zip(acts[1:], ref_acts[1:]))
+            ref_gw, ref_gb = net.weighted_output_gradient(x, w[c])
+            assert all(same_bits(a[c], b) for a, b in zip(gw, ref_gw))
+            assert all(same_bits(a[c], b) for a, b in zip(gb, ref_gb))
+
+    @pytest.mark.parametrize("height", [1, 2, 3])
+    def test_reused_cache_matches_fresh_pass(self, height):
+        rng = np.random.default_rng(height)
+        nets = [random_net(rng, height=height, width=6) for _ in range(3)]
+        weights, biases = stack_params(nets)
+        x = rng.random((20, 2))
+        stale = _forward(weights, biases, rng.random((20, 2)))
+        fresh = _forward(weights, biases, x)
+        reused = _forward(weights, biases, x, reuse=stale)
+        assert all(a is b for a, b in zip(reused[1], stale[1]))
+        assert same_bits(reused[0], fresh[0])
+        for got, want in zip(reused[1] + reused[2], fresh[1] + fresh[2]):
+            assert same_bits(got, want)
+
+
 class TestProjection:
     def test_feasible_unchanged(self):
         rng = np.random.default_rng(3)
         net = random_net(rng)
         net.sparsity = net.n_params()
         net.weight_bound = 100.0
-        out = project_constraints(net)
+        out = net.projected()
         for a, b in zip(out.weights, net.weights):
             np.testing.assert_array_equal(a, b)
 
     def test_uniform_clip_then_prune(self):
         spec = ArchitectureSpec(height=1, width=1, sparsity=3, weight_bound=1.5)
         net = ReluNetwork([np.full((1, 5), 3.0)], [np.array([3.0])], 3, 1.5)
-        out = project_constraints(net)
+        out = net.projected()
         kept = np.concatenate([out.weights[0].ravel(), out.biases[0]])
         assert np.count_nonzero(kept) <= 3
         assert set(np.unique(kept)) <= {0.0, 1.5}
@@ -138,7 +188,7 @@ class TestProjection:
     def test_top_magnitude_selection(self):
         net = ReluNetwork([np.array([[3.0, -2.0, 1.0, 0.5]])], [np.array([0.0])],
                           sparsity=2, weight_bound=10.0)
-        out = project_constraints(net)
+        out = net.projected()
         np.testing.assert_array_equal(out.weights[0], [[3.0, -2.0, 0.0, 0.0]])
 
     def test_idempotent_bit_for_bit(self):
@@ -148,10 +198,64 @@ class TestProjection:
                              width=int(rng.integers(2, 9)))
             net.sparsity = int(rng.integers(1, net.n_params() + 1))
             net.weight_bound = float(rng.uniform(0.05, 2.0))
-            once = project_constraints(net)
-            twice = project_constraints(once)
+            once = net.projected()
+            twice = once.projected()
             for a, b in zip(once.weights + once.biases, twice.weights + twice.biases):
                 np.testing.assert_array_equal(a, b)
+
+
+@st.composite
+def constrained_nets(draw, copies=1):
+    """copies networks of one drawn shape with any entries, sparsity and bound;
+    entries mix arbitrary floats with exact zeros and magnitude ties."""
+    height = draw(st.integers(1, 3))
+    width = draw(st.integers(1, 5))
+    input_dim = draw(st.integers(1, 3))
+    zero = ReluNetwork.zeros(input_dim, small_spec(height=height, width=width))
+    shapes = [p.shape for p in zero.weights + zero.biases]
+    size = sum(int(np.prod(shape)) for shape in shapes)
+    entry = st.one_of(st.floats(-10.0, 10.0), st.sampled_from([0.0, -0.0, 1.0, -1.0]))
+    sparsity = draw(st.integers(1, size + 2))
+    bound = draw(st.floats(0.05, 5.0))
+    nets = []
+    for _ in range(copies):
+        flat = draw(st.lists(entry, min_size=size, max_size=size))
+        params, pos = [], 0
+        for shape in shapes:
+            k = int(np.prod(shape))
+            params.append(np.array(flat[pos:pos + k]).reshape(shape))
+            pos += k
+        nets.append(ReluNetwork(params[:height], params[height:], sparsity, bound,
+                                output_clamp=False))
+    return nets
+
+
+def assert_feasible(arrays, sparsity, bound):
+    assert sum(int(np.count_nonzero(a)) for a in arrays) <= sparsity
+    assert all(np.abs(a).max(initial=0.0) <= bound for a in arrays)
+
+
+class TestProjectionProperties:
+    @given(constrained_nets())
+    def test_idempotent_and_feasible(self, nets):
+        once = nets[0].projected()
+        assert_feasible(once.weights + once.biases, once.sparsity, once.weight_bound)
+        twice = once.projected()
+        for a, b in zip(once.weights + once.biases, twice.weights + twice.biases):
+            assert same_bits(a, b)
+
+    @given(constrained_nets(copies=3))
+    def test_stack_views_project_like_each_network(self, nets):
+        weights, biases = stack_params(nets)
+        sparsity, bound = nets[0].sparsity, nets[0].weight_bound
+        for _ in range(2):  # the second pass checks idempotence on the stack
+            for c, net in enumerate(nets):
+                views = [w[c] for w in weights] + [b[c] for b in biases]
+                _clip_and_prune(views, bound, sparsity)
+                assert_feasible(views, sparsity, bound)
+                want = net.projected()
+                for got, ref in zip(views, want.weights + want.biases):
+                    assert same_bits(got, ref)
 
 
 class TestFit:
@@ -170,7 +274,7 @@ class TestFit:
         net.sparsity = 5
         fit = fit_least_squares(net, rng.random((10, 2)), rng.random(10),
                                 TrainConfig(epochs=0, seed=0))
-        expected = project_constraints(net)
+        expected = net.projected()
         for a, b in zip(fit.weights + fit.biases, expected.weights + expected.biases):
             np.testing.assert_array_equal(a, b)
 
@@ -191,7 +295,7 @@ class TestFit:
             net = random_net(rng, clamp=False)
             xs = rng.random((50, 2))
             ys = rng.random(50)
-            init_loss = project_constraints(net).mse(xs, ys)
+            init_loss = net.projected().mse(xs, ys)
             fit = fit_least_squares(net, xs, ys,
                                     TrainConfig(epochs=30, restarts=1, seed=seed))
             assert fit.mse(xs, ys) <= init_loss + 1e-12
