@@ -41,14 +41,6 @@ class FunctionOnGrid:
         ax = self.axes[axis]
         return float(ax[1] - ax[0])
 
-    @classmethod
-    def from_callable(cls, fn, resolution=1025, d=1):
-        axes = tuple(np.linspace(0.0, 1.0, resolution) for _ in range(d))
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=-1)
-        vals = np.asarray(fn(pts), dtype=float).reshape(tuple(len(a) for a in axes))
-        return cls(axes, vals)
-
     def save_csv(self, path):
         mesh = np.meshgrid(*self.axes, indexing="ij")
         cols = [m.ravel() for m in mesh] + [self.values.ravel()]

@@ -52,7 +52,6 @@ class FqiTrace:
     q_iterates: list
     train_losses: np.ndarray
     wallclock: float
-    bellman_residuals: np.ndarray | None = None
 
     def __post_init__(self):
         if len(self.q_iterates) != len(self.train_losses) + 1:
@@ -171,7 +170,7 @@ def measure_bellman_residuals(trace: FqiTrace, oracle: GridOracle, mdp: Syntheti
 
     The Bellman image is computed exactly by grid quadrature and interpolated
     at the sample points; the norm is the root mean square over mu_samples.
-    Stores and returns the per-iteration array.
+    Returns the per-iteration array.
     """
     states, action_values = mu_samples
     pts = np.concatenate([np.asarray(states, dtype=float),
@@ -183,7 +182,6 @@ def measure_bellman_residuals(trace: FqiTrace, oracle: GridOracle, mdp: Syntheti
         image_at = oracle.interpolator(image)(pts)
         next_at = trace.q_iterates[k + 1].forward(pts)
         out[k] = float(np.sqrt(np.mean((next_at - image_at) ** 2)))
-    trace.bellman_residuals = out
     return out
 
 

@@ -2,16 +2,19 @@
 decomposition-bound auditing, and report emission."""
 from __future__ import annotations
 
+import ctypes
 import json
+import multiprocessing
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from .fqi import FqiConfig, decomposition_bound, measure_bellman_residuals, run_lsvi
-from .mdp import FixedActionPolicy, Policy, UniformPolicy, sample_visitation
+from .mdp import FixedActionPolicy, UniformPolicy, sample_visitation
 from .oracle import build_oracle, estimate_concentration, ground_truth, subopt
 from .rademacher import rate_exponent
 from .relunet import ArchitectureSpec, TrainConfig, TrainingDiverged, architecture_for
@@ -103,6 +106,10 @@ class CellRecord:
     failed: bool = False
     fail_reason: str = ""
     wallclock: float = 0.0
+    # seconds per stage, summed over both attempts of a retried cell
+    sampling_s: float = 0.0
+    run_lsvi_s: float = 0.0
+    residuals_s: float = 0.0
 
 
 @dataclass
@@ -156,20 +163,80 @@ def default_probes(n_actions: int):
             FixedActionPolicy(n_actions - 1, n_actions)]
 
 
-def run_sweep(cfg: ExperimentConfig, eta: Policy | None = None,
-              target_policy: Policy | None = None) -> ExperimentReport:
+# OpenBLAS thread setters by symbol, in the order they are tried per library
+_BLAS_THREAD_SETTERS = ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
+                        "openblas_set_num_threads", "scipy_openblas_set_num_threads")
+
+# in a forked worker, the cell function of the sweep that started the pool
+_WORKER_CELL = None
+
+
+def _openblas_libraries():
+    """Every OpenBLAS library mapped into this process (numpy and scipy each
+    ship their own), or none where /proc/self/maps does not exist."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {line.split()[-1] for line in maps if "openblas" in line}
+    except OSError:
+        return []
+    return [ctypes.CDLL(path) for path in sorted(paths)]
+
+
+def _pin_blas_threads():
+    """One BLAS thread per worker, so that jobs workers do not oversubscribe
+    the cores with jobs x BLAS threads."""
+    for lib in _openblas_libraries():
+        setter = next((getattr(lib, name) for name in _BLAS_THREAD_SETTERS
+                       if hasattr(lib, name)), None)
+        if setter is not None:
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            setter(1)
+
+
+def _init_worker(run_cell):
+    # fork hands run_cell over unpickled, with the MDP, the oracles and the
+    # residual samples it closes over, so a worker rebuilds none of them
+    global _WORKER_CELL
+    _WORKER_CELL = run_cell
+    _pin_blas_threads()
+
+
+def _run_worker_cell(cell):
+    return _WORKER_CELL(cell)
+
+
+def _worker_pool(workers: int, run_cell) -> ProcessPoolExecutor:
+    return ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("fork"),
+                               initializer=_init_worker, initargs=(run_cell,))
+
+
+@contextmanager
+def _stage(rec: CellRecord, field_name: str):
+    """Add the seconds spent in the block to rec's stage field."""
+    t0 = time.perf_counter()
+    try:
+        yield
+    finally:
+        setattr(rec, field_name, getattr(rec, field_name) + time.perf_counter() - t0)
+
+
+def run_sweep(cfg: ExperimentConfig) -> ExperimentReport:
     """Execute every sweep cell, audit the decomposition bound per cell, and
     fit the empirical error-vs-n rate per (mode, data_mode, K) group.
 
-    Cell failures are retried once with a shifted seed and then recorded, never
-    aborting the sweep.  Cells run in parallel when cfg.jobs > 1; aggregation
-    is order-independent.
+    Both the data-collection policy and the OPE target policy are uniform over
+    the action grid.  Cell failures are retried once with a shifted seed and
+    then recorded, never aborting the sweep.  When cfg.jobs > 1 and the sweep
+    has more than one cell, cells run in up to cfg.jobs forked worker
+    processes with one BLAS thread each (in-process where the platform cannot
+    fork); aggregation is order-independent.  A worker that dies raises
+    concurrent.futures.process.BrokenProcessPool.
     """
     from .mdp import mdp_from_config
 
     mdp = mdp_from_config(cfg.mdp)
-    eta = eta or UniformPolicy(mdp.n_actions)
-    target_policy = target_policy or UniformPolicy(mdp.n_actions)
+    eta = UniformPolicy(mdp.n_actions)
+    target_policy = UniformPolicy(mdp.n_actions)
     d = mdp.dim
 
     # one grid build serves both targets and the concentration estimate:
@@ -202,17 +269,20 @@ def run_sweep(cfg: ExperimentConfig, eta: Policy | None = None,
         for attempt, use_seed in enumerate((seed, seed + RETRY_SEED_OFFSET)):
             rec.seed = use_seed
             try:
-                data = sample_visitation(mdp, eta, n, use_seed)
+                with _stage(rec, "sampling_s"):
+                    data = sample_visitation(mdp, eta, n, use_seed)
                 fqi_cfg = FqiConfig(
                     iterations=k_iter, mode=mode, arch=arch,
                     train=cell_train(n, per_fit, use_seed),
                     target_policy=target_policy if mode == "ope" else None,
                     data_mode=data_mode, ope_return=cfg.ope_return)
                 oracle = oracle_pi if mode == "ope" else oracle_star
-                result, trace = run_lsvi(data, fqi_cfg, mdp, oracle)
-                resid = measure_bellman_residuals(
-                    trace, oracle, mdp, mu_samples,
-                    policy=target_policy if mode == "ope" else None)
+                with _stage(rec, "run_lsvi_s"):
+                    result, trace = run_lsvi(data, fqi_cfg, mdp, oracle)
+                with _stage(rec, "residuals_s"):
+                    resid = measure_bellman_residuals(
+                        trace, oracle, mdp, mu_samples,
+                        policy=target_policy if mode == "ope" else None)
                 rec.subopt = subopt(oracle, result.value if mode == "ope" else result.policy)
                 rec.max_residual = float(resid.max())
                 rec.bound_rhs = decomposition_bound(mode, kappa, mdp.gamma, k_iter, rec.max_residual)
@@ -228,12 +298,12 @@ def run_sweep(cfg: ExperimentConfig, eta: Policy | None = None,
         return rec
 
     cells = list(cfg.cells())
-    if cfg.jobs > 1:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            records = dict(zip(cells, pool.map(run_cell, cells)))
+    workers = min(cfg.jobs, len(cells))
+    if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
+        with _worker_pool(workers, run_cell) as pool:
+            ordered = list(pool.map(_run_worker_cell, cells))
     else:
-        records = {cell: run_cell(cell) for cell in cells}
-    ordered = [records[c] for c in cells]
+        ordered = [run_cell(cell) for cell in cells]
 
     rate_fits = []
     for mode in cfg.modes:
@@ -305,6 +375,10 @@ def _fmt(value):
     return str(value)
 
 
+def _cell_key(rec: CellRecord) -> str:
+    return f"{rec.mode}/{rec.data_mode}/n{rec.n}/K{rec.K}/s{rec.seed}"
+
+
 def write_report(report: ExperimentReport, out_dir) -> None:
     """Emit report.csv (one deterministic row per cell), report.json
     (aggregates, exponents, audit, timing), and the CSV schema file.
@@ -334,7 +408,11 @@ def write_report(report: ExperimentReport, out_dir) -> None:
             "note": audit.note,
         },
         "timing_seconds_nondeterministic": {
-            f"{r.mode}/{r.data_mode}/n{r.n}/K{r.K}/s{r.seed}": r.wallclock
+            _cell_key(r): r.wallclock for r in report.records
+        },
+        "stage_seconds_nondeterministic": {
+            _cell_key(r): {"sampling": r.sampling_s, "run_lsvi": r.run_lsvi_s,
+                           "bellman_residuals": r.residuals_s}
             for r in report.records
         },
         "failures": [

@@ -126,8 +126,14 @@ def localized_rademacher(spec: ArchitectureSpec, anchor: ReluNetwork, radius: fl
 
     Every restart of every sign draw is one candidate network; the candidates
     ascend in lockstep as one stacked network, in chunks of whole draws, and
-    each gets exactly the numbers it would get ascending on its own.
+    each gets exactly the numbers it would get ascending on its own.  The
+    feasible set is the anchor's architecture, so spec must describe it.
     """
+    hidden = {w.shape[0] for w in anchor.weights[:-1]}
+    if (anchor.height != spec.height or not hidden <= {spec.width}
+            or anchor.sparsity != spec.sparsity or anchor.weight_bound != spec.weight_bound):
+        raise ValueError("spec disagrees with the anchor's height, width, sparsity "
+                         "or weight bound")
     if radius <= 0:
         raise ValueError("radius must be positive")
     if sigma_draws < 1:

@@ -1,10 +1,14 @@
+import ctypes
 import json
+import os
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import fqlab
+import fqlab.harness as harness
 from fqlab.fqi import FqiConfig, decomposition_bound, measure_bellman_residuals, run_lsvi
 from fqlab.harness import (RETRY_SEED_OFFSET, AuditSummary, CellRecord, ExperimentConfig,
                            ExperimentReport, audit_decomposition, run_sweep,
@@ -29,6 +33,39 @@ def tiny_config(**kw):
     )
     base.update(kw)
     return ExperimentConfig(**base)
+
+
+def diverging_config(**kw):
+    # lr 1e8 overflows the loss between projection checkpoints
+    base = dict(
+        n_values=(256,), k_values=(2,), seeds=(0,),
+        arch=fqlab.ArchitectureSpec(height=3, width=32, sparsity=10**6, weight_bound=1e9),
+        train=TrainConfig(epochs=50, restarts=1, learning_rate=1e8, seed=0),
+        residual_samples=256, probe_horizons=(0, 1))
+    base.update(kw)
+    return tiny_config(**base)
+
+
+def mixed_config(**kw):
+    # one cell of every (mode, data_mode) pair
+    return tiny_config(n_values=(256,), k_values=(2,), seeds=(0,), modes=("ope", "opl"),
+                       data_modes=("reuse", "split"), probe_horizons=(0, 1, 2), **kw)
+
+
+_BLAS_THREAD_GETTERS = ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                        "openblas_get_num_threads", "scipy_openblas_get_num_threads")
+
+
+def blas_thread_counts():
+    """Thread count of every mapped OpenBLAS library that reports one."""
+    counts = []
+    for lib in harness._openblas_libraries():
+        getter = next((getattr(lib, name) for name in _BLAS_THREAD_GETTERS
+                       if hasattr(lib, name)), None)
+        if getter is not None:
+            getter.argtypes, getter.restype = [], ctypes.c_int
+            counts.append(getter())
+    return counts
 
 
 @pytest.fixture(scope="module")
@@ -70,7 +107,6 @@ class TestRunSweep:
             assert np.isfinite(rec.bound_slack)
 
     def test_one_grid_build_serves_both_targets(self, monkeypatch):
-        import fqlab.harness as harness
         builds = []
 
         def counting_build(*args, **kwargs):
@@ -91,15 +127,8 @@ class TestRunSweep:
         assert report.kappa_hat == fresh.kappa_hat
 
     def test_nonfinite_loss_recorded_as_failed_cell(self):
-        # lr 1e8 overflows the loss between projection checkpoints
-        cfg = tiny_config(
-            n_values=(256,), k_values=(2,), seeds=(0,),
-            arch=fqlab.ArchitectureSpec(height=3, width=32, sparsity=10**6,
-                                        weight_bound=1e9),
-            train=TrainConfig(epochs=50, restarts=1, learning_rate=1e8, seed=0),
-            residual_samples=256, probe_horizons=(0, 1))
         with np.errstate(over="ignore", invalid="ignore"):
-            report = run_sweep(cfg)
+            report = run_sweep(diverging_config())
         (rec,) = report.records
         assert rec.failed
         assert rec.seed == 0 + RETRY_SEED_OFFSET
@@ -171,6 +200,17 @@ class TestReportEmission:
         assert "stat_exponent" in payload["theory_exponents"]
         assert payload["sizing_hint"]["n_hint"] > 0
 
+    def test_json_has_stage_seconds_per_cell(self, tmp_path):
+        write_report(run_sweep(mixed_config()), tmp_path)
+        payload = json.loads((tmp_path / "report.json").read_text())
+        walls = payload["timing_seconds_nondeterministic"]
+        stages = payload["stage_seconds_nondeterministic"]
+        assert set(stages) == set(walls) and len(walls) == 4
+        for key, seconds in stages.items():
+            assert set(seconds) == {"sampling", "run_lsvi", "bellman_residuals"}
+            assert all(s > 0 for s in seconds.values())
+            assert sum(seconds.values()) <= walls[key]
+
 
 class TestConfigValidation:
     def test_empty_axis_rejected(self):
@@ -197,3 +237,38 @@ class TestParallel:
         for ra, rb in zip(a.records, b.records):
             assert ra.subopt == rb.subopt
             assert ra.max_residual == rb.max_residual
+
+    def test_worker_report_csv_bytes_match_serial(self, tmp_path):
+        write_report(run_sweep(mixed_config()), tmp_path / "serial")
+        write_report(run_sweep(mixed_config(jobs=2)), tmp_path / "workers")
+        serial = (tmp_path / "serial" / "report.csv").read_bytes()
+        assert serial.count(b"\n") == 5
+        assert (tmp_path / "workers" / "report.csv").read_bytes() == serial
+
+    def test_diverging_cells_recorded_failed_in_workers(self):
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = run_sweep(diverging_config(seeds=(0, 1), jobs=2))
+        assert [r.seed for r in report.records] == [s + RETRY_SEED_OFFSET for s in (0, 1)]
+        for rec in report.records:
+            assert rec.failed
+            assert rec.fail_reason.startswith("attempt 1:")
+            assert "non-finite" in rec.fail_reason
+
+    def test_dead_worker_raises_broken_pool(self, monkeypatch):
+        def die(*args, **kwargs):
+            os._exit(3)
+
+        # patched before the fork, so the workers inherit it
+        monkeypatch.setattr(harness, "run_lsvi", die)
+        with pytest.raises(BrokenProcessPool):
+            run_sweep(tiny_config(n_values=(256,), seeds=(0, 1), jobs=2))
+
+    def test_workers_run_one_blas_thread(self):
+        before = blas_thread_counts()
+        if not before:
+            pytest.skip("no OpenBLAS library reports its thread count")
+        run_sweep(tiny_config(n_values=(256,), seeds=(0, 1), k_values=(2,), jobs=2))
+        with harness._worker_pool(2, run_cell=None) as pool:
+            in_worker = pool.submit(blas_thread_counts).result()
+        assert in_worker == [1] * len(before)
+        assert blas_thread_counts() == before

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -118,6 +119,14 @@ class TestLocalizedRademacher:
         spec, anchor, xs, mu = setup
         with pytest.raises(ValueError, match="nonempty"):
             localized_rademacher(spec, anchor, 0.1, xs, mu[:0], 2, 0)
+
+    def test_rejects_spec_that_disagrees_with_anchor(self, setup):
+        spec, anchor, xs, mu = setup
+        for other in (replace(spec, sparsity=3, weight_bound=0.01), replace(spec, sparsity=3),
+                      replace(spec, weight_bound=0.01), replace(spec, width=16),
+                      replace(spec, height=3)):
+            with pytest.raises(ValueError, match="disagrees"):
+                localized_rademacher(other, anchor, 0.5, xs, mu, 3, 0)
 
 
 def reference_localized(anchor, radius, xs, mu_samples, sigma_draws, seed,
