@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import json
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -18,17 +17,35 @@ def _float(text):
     return float("inf") if text in ("inf", "infinity") else float(text)
 
 
-def _train_config(args):
-    from .relunet import TrainConfig
+def _train_kwargs(args):
+    """TrainConfig fields given on the command line."""
+    names = ("epochs", "restarts", "learning_rate")
+    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
 
-    kw = {}
-    if getattr(args, "epochs", None) is not None:
-        kw["epochs"] = args.epochs
-    if getattr(args, "restarts", None) is not None:
-        kw["restarts"] = args.restarts
-    if getattr(args, "learning_rate", None) is not None:
-        kw["learning_rate"] = args.learning_rate
-    return TrainConfig(**kw)
+
+def _experiment_config(raw: dict):
+    """ExperimentConfig from a JSON-shaped dict (lists, nested arch/train dicts)."""
+    from .harness import ExperimentConfig
+    from .relunet import ArchitectureSpec, TrainConfig
+
+    raw = dict(raw)
+    if raw.get("arch") is not None:
+        raw["arch"] = ArchitectureSpec(**raw["arch"])
+    if "train" in raw:
+        raw["train"] = TrainConfig(**raw["train"])
+    for key in ("n_values", "k_values", "seeds", "modes", "data_modes"):
+        if key in raw:
+            raw[key] = tuple(raw[key])
+    return ExperimentConfig(**raw)
+
+
+def _sweep(raw: dict, out):
+    """Run the sweep a JSON-shaped config dict describes and write its report."""
+    from .harness import run_sweep, write_report
+
+    report = run_sweep(_experiment_config(raw))
+    write_report(report, out)
+    return report
 
 
 def cmd_gen_data(args):
@@ -46,32 +63,17 @@ def cmd_gen_data(args):
 
 
 def cmd_run_fqi(args):
-    from .fqi import FqiConfig, decomposition_bound, measure_bellman_residuals, run_lsvi
-    from .harness import default_probes
-    from .mdp import UniformPolicy, mdp_from_config, sample_visitation
-    from .oracle import build_oracle, estimate_concentration, ground_truth, subopt
-    from .relunet import architecture_for
+    from .harness import CellRecord, run_attempt, sweep_setup
 
-    mdp = mdp_from_config(args.mdp)
-    eta = UniformPolicy(mdp.n_actions)
-    target = UniformPolicy(mdp.n_actions)
-    data = sample_visitation(mdp, eta, args.n, args.seed)
-    arch = architecture_for(args.n, args.alpha, _float(args.p), mdp.dim)
-    train = replace(_train_config(args), seed=args.seed)
-    cfg = FqiConfig(iterations=args.K, mode=args.mode, arch=arch, train=train,
-                    target_policy=target if args.mode == "ope" else None,
-                    data_mode={"reuse": "reuse", "split": "split"}[args.data_mode],
-                    ope_return=args.ope_return)
-    oracle = ground_truth(build_oracle(mdp), mdp,
-                          target if args.mode == "ope" else None)
-    result, trace = run_lsvi(data, cfg, mdp, oracle)
-    mu_data = sample_visitation(mdp, eta, 4096, seed=940_001)
-    residuals = measure_bellman_residuals(
-        trace, oracle, mdp, (mu_data.states, mu_data.actions),
-        policy=target if args.mode == "ope" else None)
-    conc = estimate_concentration(oracle, eta, default_probes(mdp.n_actions), range(21))
-    gap = subopt(oracle, result.value if args.mode == "ope" else result.policy)
-    rhs = decomposition_bound(args.mode, conc.kappa_hat, mdp.gamma, args.K, float(residuals.max()))
+    # one sweep cell with the sweep defaults; no retry, so divergence raises
+    cfg = _experiment_config({
+        "mdp": args.mdp, "n_values": [args.n], "k_values": [args.K], "seeds": [args.seed],
+        "modes": [args.mode], "data_modes": [args.data_mode], "alpha": args.alpha,
+        "p": _float(args.p), "train": _train_kwargs(args), "ope_return": args.ope_return})
+    setup = sweep_setup(cfg)
+    (cell,) = cfg.cells()
+    rec = CellRecord(*cell, kappa_hat=setup.kappa_hat)
+    result, trace, residuals = run_attempt(cfg, setup, rec)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -79,42 +81,28 @@ def cmd_run_fqi(args):
     for k in range(args.K):
         rows.append(f"{k + 1},{float(trace.train_losses[k])!r},{float(residuals[k])!r}")
     (out / "trace.csv").write_text("\n".join(rows) + "\n")
-    payload = {
-        "mode": args.mode,
-        "subopt": gap,
-        "kappa_hat": conc.kappa_hat,
-        "bound_rhs": rhs,
-        "bound_slack": rhs - gap,
-        "max_residual": float(residuals.max()),
-    }
+    payload = {"mode": args.mode}
+    payload.update({key: getattr(rec, key) for key in
+                    ("subopt", "kappa_hat", "bound_rhs", "bound_slack", "max_residual")})
     if args.mode == "ope":
         payload["value"] = result.value
         payload["value_mean"] = result.v_mean
         payload["value_norm"] = result.v_norm
     else:
         payload["greedy_action_by_state_node"] = (
-            result.policy.act(oracle.nodes).tolist())
+            result.policy.act(setup.oracles["opl"].nodes).tolist())
     (out / "result.json").write_text(json.dumps(payload, indent=2) + "\n")
     result.q_final.save(out / "q_final.net")
-    print(f"subopt={gap:.6f} bound_rhs={rhs:.6f} -> {out}")
+    print(f"subopt={rec.subopt:.6f} bound_rhs={rec.bound_rhs:.6f} -> {out}")
 
 
 def cmd_measure_rates(args):
-    from .harness import ExperimentConfig, run_sweep, write_report
-    from .relunet import ArchitectureSpec
-
-    arch = None
-    if args.arch is not None:
-        raw = _load_json(args.arch)
-        arch = ArchitectureSpec(**raw)
-    cfg = ExperimentConfig(
-        mdp={"kind": args.mdp} if not args.mdp.endswith(".json") else _load_json(args.mdp),
-        n_values=tuple(args.n_values), k_values=(args.K,),
-        seeds=tuple(range(args.seeds)), modes=(args.mode,),
-        data_modes=("reuse",), arch=arch, alpha=args.alpha, p=_float(args.p),
-        train=_train_config(args), jobs=args.jobs)
-    report = run_sweep(cfg)
-    write_report(report, args.out)
+    report = _sweep({
+        "mdp": args.mdp, "n_values": args.n_values, "k_values": [args.K],
+        "seeds": range(args.seeds), "modes": [args.mode], "data_modes": ["reuse"],
+        "arch": _load_json(args.arch) if args.arch is not None else None,
+        "alpha": args.alpha, "p": _float(args.p), "train": _train_kwargs(args),
+        "jobs": args.jobs}, args.out)
     for fit in report.rate_fits:
         print(f"{fit.mode}/{fit.data_mode}/K={fit.K}: slope={fit.slope:.3f} "
               f"(se {fit.slope_stderr:.3f}); theory stat exponent "
@@ -183,23 +171,22 @@ def cmd_rademacher(args):
 
 
 def cmd_report(args):
-    from .harness import ExperimentConfig, run_sweep, write_report
-    from .relunet import ArchitectureSpec, TrainConfig
-
     raw = _load_json(args.config)
-    if "arch" in raw and raw["arch"] is not None:
-        raw["arch"] = ArchitectureSpec(**raw["arch"])
-    if "train" in raw:
-        raw["train"] = TrainConfig(**raw["train"])
-    for key in ("n_values", "k_values", "seeds", "modes", "data_modes"):
-        if key in raw:
-            raw[key] = tuple(raw[key])
     if args.jobs is not None:
         raw["jobs"] = args.jobs
-    cfg = ExperimentConfig(**raw)
-    report = run_sweep(cfg)
-    write_report(report, args.out)
+    report = _sweep(raw, args.out)
     print(f"{len(report.records)} cells -> {args.out}")
+
+
+def _add_cell_flags(p):
+    """Flags run-fqi and measure-rates share: MDP, mode, architecture rate, training."""
+    p.add_argument("--mdp", default="chain5", help="preset name or JSON config path")
+    p.add_argument("--mode", choices=("ope", "opl"), default="ope")
+    p.add_argument("--alpha", type=float, default=2.0)
+    p.add_argument("--p", default="inf")
+    p.add_argument("--epochs", type=int)
+    p.add_argument("--restarts", type=int)
+    p.add_argument("--learning-rate", type=float)
 
 
 def build_parser():
@@ -215,35 +202,23 @@ def build_parser():
     p.set_defaults(func=cmd_gen_data)
 
     p = sub.add_parser("run-fqi", help="one value-iteration run with diagnostics")
-    p.add_argument("--mdp", default="chain5")
+    _add_cell_flags(p)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--K", type=int, required=True)
-    p.add_argument("--mode", choices=("ope", "opl"), default="ope")
     p.add_argument("--data-mode", choices=("reuse", "split"), default="reuse")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.add_argument("--alpha", type=float, default=2.0)
-    p.add_argument("--p", default="inf")
     p.add_argument("--ope-return", choices=("mean", "norm"), default="mean")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--restarts", type=int)
-    p.add_argument("--learning-rate", type=float)
     p.set_defaults(func=cmd_run_fqi)
 
     p = sub.add_parser("measure-rates", help="error-vs-n sweep with rate fit")
-    p.add_argument("--mdp", default="chain5")
+    _add_cell_flags(p)
     p.add_argument("--n-values", type=int, nargs="+", required=True)
     p.add_argument("--K", type=int, default=10)
     p.add_argument("--seeds", type=int, default=5, help="number of seeds (0..seeds-1)")
-    p.add_argument("--mode", choices=("ope", "opl"), default="ope")
-    p.add_argument("--alpha", type=float, default=2.0)
-    p.add_argument("--p", default="inf")
     p.add_argument("--arch", help="JSON file with explicit architecture fields")
     p.add_argument("--out", required=True)
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--restarts", type=int)
-    p.add_argument("--learning-rate", type=float)
     p.set_defaults(func=cmd_measure_rates)
 
     p = sub.add_parser("analyze-smoothness", help="exponent estimate and seminorm")

@@ -7,7 +7,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .mdp import GreedyPolicy, OfflineDataset, Policy, SyntheticMdp, sample_visitation
+from .mdp import (GreedyPolicy, OfflineDataset, Policy, SyntheticMdp, pair_with_actions,
+                  sample_visitation, state_action_inputs)
 from .oracle import GridOracle, apply_bellman, build_oracle, subopt
 from .relunet import (ArchitectureSpec, ReluNetwork, TrainConfig, TrainingDiverged,
                       fit_least_squares)
@@ -70,11 +71,8 @@ class FqiResult:
 
 def q_on_actions(net: ReluNetwork, states: np.ndarray, action_grid: np.ndarray) -> np.ndarray:
     """Evaluate a network at every action-grid value for each state row."""
-    b = len(states)
-    s_rep = np.repeat(states, len(action_grid), axis=0)
-    a_rep = np.tile(action_grid, b)
-    pts = np.concatenate([s_rep, a_rep[:, None]], axis=1)
-    return net.forward(pts).reshape(b, len(action_grid))
+    pts = state_action_inputs(*pair_with_actions(states, action_grid))
+    return net.forward(pts).reshape(len(states), len(action_grid))
 
 
 def greedy_policy(net: ReluNetwork, action_grid: np.ndarray) -> GreedyPolicy:
@@ -115,9 +113,7 @@ def run_lsvi(data: OfflineDataset, cfg: FqiConfig, mdp: SyntheticMdp | None = No
     grid = mdp.action_grid
     n, n_a = data.n, len(grid)
     xs_all = data.x
-    sp_rep = np.repeat(data.next_states, n_a, axis=0)
-    a_rep = np.tile(grid, n)
-    next_pts = np.concatenate([sp_rep, a_rep[:, None]], axis=1)
+    next_pts = state_action_inputs(*pair_with_actions(data.next_states, grid))
     if cfg.mode == "ope":
         pi_probs = cfg.target_policy.probs(data.next_states)
 
@@ -150,10 +146,8 @@ def run_lsvi(data: OfflineDataset, cfg: FqiConfig, mdp: SyntheticMdp | None = No
     q_final = iterates[-1]
     if cfg.mode == "ope":
         table = oracle.tabulate(lambda pts: q_final.forward(pts))
-        probs = oracle.policy_probs(cfg.target_policy)
-        rho = oracle.init_mass()
-        v_mean = float(rho @ np.sum(probs * table, axis=1))
-        v_norm = float(np.sqrt(rho @ np.sum(probs * table ** 2, axis=1)))
+        v_mean = oracle.value_of(table, cfg.target_policy)
+        v_norm = float(np.sqrt(oracle.value_of(table ** 2, cfg.target_policy)))
         value = v_mean if cfg.ope_return == "mean" else v_norm
         result = FqiResult(mode="ope", value=value, v_mean=v_mean, v_norm=v_norm,
                            q_final=q_final)
@@ -172,9 +166,7 @@ def measure_bellman_residuals(trace: FqiTrace, oracle: GridOracle, mdp: Syntheti
     at the sample points; the norm is the root mean square over mu_samples.
     Returns the per-iteration array.
     """
-    states, action_values = mu_samples
-    pts = np.concatenate([np.asarray(states, dtype=float),
-                          np.asarray(action_values, dtype=float)[:, None]], axis=1)
+    pts = state_action_inputs(*mu_samples)
     out = np.empty(len(trace.q_iterates) - 1)
     for k in range(len(out)):
         q_k = trace.q_iterates[k]
@@ -214,9 +206,7 @@ def run_exact_lsvi(oracle: GridOracle, mdp: SyntheticMdp, iterations: int,
         reference = oracle.q
     err = float(np.abs(q - reference).max())
     for _ in range(iterations):
-        q = oracle.rewards + mdp.gamma * oracle.next_op.expect(
-            np.sum(oracle.policy_probs(policy) * q, axis=1) if policy is not None
-            else q.max(axis=1))
+        q = apply_bellman(oracle, mdp, q, policy)
         new_err = float(np.abs(q - reference).max())
         # the reference table is itself only tol-accurate at the fixed point
         if new_err > mdp.gamma * err + oracle.tol:

@@ -9,22 +9,19 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .fqi import FqiConfig, decomposition_bound, measure_bellman_residuals, run_lsvi
-from .mdp import FixedActionPolicy, UniformPolicy, sample_visitation
+from .mdp import (FixedActionPolicy, SyntheticMdp, UniformPolicy, mdp_from_config,
+                  sample_visitation)
 from .oracle import build_oracle, estimate_concentration, ground_truth, subopt
 from .rademacher import rate_exponent
 from .relunet import ArchitectureSpec, TrainConfig, TrainingDiverged, architecture_for
 
 RETRY_SEED_OFFSET = 777_000_003
-
-CSV_COLUMNS = [
-    "n", "K", "seed", "mode", "data_mode", "subopt", "max_residual",
-    "kappa_hat", "bound_rhs", "bound_slack", "final_train_loss", "failed",
-]
 
 CSV_SCHEMA = {
     "n": "offline sample count of the cell",
@@ -40,18 +37,21 @@ CSV_SCHEMA = {
     "final_train_loss": "training MSE of the last fitted iterate",
     "failed": "1 when the cell failed after one retry, else 0",
 }
+CSV_COLUMNS = list(CSV_SCHEMA)
 
 
 @dataclass
 class ExperimentConfig:
     """Sweep axes and shared settings for a batch of value-iteration runs.
 
-    When arch is None, each cell picks its architecture from the rate-driven
-    selector using (alpha, p) and the cell's sample count.  epsilon/delta feed
-    the reported sample-size hint only; nothing is gated on it.
+    mdp is anything mdp_from_config takes: a config dict, a preset name or a
+    JSON file path.  When arch is None, each cell picks its architecture from
+    the rate-driven selector using (alpha, p) and the cell's sample count.
+    epsilon/delta feed the reported sample-size hint only; nothing is gated
+    on it.  Degenerate axes raise ValueError here, before any oracle is built.
     """
 
-    mdp: dict = field(default_factory=lambda: {"kind": "chain5"})
+    mdp: dict | str = field(default_factory=lambda: {"kind": "chain5"})
     n_values: tuple = (1024, 2048, 4096)
     k_values: tuple = (10,)
     seeds: tuple = (0, 1, 2)
@@ -80,6 +80,14 @@ class ExperimentConfig:
                 raise ValueError(f"sweep axis {name} must be nonempty")
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError("seeds must be distinct")
+        if not set(self.modes) <= {"ope", "opl"}:
+            raise ValueError(f"modes must be 'ope' or 'opl', got {self.modes}")
+        if not set(self.data_modes) <= {"reuse", "split"}:
+            raise ValueError(f"data_modes must be 'reuse' or 'split', got {self.data_modes}")
+        if min(self.n_values) < 1 or min(self.k_values) < 1:
+            raise ValueError("every n and every K must be at least 1")
+        if "split" in self.data_modes and min(self.n_values) < max(self.k_values):
+            raise ValueError("split mode needs n >= K in every cell")
 
     def cells(self):
         for mode in self.modes:
@@ -194,8 +202,8 @@ def _pin_blas_threads():
 
 
 def _init_worker(run_cell):
-    # fork hands run_cell over unpickled, with the MDP, the oracles and the
-    # residual samples it closes over, so a worker rebuilds none of them
+    # fork hands run_cell over unpickled, with the sweep setup it is bound
+    # to, so a worker rebuilds none of the MDP, the oracles or the samples
     global _WORKER_CELL
     _WORKER_CELL = run_cell
     _pin_blas_threads()
@@ -220,6 +228,87 @@ def _stage(rec: CellRecord, field_name: str):
         setattr(rec, field_name, getattr(rec, field_name) + time.perf_counter() - t0)
 
 
+@dataclass
+class SweepSetup:
+    """What every cell of a sweep shares: policy collects the data and is the
+    OPE target, and oracles maps each mode to its populated grid oracle."""
+
+    mdp: SyntheticMdp
+    policy: UniformPolicy
+    oracles: dict
+    kappa_hat: float
+    mu_samples: tuple
+
+
+def sweep_setup(cfg: ExperimentConfig) -> SweepSetup:
+    """Build the MDP, one grid oracle populated for each mode in cfg.modes,
+    the concentration estimate and the residual samples."""
+    mdp = mdp_from_config(cfg.mdp)
+    policy = UniformPolicy(mdp.n_actions)
+    # one grid build serves every target and the concentration estimate:
+    # ground_truth only rebinds q/target/sweep_deltas, so a shallow copy per
+    # mode keeps the targets apart while sharing the grid and next_op
+    grid = build_oracle(mdp)
+    oracles = {mode: ground_truth(replace(grid), mdp, policy if mode == "ope" else None)
+               for mode in cfg.modes}
+    conc = estimate_concentration(grid, policy, default_probes(mdp.n_actions),
+                                  cfg.probe_horizons)
+    mu_data = sample_visitation(mdp, policy, cfg.residual_samples, seed=940_001)
+    return SweepSetup(mdp=mdp, policy=policy, oracles=oracles, kappa_hat=conc.kappa_hat,
+                      mu_samples=(mu_data.states, mu_data.actions))
+
+
+def run_attempt(cfg: ExperimentConfig, setup: SweepSetup, rec: CellRecord):
+    """One attempt at the cell rec names, seeded with rec.seed: fills rec's
+    numbers and stage seconds and returns (FqiResult, FqiTrace, residuals).
+    A diverged fit raises TrainingDiverged and leaves rec's numbers as they were."""
+    mdp, mode = setup.mdp, rec.mode
+    target = setup.policy if mode == "ope" else None
+    oracle = setup.oracles[mode]
+    train = replace(cfg.train, seed=rec.seed)
+    if cfg.train_steps_target is not None:
+        per_fit = rec.n // rec.K if rec.data_mode == "split" else rec.n
+        batch = min(train.batch_size or per_fit, per_fit)
+        steps_per_epoch = (per_fit + batch - 1) // batch
+        epochs = max(1, int(np.ceil(cfg.train_steps_target / steps_per_epoch)))
+        train = replace(train, epochs=epochs)
+    fqi_cfg = FqiConfig(
+        iterations=rec.K, mode=mode, train=train, target_policy=target,
+        arch=cfg.arch or architecture_for(rec.n, cfg.alpha, cfg.p, mdp.dim),
+        data_mode=rec.data_mode, ope_return=cfg.ope_return)
+    with _stage(rec, "sampling_s"):
+        data = sample_visitation(mdp, setup.policy, rec.n, rec.seed)
+    with _stage(rec, "run_lsvi_s"):
+        result, trace = run_lsvi(data, fqi_cfg, mdp, oracle)
+    with _stage(rec, "residuals_s"):
+        resid = measure_bellman_residuals(trace, oracle, mdp, setup.mu_samples, policy=target)
+    rec.subopt = subopt(oracle, result.value if mode == "ope" else result.policy)
+    rec.max_residual = float(resid.max())
+    rec.bound_rhs = decomposition_bound(mode, setup.kappa_hat, mdp.gamma, rec.K, rec.max_residual)
+    rec.bound_slack = rec.bound_rhs - rec.subopt
+    rec.final_train_loss = float(trace.train_losses[-1])
+    return result, trace, resid
+
+
+def run_cell(cfg: ExperimentConfig, setup: SweepSetup, cell) -> CellRecord:
+    """Run one cell, retrying once with a shifted seed after a diverged fit;
+    a cell that diverges twice is recorded as failed, never raised."""
+    rec = CellRecord(*cell, kappa_hat=setup.kappa_hat)
+    t0 = time.perf_counter()
+    for attempt, use_seed in enumerate((rec.seed, rec.seed + RETRY_SEED_OFFSET)):
+        rec.seed = use_seed
+        try:
+            run_attempt(cfg, setup, rec)
+            rec.failed = False
+            rec.fail_reason = ""
+            break
+        except TrainingDiverged as exc:
+            rec.failed = True
+            rec.fail_reason = f"attempt {attempt}: {exc}"
+    rec.wallclock = time.perf_counter() - t0
+    return rec
+
+
 def run_sweep(cfg: ExperimentConfig) -> ExperimentReport:
     """Execute every sweep cell, audit the decomposition bound per cell, and
     fit the empirical error-vs-n rate per (mode, data_mode, K) group.
@@ -232,78 +321,15 @@ def run_sweep(cfg: ExperimentConfig) -> ExperimentReport:
     fork); aggregation is order-independent.  A worker that dies raises
     concurrent.futures.process.BrokenProcessPool.
     """
-    from .mdp import mdp_from_config
-
-    mdp = mdp_from_config(cfg.mdp)
-    eta = UniformPolicy(mdp.n_actions)
-    target_policy = UniformPolicy(mdp.n_actions)
-    d = mdp.dim
-
-    # one grid build serves both targets and the concentration estimate:
-    # ground_truth only rebinds q/target/sweep_deltas, so a shallow copy
-    # keeps the two targets apart while sharing the grid and next_op
-    oracle_pi = ground_truth(build_oracle(mdp), mdp, target_policy)
-    oracle_star = ground_truth(replace(oracle_pi), mdp, None)
-    conc = estimate_concentration(oracle_pi, eta, default_probes(mdp.n_actions),
-                                  cfg.probe_horizons)
-    kappa = conc.kappa_hat
-    mu_data = sample_visitation(mdp, eta, cfg.residual_samples, seed=940_001)
-    mu_samples = (mu_data.states, mu_data.actions)
-
-    def cell_train(n, per_fit, use_seed):
-        train = replace(cfg.train, seed=use_seed)
-        if cfg.train_steps_target is not None:
-            batch = min(train.batch_size or per_fit, per_fit)
-            steps_per_epoch = (per_fit + batch - 1) // batch
-            epochs = max(1, int(np.ceil(cfg.train_steps_target / steps_per_epoch)))
-            train = replace(train, epochs=epochs)
-        return train
-
-    def run_cell(cell):
-        n, k_iter, seed, mode, data_mode = cell
-        arch = cfg.arch or architecture_for(n, cfg.alpha, cfg.p, d)
-        rec = CellRecord(n=n, K=k_iter, seed=seed, mode=mode, data_mode=data_mode,
-                         kappa_hat=kappa)
-        t0 = time.perf_counter()
-        per_fit = n // k_iter if data_mode == "split" else n
-        for attempt, use_seed in enumerate((seed, seed + RETRY_SEED_OFFSET)):
-            rec.seed = use_seed
-            try:
-                with _stage(rec, "sampling_s"):
-                    data = sample_visitation(mdp, eta, n, use_seed)
-                fqi_cfg = FqiConfig(
-                    iterations=k_iter, mode=mode, arch=arch,
-                    train=cell_train(n, per_fit, use_seed),
-                    target_policy=target_policy if mode == "ope" else None,
-                    data_mode=data_mode, ope_return=cfg.ope_return)
-                oracle = oracle_pi if mode == "ope" else oracle_star
-                with _stage(rec, "run_lsvi_s"):
-                    result, trace = run_lsvi(data, fqi_cfg, mdp, oracle)
-                with _stage(rec, "residuals_s"):
-                    resid = measure_bellman_residuals(
-                        trace, oracle, mdp, mu_samples,
-                        policy=target_policy if mode == "ope" else None)
-                rec.subopt = subopt(oracle, result.value if mode == "ope" else result.policy)
-                rec.max_residual = float(resid.max())
-                rec.bound_rhs = decomposition_bound(mode, kappa, mdp.gamma, k_iter, rec.max_residual)
-                rec.bound_slack = rec.bound_rhs - rec.subopt
-                rec.final_train_loss = float(trace.train_losses[-1])
-                rec.failed = False
-                rec.fail_reason = ""
-                break
-            except TrainingDiverged as exc:
-                rec.failed = True
-                rec.fail_reason = f"attempt {attempt}: {exc}"
-        rec.wallclock = time.perf_counter() - t0
-        return rec
-
+    setup = sweep_setup(cfg)
+    cell_fn = partial(run_cell, cfg, setup)
     cells = list(cfg.cells())
     workers = min(cfg.jobs, len(cells))
     if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
-        with _worker_pool(workers, run_cell) as pool:
+        with _worker_pool(workers, cell_fn) as pool:
             ordered = list(pool.map(_run_worker_cell, cells))
     else:
-        ordered = [run_cell(cell) for cell in cells]
+        ordered = [cell_fn(cell) for cell in cells]
 
     rate_fits = []
     for mode in cfg.modes:
@@ -324,9 +350,10 @@ def run_sweep(cfg: ExperimentConfig) -> ExperimentReport:
                                          slope=slope, slope_stderr=se,
                                          n_values=ns, mean_subopt=means))
 
+    d = setup.mdp.dim
     theory = asdict(rate_exponent(cfg.alpha, d))
     return ExperimentReport(
-        config=cfg, records=ordered, kappa_hat=kappa, rate_fits=rate_fits,
+        config=cfg, records=ordered, kappa_hat=setup.kappa_hat, rate_fits=rate_fits,
         theory=theory, sizing_hint=sample_size_hint(cfg.epsilon, cfg.delta, cfg.alpha, d),
     )
 

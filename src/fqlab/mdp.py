@@ -21,6 +21,18 @@ def _norm_pdf(z):
     return np.exp(-0.5 * z * z) / _SQRT_2PI
 
 
+def pair_with_actions(states: np.ndarray, action_grid: np.ndarray):
+    """Every (state, grid action) pair, row-major in (state, action): each
+    state row repeated once per action, and the action grid tiled."""
+    return np.repeat(states, len(action_grid), axis=0), np.tile(action_grid, len(states))
+
+
+def state_action_inputs(states: np.ndarray, action_values: np.ndarray) -> np.ndarray:
+    """Concatenate states and action values into (s, a) network inputs."""
+    return np.concatenate([np.asarray(states, dtype=float),
+                           np.asarray(action_values, dtype=float)[:, None]], axis=1)
+
+
 def _sample_rows(rng, probs):
     """One categorical draw per row of a (B, K) probability matrix."""
     cum = np.cumsum(probs, axis=1)
@@ -195,18 +207,13 @@ class TruncatedGaussianKernel:
         action_grid = np.asarray(action_grid, dtype=float)
         if self.state_dim == 1:
             (axis,) = state_axes
-            nodes = axis[:, None]
-            s_rep = np.repeat(nodes, len(action_grid), axis=0)
-            a_rep = np.tile(action_grid, len(axis))
-            m = self._means(s_rep, a_rep)
+            m = self._means(*pair_with_actions(axis[:, None], action_grid))
             masses = self._axis_masses(m[:, 0], self.sigma[0], axis)
             return DenseNextOp(masses.reshape(len(axis), len(action_grid), len(axis)))
         if self.state_dim == 2:
             ax0, ax1 = state_axes
             nodes = np.stack(np.meshgrid(ax0, ax1, indexing="ij"), axis=-1).reshape(-1, 2)
-            s_rep = np.repeat(nodes, len(action_grid), axis=0)
-            a_rep = np.tile(action_grid, len(nodes))
-            m = self._means(s_rep, a_rep)
+            m = self._means(*pair_with_actions(nodes, action_grid))
             m0 = self._axis_masses(m[:, 0], self.sigma[0], ax0)
             m1 = self._axis_masses(m[:, 1], self.sigma[1], ax1)
             return SeparableNextOp(m0, m1, (len(ax0), len(ax1)), len(action_grid))
@@ -374,10 +381,6 @@ class SyntheticMdp:
     def n_actions(self) -> int:
         return len(self.action_grid)
 
-    def x_points(self, states: np.ndarray, action_values: np.ndarray) -> np.ndarray:
-        """Concatenate states and actions into network inputs."""
-        return np.concatenate([states, np.asarray(action_values, dtype=float)[:, None]], axis=1)
-
     def sample_rewards(self, rng, states, action_values):
         mean = np.asarray(self.reward_mean(states, action_values), dtype=float)
         if np.any(mean < -1e-12) or np.any(mean > 1 + 1e-12):
@@ -427,7 +430,7 @@ class OfflineDataset:
 
     @property
     def x(self) -> np.ndarray:
-        return np.concatenate([self.states, self.actions[:, None]], axis=1)
+        return state_action_inputs(self.states, self.actions)
 
     def _table(self):
         return np.concatenate(
@@ -642,15 +645,9 @@ _PRESETS = {
         n_actions=int(cfg.get("n_actions", 11)), noise=float(cfg.get("noise", 0.1)),
         normalize=bool(cfg.get("normalize", True)),
         noise_kind=str(cfg.get("noise_kind", "uniform"))),
-    "chain5_bernoulli": lambda cfg: make_chain_mdp(
-        n_states=int(cfg.get("n_states", 5)), gamma=float(cfg.get("gamma", 0.9)),
-        n_actions=int(cfg.get("n_actions", 11)),
-        normalize=bool(cfg.get("normalize", True)), noise_kind="bernoulli"),
-    "chain": lambda cfg: make_chain_mdp(
-        n_states=int(cfg.get("n_states", 5)), gamma=float(cfg.get("gamma", 0.9)),
-        n_actions=int(cfg.get("n_actions", 11)), noise=float(cfg.get("noise", 0.1)),
-        normalize=bool(cfg.get("normalize", True)),
-        noise_kind=str(cfg.get("noise_kind", "uniform"))),
+    # Bernoulli rewards have no noise width, so a "noise" key is ignored
+    "chain5_bernoulli": lambda cfg: _PRESETS["chain5"](
+        {**cfg, "noise": 0.1, "noise_kind": "bernoulli"}),
     "gaussian": lambda cfg: make_gaussian_mdp(
         gamma=float(cfg.get("gamma", 0.9)), sigma=float(cfg.get("kernel_sigma", 0.15)),
         n_actions=int(cfg.get("n_actions", 11)), noise=float(cfg.get("noise", 0.05)),
@@ -663,21 +660,24 @@ _PRESETS = {
         alpha=float(cfg.get("alpha", 0.5)), gamma=float(cfg.get("gamma", 0.0)),
         n_actions=int(cfg.get("n_actions", 11)), sigma=float(cfg.get("kernel_sigma", 0.15))),
 }
+_PRESETS["chain"] = _PRESETS["chain5"]
 
 
 def mdp_from_config(cfg) -> SyntheticMdp:
-    """Build an MDP from a config dict, JSON file path, or preset name.
+    """Build an MDP from a config dict, JSON file path, or preset name; a
+    string that is neither raises ValueError as an unknown kind.
 
-    Documented keys: kind (preset name), gamma, n_states, n_actions, noise,
-    kernel_sigma, reward, alpha, normalize, seed (accepted, unused: MDP
-    construction is deterministic).
+    Documented keys: kind (preset name; "chain" is an alias of "chain5"),
+    gamma, n_states, n_actions, noise, noise_kind, kernel_sigma, state_dim,
+    reward, alpha, normalize, seed (accepted, unused: MDP construction is
+    deterministic).
     """
     if isinstance(cfg, (str, Path)):
         text = str(cfg)
-        if text in _PRESETS:
-            cfg = {"kind": text}
+        if text not in _PRESETS and Path(text).is_file():
+            cfg = json.loads(Path(text).read_text())
         else:
-            cfg = json.loads(Path(cfg).read_text())
+            cfg = {"kind": text}
     kind = cfg.get("kind", "chain5")
     if kind not in _PRESETS:
         raise ValueError(f"unknown mdp kind {kind!r}; choose from {sorted(_PRESETS)}")

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.interpolate import RegularGridInterpolator
 
-from .mdp import Policy, SyntheticMdp
+from .mdp import Policy, SyntheticMdp, pair_with_actions, state_action_inputs
 
 DEFAULT_RESOLUTION = {1: 201, 2: 51}
 F_VALUE_CAP = 10.0  # reject candidate functions outside [-10, 10] before quadrature
@@ -19,12 +19,10 @@ class OracleError(RuntimeError):
 
 def _state_axes(mdp: SyntheticMdp, resolution):
     kernel = mdp.kernel
-    if getattr(kernel, "is_finite", False):
-        if mdp.state_dim == 0:
-            return ()
-        return (kernel.nodes.copy(),)
     if mdp.state_dim == 0:
         return ()
+    if getattr(kernel, "is_finite", False):
+        return (kernel.nodes.copy(),)
     if mdp.state_dim not in DEFAULT_RESOLUTION:
         raise OracleError("grid oracles support state_dim <= 2 only")
     g = resolution or DEFAULT_RESOLUTION[mdp.state_dim]
@@ -78,9 +76,7 @@ class GridOracle:
 
     def x_grid(self):
         """All (state, action) grid points as network inputs, row-major in (node, action)."""
-        s_rep = np.repeat(self.nodes, len(self.action_grid), axis=0)
-        a_rep = np.tile(self.action_grid, self.n_nodes)
-        return np.concatenate([s_rep, a_rep[:, None]], axis=1)
+        return state_action_inputs(*pair_with_actions(self.nodes, self.action_grid))
 
     def tabulate(self, f) -> np.ndarray:
         """Evaluate a callable on the grid, or pass a (S, A) table through."""
@@ -96,12 +92,16 @@ class GridOracle:
             raise ValueError(f"function values escape [-{F_VALUE_CAP}, {F_VALUE_CAP}]")
         return vals
 
+    def aggregate(self, table, policy: Policy | None):
+        """Per-node value of a (S, A) table: the max over the action grid when
+        policy is None, else the policy-weighted sum over it."""
+        if policy is None:
+            return table.max(axis=1)
+        return np.sum(self.policy_probs(policy) * table, axis=1)
+
     def value_of(self, q_table, policy: Policy | None):
         """Initial-state value by quadrature: E_rho[ aggregated q ]."""
-        rho = self.init_mass()
-        if policy is None:
-            return float(rho @ q_table.max(axis=1))
-        return float(rho @ np.sum(self.policy_probs(policy) * q_table, axis=1))
+        return float(self.init_mass() @ self.aggregate(q_table, policy))
 
     def interpolator(self, table):
         """Multilinear interpolant of a (S, A) table over the full input cube."""
@@ -123,10 +123,8 @@ def build_oracle(mdp: SyntheticMdp, resolution: int | None = None, tol: float = 
     else:
         mesh = np.meshgrid(*axes, indexing="ij")
         nodes = np.stack([m.ravel() for m in mesh], axis=-1)
-        if getattr(mdp.kernel, "is_finite", False):
-            weights = np.ones(len(nodes))
-        else:
-            weights = np.ones(len(nodes))
+        weights = np.ones(len(nodes))
+        if not getattr(mdp.kernel, "is_finite", False):
             for k, ax in enumerate(axes):
                 wk = _axis_weights(ax)
                 shape = [1] * len(axes)
@@ -134,9 +132,8 @@ def build_oracle(mdp: SyntheticMdp, resolution: int | None = None, tol: float = 
                 weights = weights * np.broadcast_to(wk.reshape(shape), tuple(len(a) for a in axes)).ravel()
 
     next_op = mdp.kernel.node_transition(axes, mdp.action_grid)
-    s_rep = np.repeat(nodes, len(mdp.action_grid), axis=0)
-    a_rep = np.tile(mdp.action_grid, len(nodes))
-    rewards = np.asarray(mdp.reward_mean(s_rep, a_rep), dtype=float).reshape(len(nodes), len(mdp.action_grid))
+    rewards = np.asarray(mdp.reward_mean(*pair_with_actions(nodes, mdp.action_grid)),
+                         dtype=float).reshape(len(nodes), len(mdp.action_grid))
     return GridOracle(mdp=mdp, state_axes=axes, nodes=nodes, node_weights=weights,
                       action_grid=mdp.action_grid.copy(), next_op=next_op, rewards=rewards, tol=tol)
 
@@ -148,11 +145,7 @@ def apply_bellman(oracle: GridOracle, mdp: SyntheticMdp, f, policy: Policy | Non
     otherwise the continuation integrates f(s', .) against the policy on the
     action grid.  The next-state integral uses the tabulated kernel masses.
     """
-    table = oracle.tabulate(f)
-    if policy is None:
-        g = table.max(axis=1)
-    else:
-        g = np.sum(oracle.policy_probs(policy) * table, axis=1)
+    g = oracle.aggregate(oracle.tabulate(f), policy)
     return oracle.rewards + mdp.gamma * oracle.next_op.expect(g)
 
 

@@ -119,6 +119,11 @@ class TrainConfig:
             raise ValueError("batch_size must be positive when set")
 
 
+def _layer_dims(input_dim: int, height: int, width: int) -> list:
+    """Input size of every affine layer, then the scalar output: [d, m, ..., m, 1]."""
+    return [input_dim] + [width] * (height - 1) + [1]
+
+
 # -- kernels ----------------------------------------------------------------
 # Each kernel takes one network's parameters (weights[l] shaped (out, in),
 # biases[l] shaped (out,)) or a stack of networks with a leading batch axis
@@ -224,19 +229,9 @@ class ReluNetwork:
 
     @classmethod
     def zeros(cls, input_dim: int, spec: ArchitectureSpec, output_clamp=True):
-        ws, bs = [], []
-        L, m = spec.height, spec.width
-        if L == 1:
-            ws.append(np.zeros((1, input_dim)))
-            bs.append(np.zeros(1))
-        else:
-            ws.append(np.zeros((m, input_dim)))
-            bs.append(np.zeros(m))
-            for _ in range(L - 2):
-                ws.append(np.zeros((m, m)))
-                bs.append(np.zeros(m))
-            ws.append(np.zeros((1, m)))
-            bs.append(np.zeros(1))
+        dims = _layer_dims(input_dim, spec.height, spec.width)
+        ws = [np.zeros((fan_out, fan_in)) for fan_in, fan_out in zip(dims, dims[1:])]
+        bs = [np.zeros(fan_out) for fan_out in dims[1:]]
         return cls(ws, bs, spec.sparsity, spec.weight_bound, output_clamp)
 
     @classmethod
@@ -248,11 +243,10 @@ class ReluNetwork:
         the target scale and the first descent steps cannot blow up.
         """
         net = cls.zeros(input_dim, spec, output_clamp)
-        for l, w in enumerate(net.weights[:-1]):
+        # the hidden layers, or the only layer of a one-layer network
+        for l, w in enumerate(net.weights[:max(net.height - 1, 1)]):
             fan_in = w.shape[1]
             net.weights[l] = rng.standard_normal(w.shape) * math.sqrt(2.0 / fan_in)
-        if net.height == 1:
-            net.weights[0] = rng.standard_normal(net.weights[0].shape) * math.sqrt(2.0 / input_dim)
         net._project_inplace()
         return net
 
@@ -379,33 +373,14 @@ class ReluNetwork:
             first -= (height - 2) * (width * width + width) + width + 1
         if first < rows or first % rows:
             raise ValueError("record length does not match the declared sizes")
-        input_dim = first // rows
+        dims = _layer_dims(first // rows, height, width)
         ws, bs, pos = [], [], 0
-
-        def take(shape):
-            nonlocal pos
-            k = int(np.prod(shape))
-            out = rest[pos:pos + k].reshape(shape).copy()
-            pos += k
-            return out
-
-        if height == 1:
-            ws.append(take((1, input_dim)))
-            bs.append(take((1,)))
-        else:
-            ws.append(take((width, input_dim)))
-            bs.append(take((width,)))
-            for _ in range(height - 2):
-                ws.append(take((width, width)))
-                bs.append(take((width,)))
-            ws.append(take((1, width)))
-            bs.append(take((1,)))
+        for fan_in, fan_out in zip(dims, dims[1:]):
+            ws.append(rest[pos:pos + fan_out * fan_in].reshape(fan_out, fan_in).copy())
+            pos += fan_out * fan_in
+            bs.append(rest[pos:pos + fan_out].copy())
+            pos += fan_out
         return cls(ws, bs, sparsity, bound, bool(clamp))
-
-
-def project_constraints(net: ReluNetwork) -> ReluNetwork:
-    """The same map as net.projected()."""
-    return net.projected()
 
 
 def fit_least_squares(net: ReluNetwork, xs, ys, cfg: TrainConfig) -> ReluNetwork:

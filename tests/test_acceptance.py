@@ -24,7 +24,7 @@ from fqlab.rademacher import (FiniteFunctionClass, SubRootSpec,
                               empirical_rademacher, rate_exponent,
                               sub_root_fixed_point)
 from fqlab.relunet import (ArchitectureSpec, ReluNetwork, TrainConfig,
-                           architecture_for, fit_least_squares, project_constraints)
+                           architecture_for, fit_least_squares)
 from test_rademacher import exact_mean_abs_sign_sum
 
 pytestmark = pytest.mark.acceptance
@@ -262,8 +262,8 @@ class TestCriterion8NetworkIntegrity:
             assert fit.feasible(atol=1e-12)
             out = fit.forward(rng.random((50, 2)))
             assert out.min() >= 0.0 and out.max() <= 1.0
-            once = project_constraints(fit)
-            twice = project_constraints(once)
+            once = fit.projected()
+            twice = once.projected()
             for a, b in zip(once.weights + once.biases, twice.weights + twice.biases):
                 np.testing.assert_array_equal(a, b)
         _ok(8, "gradient check: 100/100 configs < 1e-4; fuzz: 100/100 constraint "

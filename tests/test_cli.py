@@ -129,6 +129,36 @@ class TestMeasureRates:
         payload = json.loads((out / "report.json").read_text())
         assert len(payload["rate_fits"]) == 1
 
+    def test_mdp_json_file_without_json_suffix(self, tmp_path):
+        mdp_cfg = tmp_path / "mdp.cfg"
+        mdp_cfg.write_text('{"kind": "chain5", "gamma": 0.5}')
+        out = tmp_path / "rates"
+        main(["measure-rates", "--mdp", str(mdp_cfg), "--n-values", "256", "--K", "2",
+              "--seeds", "1", "--out", str(out), "--epochs", "2", "--restarts", "1",
+              "--arch", str(_write_arch(tmp_path))])
+        (row,) = (out / "report.csv").read_text().splitlines()[1:]
+        assert row.startswith("256,2,0,ope,reuse,")
+
+
+class TestRunFqiMatchesSweepCell:
+    """run-fqi is one sweep cell: its result.json numbers are the CellRecord's."""
+
+    @pytest.mark.parametrize("mode,data_mode", [("ope", "reuse"), ("opl", "split")])
+    def test_result_equals_one_cell_sweep(self, tmp_path, mode, data_mode):
+        out = tmp_path / "run"
+        main(["run-fqi", "--mdp", "chain5", "--n", "512", "--K", "3", "--mode", mode,
+              "--data-mode", data_mode, "--seed", "1", "--out", str(out),
+              "--epochs", "10", "--restarts", "1"])
+        result = json.loads((out / "result.json").read_text())
+        cfg = fqlab.ExperimentConfig(
+            mdp={"kind": "chain5"}, n_values=(512,), k_values=(3,), seeds=(1,),
+            modes=(mode,), data_modes=(data_mode,),
+            train=fqlab.TrainConfig(epochs=10, restarts=1))
+        (rec,) = fqlab.run_sweep(cfg).records
+        assert not rec.failed
+        for key in ("subopt", "kappa_hat", "bound_rhs", "bound_slack", "max_residual"):
+            assert result[key] == getattr(rec, key), key
+
 
 def _write_arch(tmp_path):
     path = tmp_path / "arch.json"

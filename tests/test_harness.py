@@ -126,6 +126,17 @@ class TestRunSweep:
                                              cfg.probe_horizons)
         assert report.kappa_hat == fresh.kappa_hat
 
+    def test_ope_sweep_solves_only_the_policy_target(self, monkeypatch):
+        targets = []
+
+        def recording_ground_truth(oracle, mdp, policy=None, tol=None):
+            targets.append(policy)
+            return fqlab.ground_truth(oracle, mdp, policy, tol)
+
+        monkeypatch.setattr(harness, "ground_truth", recording_ground_truth)
+        run_sweep(tiny_config(n_values=(256,), k_values=(2,), seeds=(0,)))
+        assert len(targets) == 1 and isinstance(targets[0], UniformPolicy)
+
     def test_nonfinite_loss_recorded_as_failed_cell(self):
         with np.errstate(over="ignore", invalid="ignore"):
             report = run_sweep(diverging_config())
@@ -220,6 +231,27 @@ class TestConfigValidation:
     def test_duplicate_seeds_rejected(self):
         with pytest.raises(ValueError):
             tiny_config(seeds=(1, 1))
+
+    @pytest.mark.parametrize("overrides", [
+        {"modes": ("ope", "pe")},
+        {"data_modes": ("reuse", "splits")},
+        {"n_values": (256, 0)},
+        {"k_values": (0,)},
+        {"data_modes": ("split",), "n_values": (2, 256), "k_values": (3,)},
+    ])
+    def test_degenerate_axes_rejected(self, overrides):
+        with pytest.raises(ValueError):
+            tiny_config(**overrides)
+
+    def test_split_shorter_than_k_rejected_before_any_oracle(self, monkeypatch):
+        def no_build(*args, **kwargs):
+            raise AssertionError("oracle built for a degenerate config")
+
+        monkeypatch.setattr(harness, "build_oracle", no_build)
+        with pytest.raises(ValueError, match="split"):
+            run_sweep(ExperimentConfig(mdp={"kind": "gaussian", "state_dim": 2},
+                                       n_values=(4,), k_values=(8,), seeds=(0,),
+                                       data_modes=("split",)))
 
     def test_sizing_hint_scales_with_precision(self):
         loose = sample_size_hint(0.2, 0.05, 2.0, 2)

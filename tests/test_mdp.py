@@ -3,7 +3,8 @@ import pytest
 from scipy.stats import chi2
 
 import fqlab
-from fqlab.mdp import FiniteChainKernel, FiniteInit, UniformPolicy
+from fqlab.mdp import (FiniteChainKernel, FiniteInit, UniformPolicy, pair_with_actions,
+                       state_action_inputs)
 
 
 def brute_force_visitation(mdp, eta_probs, t_max=200):
@@ -152,3 +153,25 @@ class TestConfigLoading:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             fqlab.mdp_from_config({"kind": "nope"})
+
+    def test_unknown_name_that_is_no_file(self, tmp_path):
+        with pytest.raises(ValueError, match="unknown mdp kind"):
+            fqlab.mdp_from_config("chian5")
+        with pytest.raises(ValueError, match="unknown mdp kind"):
+            fqlab.mdp_from_config(str(tmp_path))
+
+
+class TestStateActionPoints:
+    def test_pairs_are_row_major_in_state_then_action(self):
+        states = np.array([[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]])
+        grid = np.array([0.0, 0.5])
+        s_rep, a_rep = pair_with_actions(states, grid)
+        pts = state_action_inputs(s_rep, a_rep)
+        assert pts.shape == (6, 3)
+        for i, state in enumerate(states):
+            for j, action in enumerate(grid):
+                np.testing.assert_array_equal(pts[i * len(grid) + j], [*state, action])
+
+    def test_zero_dimensional_states(self):
+        pts = state_action_inputs(*pair_with_actions(np.zeros((2, 0)), np.array([0.0, 1.0])))
+        np.testing.assert_array_equal(pts, [[0.0], [1.0], [0.0], [1.0]])
