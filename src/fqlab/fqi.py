@@ -2,14 +2,13 @@
 policy learning, with data-reuse and K-fold data-splitting modes."""
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .mdp import (GreedyPolicy, OfflineDataset, Policy, SyntheticMdp, pair_with_actions,
-                  sample_visitation, state_action_inputs)
-from .oracle import GridOracle, apply_bellman, build_oracle, subopt
+                  state_action_inputs)
+from .oracle import GridOracle, apply_bellman
 from .relunet import (ArchitectureSpec, ReluNetwork, TrainConfig, TrainingDiverged,
                       fit_least_squares)
 
@@ -52,7 +51,6 @@ class FqiTrace:
 
     q_iterates: list
     train_losses: np.ndarray
-    wallclock: float
 
     def __post_init__(self):
         if len(self.q_iterates) != len(self.train_losses) + 1:
@@ -61,7 +59,6 @@ class FqiTrace:
 
 @dataclass
 class FqiResult:
-    mode: str
     value: float | None              # configured OPE readout, None for OPL
     v_mean: float | None = None
     v_norm: float | None = None
@@ -92,21 +89,14 @@ def _split_folds(n: int, k_folds: int, seed: int):
     return np.array_split(perm, k_folds)
 
 
-def run_lsvi(data: OfflineDataset, cfg: FqiConfig, mdp: SyntheticMdp | None = None,
-             oracle: GridOracle | None = None):
+def run_lsvi(data: OfflineDataset, cfg: FqiConfig, mdp: SyntheticMdp, oracle: GridOracle):
     """Iterated least-squares regression of Bellman targets onto the network class.
 
     Returns (FqiResult, FqiTrace).  Q_0 is the zero network projected into the
     architecture; iterate k regresses r_i + gamma * continuation(Q_{k-1}, s'_i)
     on the data (or on fold k in split mode).  The final readout integrates on
-    the oracle grid; an oracle is built on demand when not supplied.
+    the grid of the oracle, which must be built from mdp.
     """
-    mdp = mdp or data.mdp
-    if mdp is None:
-        raise ValueError("need the generating MDP (pass mdp= or use a dataset that carries it)")
-    if oracle is None:
-        oracle = build_oracle(mdp)
-    t0 = time.perf_counter()
     k_iter = cfg.iterations
     folds = _split_folds(data.n, k_iter, cfg.train.seed) if cfg.data_mode == "split" else None
 
@@ -141,19 +131,16 @@ def run_lsvi(data: OfflineDataset, cfg: FqiConfig, mdp: SyntheticMdp | None = No
         losses[k - 1] = q.mse(xs_all[idx], ys[idx])
         iterates.append(q)
 
-    trace = FqiTrace(q_iterates=iterates, train_losses=losses,
-                     wallclock=time.perf_counter() - t0)
+    trace = FqiTrace(q_iterates=iterates, train_losses=losses)
     q_final = iterates[-1]
     if cfg.mode == "ope":
         table = oracle.tabulate(lambda pts: q_final.forward(pts))
         v_mean = oracle.value_of(table, cfg.target_policy)
         v_norm = float(np.sqrt(oracle.value_of(table ** 2, cfg.target_policy)))
         value = v_mean if cfg.ope_return == "mean" else v_norm
-        result = FqiResult(mode="ope", value=value, v_mean=v_mean, v_norm=v_norm,
-                           q_final=q_final)
+        result = FqiResult(value=value, v_mean=v_mean, v_norm=v_norm, q_final=q_final)
     else:
-        result = FqiResult(mode="opl", value=None, policy=greedy_policy(q_final, grid),
-                           q_final=q_final)
+        result = FqiResult(value=None, policy=greedy_policy(q_final, grid), q_final=q_final)
     return result, trace
 
 
@@ -215,54 +202,3 @@ def run_exact_lsvi(oracle: GridOracle, mdp: SyntheticMdp, iterations: int,
         iterates.append(q)
     return iterates
 
-
-@dataclass
-class ComparisonRecord:
-    """Seed-paired comparison of data-reuse against K-fold data-splitting."""
-
-    n: int
-    iterations: int
-    seeds: list
-    subopt_reuse: np.ndarray
-    subopt_split: np.ndarray
-
-    @property
-    def mean_reuse(self):
-        return float(self.subopt_reuse.mean())
-
-    @property
-    def mean_split(self):
-        return float(self.subopt_split.mean())
-
-    def stderr(self, which):
-        arr = self.subopt_reuse if which == "reuse" else self.subopt_split
-        return float(arr.std(ddof=1) / np.sqrt(len(arr))) if len(arr) > 1 else 0.0
-
-    @property
-    def pooled_stderr(self):
-        return float(np.hypot(self.stderr("reuse"), self.stderr("split")))
-
-
-def compare_reuse_vs_split(mdp: SyntheticMdp, oracle: GridOracle, eta: Policy,
-                           cfg_base: FqiConfig, n: int, seeds,
-                           split_train: TrainConfig | None = None) -> ComparisonRecord:
-    """Run both data modes per seed on identical data and score sub-optimality.
-
-    Each seed draws one dataset; the reuse and split runs share it and the
-    training seed, so at K = 1 the two runs coincide exactly.  split_train,
-    when given, replaces the training settings of the split runs only; use it
-    to equalize gradient steps per fit (folds hold n/K samples), so the
-    comparison isolates the sample-size effect.
-    """
-    sub_r, sub_s = [], []
-    for seed in seeds:
-        data = sample_visitation(mdp, eta, n, int(seed))
-        for mode, sink in (("reuse", sub_r), ("split", sub_s)):
-            train = cfg_base.train if mode == "reuse" or split_train is None else split_train
-            cfg = replace(cfg_base, data_mode=mode,
-                          train=replace(train, seed=int(seed)))
-            result, _ = run_lsvi(data, cfg, mdp, oracle)
-            estimate = result.value if cfg.mode == "ope" else result.policy
-            sink.append(subopt(oracle, estimate))
-    return ComparisonRecord(n=n, iterations=cfg_base.iterations, seeds=list(seeds),
-                            subopt_reuse=np.array(sub_r), subopt_split=np.array(sub_s))

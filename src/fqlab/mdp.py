@@ -404,9 +404,6 @@ class OfflineDataset:
     actions: np.ndarray
     next_states: np.ndarray
     rewards: np.ndarray
-    behavior: str = "unknown"
-    seed: int = 0
-    mdp: SyntheticMdp | None = None
 
     def __post_init__(self):
         self.states = np.asarray(self.states, dtype=float)
@@ -447,22 +444,22 @@ class OfflineDataset:
         Path(path).write_bytes(self._table().astype("<f8").tobytes())
 
     @classmethod
-    def _from_table(cls, table, state_dim, **kw):
+    def _from_table(cls, table, state_dim):
         ds = state_dim
         return cls(states=table[:, :ds], actions=table[:, ds],
-                   next_states=table[:, ds + 1:2 * ds + 1], rewards=table[:, 2 * ds + 1], **kw)
+                   next_states=table[:, ds + 1:2 * ds + 1], rewards=table[:, 2 * ds + 1])
 
     @classmethod
-    def load_csv(cls, path, **kw):
+    def load_csv(cls, path):
         table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
         state_dim = (table.shape[1] - 2) // 2
-        return cls._from_table(table, state_dim, **kw)
+        return cls._from_table(table, state_dim)
 
     @classmethod
-    def load_binary(cls, path, state_dim, **kw):
+    def load_binary(cls, path, state_dim):
         flat = np.frombuffer(Path(path).read_bytes(), dtype="<f8")
         width = 2 * state_dim + 2
-        return cls._from_table(flat.reshape(-1, width).astype(float), state_dim, **kw)
+        return cls._from_table(flat.reshape(-1, width).astype(float), state_dim)
 
 
 def sample_visitation(mdp: SyntheticMdp, eta: Policy, n: int, seed: int) -> OfflineDataset:
@@ -504,8 +501,7 @@ def sample_visitation(mdp: SyntheticMdp, eta: Policy, n: int, seed: int) -> Offl
         active = active[~finish]
         t += 1
 
-    return OfflineDataset(out_s, out_a, out_sp, out_r,
-                          behavior=type(eta).__name__, seed=seed, mdp=mdp)
+    return OfflineDataset(out_s, out_a, out_sp, out_r)
 
 
 # ---------------------------------------------------------------------------

@@ -233,8 +233,6 @@ class ConcentrationReport:
     argmax_horizon: int
     argmax_cell: tuple
     mu: np.ndarray                     # (S, A) tabulated visitation mass
-    nu_tables: dict                    # (probe_idx, t) -> (S, A) occupancy mass
-    probe_policies: list
     undefined_cells: list              # cells where mu < 1e-12 but some nu has mass
     note: str = ("kappa_hat is a lower estimate: only finitely many probe "
                  "policies and horizons were tabulated")
@@ -271,7 +269,6 @@ def estimate_concentration(oracle: GridOracle, eta: Policy, probes: list,
         raise ValueError("need at least one probe policy")
     mu = tabulate_visitation(oracle, eta)
     best = (-np.inf, -1, -1, (0, 0))
-    nu_tables = {}
     undefined = []
     defined = mu >= 1e-12
     for pi_idx, probe in enumerate(probes):
@@ -281,7 +278,6 @@ def estimate_concentration(oracle: GridOracle, eta: Policy, probes: list,
             for _ in range(t - t_prev):
                 occ = oracle.next_op.push(occ)[:, None] * oracle.policy_probs(probe)
             t_prev = t
-            nu_tables[(pi_idx, t)] = occ.copy()
             bad = (~defined) & (occ > 1e-12)
             for cell in zip(*np.nonzero(bad)):
                 undefined.append((pi_idx, t, cell))
@@ -298,6 +294,5 @@ def estimate_concentration(oracle: GridOracle, eta: Policy, probes: list,
         kappa_hat = max(best[0], 1.0)
     return ConcentrationReport(
         kappa_hat=kappa_hat, argmax_probe=best[1], argmax_horizon=best[2],
-        argmax_cell=tuple(int(c) for c in best[3]), mu=mu, nu_tables=nu_tables,
-        probe_policies=list(probes), undefined_cells=undefined,
+        argmax_cell=tuple(int(c) for c in best[3]), mu=mu, undefined_cells=undefined,
     )

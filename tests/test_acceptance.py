@@ -1,8 +1,9 @@
 """Acceptance suite: one test per criterion, each printing a pass line.
 
 The heavy experiment criteria share two sweeps (policy evaluation at K = 50
-and policy learning at K = 10, five sample sizes by five seeds each) plus a
-dedicated value-iteration comparison; everything is seeded and deterministic.
+and policy learning at K = 10, five sample sizes by five seeds each), and the
+reuse-vs-split criterion runs its own sweep in both data modes; everything is
+seeded and deterministic.
 Run with -s to watch the per-criterion lines.
 """
 import math
@@ -16,7 +17,7 @@ from scipy.stats import chi2, spearmanr
 import fqlab
 from fqlab.besov import (BesovParams, FunctionOnGrid, besov_seminorm,
                          estimate_smoothness_exponent, synth_function)
-from fqlab.fqi import FqiConfig, compare_reuse_vs_split, run_exact_lsvi, run_lsvi
+from fqlab.fqi import run_exact_lsvi
 from fqlab.harness import ExperimentConfig, audit_decomposition, run_sweep, write_report
 from fqlab.mdp import UniformPolicy
 from fqlab.oracle import build_oracle, estimate_concentration, ground_truth
@@ -25,6 +26,7 @@ from fqlab.rademacher import (FiniteFunctionClass, SubRootSpec,
                               sub_root_fixed_point)
 from fqlab.relunet import (ArchitectureSpec, ReluNetwork, TrainConfig,
                            architecture_for, fit_least_squares)
+from test_fqi import reuse_vs_split
 from test_rademacher import exact_mean_abs_sign_sum
 
 pytestmark = pytest.mark.acceptance
@@ -129,20 +131,17 @@ class TestCriterion4RateMonotonicity:
 
 class TestCriterion5DataReuseAdvantage:
     def test_reuse_not_worse_than_split(self):
-        mdp = fqlab.mdp_from_config(RATE_MDP)
-        pi = UniformPolicy(mdp.n_actions)
-        oracle = ground_truth(build_oracle(mdp), mdp, pi)
-        k_iter = 10
-        cfg = FqiConfig(iterations=k_iter, mode="ope", arch=ARCH,
-                        train=replace(TRAIN, epochs=60), target_policy=pi)
-        # folds hold n/K samples: give split runs the same per-fit step count
-        split_train = replace(TRAIN, epochs=600)
-        rec = compare_reuse_vs_split(mdp, oracle, pi, cfg,
-                                     n=10_000, seeds=list(range(10)),
-                                     split_train=split_train)
-        assert rec.mean_reuse <= rec.mean_split + rec.pooled_stderr
-        _ok(5, f"n=10000, K=10, 10 seeds: reuse {rec.mean_reuse:.4f} <= split "
-               f"{rec.mean_split:.4f} + pooled se {rec.pooled_stderr:.4f}")
+        # folds hold n/K samples: the step target gives every fit the same
+        # gradient step count (reuse 60 epochs x 10 steps, split 600 x 1)
+        report = run_sweep(ExperimentConfig(
+            mdp=RATE_MDP, n_values=(10_000,), k_values=(10,), seeds=tuple(range(10)),
+            modes=("ope",), data_modes=("reuse", "split"), arch=ARCH, train=TRAIN,
+            train_steps_target=600, jobs=2))
+        assert not any(r.failed for r in report.records)
+        mean_reuse, mean_split, pooled_stderr = reuse_vs_split(report)
+        assert mean_reuse <= mean_split + pooled_stderr
+        _ok(5, f"n=10000, K=10, 10 seeds: reuse {mean_reuse:.4f} <= split "
+               f"{mean_split:.4f} + pooled se {pooled_stderr:.4f}")
 
 
 class TestCriterion6DecompositionAudit:

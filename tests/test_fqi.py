@@ -2,12 +2,21 @@ import numpy as np
 import pytest
 
 import fqlab
-from fqlab.fqi import (FqiConfig, compare_reuse_vs_split, greedy_policy,
-                       decomposition_bound, measure_bellman_residuals, run_exact_lsvi,
-                       run_lsvi)
+from fqlab.fqi import (FqiConfig, greedy_policy, decomposition_bound,
+                       measure_bellman_residuals, run_exact_lsvi, run_lsvi)
+from fqlab.harness import ExperimentConfig, run_sweep
 from fqlab.mdp import UniformPolicy
 from fqlab.oracle import apply_bellman, build_oracle, ground_truth, subopt
 from fqlab.relunet import ArchitectureSpec, ReluNetwork, TrainConfig
+
+
+def reuse_vs_split(report):
+    """Seed-averaged subopt of the reuse and the split cells of a one-(n, K)
+    sweep, and the pooled standard error of their difference."""
+    sub = [np.array([r.subopt for r in report.records if r.data_mode == data_mode])
+           for data_mode in ("reuse", "split")]
+    stderr = [float(a.std(ddof=1) / np.sqrt(len(a))) if len(a) > 1 else 0.0 for a in sub]
+    return float(sub[0].mean()), float(sub[1].mean()), float(np.hypot(*stderr))
 
 
 def net_from_table(oracle, table):
@@ -146,7 +155,7 @@ class TestBellmanResiduals:
         trace = fqlab.FqiTrace(
             q_iterates=[net_from_table(chain_oracle_pi, q0),
                         net_from_table(chain_oracle_pi, image)],
-            train_losses=np.zeros(1), wallclock=0.0)
+            train_losses=np.zeros(1))
         out = measure_bellman_residuals(trace, chain_oracle_pi, chain_mdp,
                                         self._mu_samples(chain_mdp, uniform_pi),
                                         policy=uniform_pi)
@@ -159,7 +168,7 @@ class TestBellmanResiduals:
         trace = fqlab.FqiTrace(
             q_iterates=[net_from_table(chain_oracle_pi, q0),
                         net_from_table(chain_oracle_pi, image + 0.1)],
-            train_losses=np.zeros(1), wallclock=0.0)
+            train_losses=np.zeros(1))
         out = measure_bellman_residuals(trace, chain_oracle_pi, chain_mdp,
                                         self._mu_samples(chain_mdp, uniform_pi),
                                         policy=uniform_pi)
@@ -223,15 +232,15 @@ class TestDecompositionBound:
 
 
 class TestReuseVsSplit:
-    def test_k1_modes_coincide_exactly(self, chain_mdp, chain_oracle_pi, uniform_pi,
-                                       compact_arch):
-        cfg = FqiConfig(iterations=1, mode="ope", arch=compact_arch,
-                        train=TrainConfig(epochs=20, restarts=1, batch_size=256,
-                                          learning_rate=1.2, seed=0),
-                        target_policy=uniform_pi)
-        rec = compare_reuse_vs_split(chain_mdp, chain_oracle_pi, uniform_pi,
-                                     cfg, n=500, seeds=[0, 1])
-        np.testing.assert_array_equal(rec.subopt_reuse, rec.subopt_split)
+    def test_k1_modes_coincide_exactly(self, compact_arch):
+        report = run_sweep(ExperimentConfig(
+            mdp={"kind": "chain5", "gamma": 0.9, "noise": 0.1}, n_values=(500,),
+            k_values=(1,), seeds=(0, 1), data_modes=("reuse", "split"), arch=compact_arch,
+            train=TrainConfig(epochs=20, restarts=1, batch_size=256, learning_rate=1.2),
+            residual_samples=64, probe_horizons=(0,)))
+        by_mode = {m: [r.subopt for r in report.records if r.data_mode == m]
+                   for m in ("reuse", "split")}
+        np.testing.assert_array_equal(by_mode["reuse"], by_mode["split"])
 
     def test_split_needs_enough_data(self, chain_mdp, chain_oracle_pi, uniform_pi,
                                      compact_arch, fast_train):
@@ -244,13 +253,11 @@ class TestReuseVsSplit:
     def test_gamma_zero_sample_size_effect(self, compact_arch):
         # at gamma = 0 the modes differ only in regression sample size; with a
         # monotone learning curve the split error is at least the reuse error
-        mdp = fqlab.make_chain_mdp(gamma=0.0, noise=0.1)
-        eta = UniformPolicy(mdp.n_actions)
-        oracle = ground_truth(build_oracle(mdp), mdp, eta)
-        cfg = FqiConfig(iterations=8, mode="ope", arch=compact_arch,
-                        train=TrainConfig(epochs=40, restarts=1, batch_size=512,
-                                          learning_rate=1.5, seed=0),
-                        target_policy=eta)
-        rec = compare_reuse_vs_split(mdp, oracle, eta, cfg, n=4096,
-                                     seeds=list(range(6)))
-        assert rec.mean_reuse <= rec.mean_split + rec.pooled_stderr
+        report = run_sweep(ExperimentConfig(
+            mdp={"kind": "chain5", "gamma": 0.0, "noise": 0.1}, n_values=(4096,),
+            k_values=(8,), seeds=tuple(range(6)), data_modes=("reuse", "split"),
+            arch=compact_arch,
+            train=TrainConfig(epochs=40, restarts=1, batch_size=512, learning_rate=1.5),
+            residual_samples=64, probe_horizons=(0,), jobs=2))
+        mean_reuse, mean_split, pooled_stderr = reuse_vs_split(report)
+        assert mean_reuse <= mean_split + pooled_stderr

@@ -137,6 +137,30 @@ class TestRunSweep:
         run_sweep(tiny_config(n_values=(256,), k_values=(2,), seeds=(0,)))
         assert len(targets) == 1 and isinstance(targets[0], UniformPolicy)
 
+    def test_steps_target_equalizes_gradient_steps(self, monkeypatch):
+        class Captured(Exception):
+            pass
+
+        def capture(data, fqi_cfg, mdp, oracle):
+            raise Captured(fqi_cfg.train)
+
+        monkeypatch.setattr(harness, "run_lsvi", capture)
+        cfg = tiny_config(n_values=(10_000,), k_values=(10,), seeds=(0,),
+                          data_modes=("reuse", "split"),
+                          train=TrainConfig(epochs=1, batch_size=1024),
+                          train_steps_target=600)
+        setup = harness.sweep_setup(cfg)
+        steps = {}
+        for cell in cfg.cells():
+            with pytest.raises(Captured) as caught:
+                harness.run_attempt(cfg, setup, CellRecord(*cell))
+            train = caught.value.args[0]
+            # a reuse fit sees all 10000 samples, a split fit one fold of 1000
+            fit_n = 10_000 if cell[4] == "reuse" else 1_000
+            batch = min(train.batch_size, fit_n)
+            steps[cell[4]] = (train.epochs, -(-fit_n // batch))
+        assert steps == {"reuse": (60, 10), "split": (600, 1)}
+
     def test_nonfinite_loss_recorded_as_failed_cell(self):
         with np.errstate(over="ignore", invalid="ignore"):
             report = run_sweep(diverging_config())

@@ -107,7 +107,7 @@ class TestSubopt:
 
     def test_greedy_on_oracle_q_is_optimal(self, chain_oracle_star, chain_mdp):
         interp = chain_oracle_star.interpolator(chain_oracle_star.q)
-        policy = fqlab.greedy_policy_from_table = fqlab.GreedyPolicy(
+        policy = fqlab.GreedyPolicy(
             lambda states: interp(np.concatenate(
                 [np.repeat(states, 11, axis=0),
                  np.tile(chain_mdp.action_grid, len(states))[:, None]],
