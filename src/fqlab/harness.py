@@ -69,7 +69,8 @@ class ExperimentConfig:
     jobs: int = 1
     # when set, each cell's epoch count is chosen so every fit takes about
     # this many gradient steps regardless of n (isolates the statistical
-    # effect of the sample size from the optimization effort)
+    # effect of the sample size from the optimization effort); split mode
+    # then needs every K to divide every n, so that all folds are equal
     train_steps_target: int | None = None
 
     def __post_init__(self):
@@ -88,6 +89,10 @@ class ExperimentConfig:
             raise ValueError("every n and every K must be at least 1")
         if "split" in self.data_modes and min(self.n_values) < max(self.k_values):
             raise ValueError("split mode needs n >= K in every cell")
+        if (self.train_steps_target is not None and "split" in self.data_modes
+                and any(n % k for n in self.n_values for k in self.k_values)):
+            raise ValueError("split mode with train_steps_target needs every K to divide "
+                             "every n: unequal folds would take unequal step counts")
 
     def cells(self):
         for mode in self.modes:

@@ -8,7 +8,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .relunet import (ArchitectureSpec, ReluNetwork, TrainConfig, _clip_and_prune, _forward,
-                      _output_gradient, fit_least_squares)
+                      _output_gradient, _split, fit_least_squares)
 
 
 @dataclass
@@ -106,13 +106,6 @@ def empirical_rademacher(function_class, xs, sigma_draws: int, seed: int) -> Rad
 _STACK_ELEMENTS = 1 << 22
 
 
-def _project_each(weights, biases, anchor):
-    """Project every network of a stack onto the anchor's constraints."""
-    for c in range(len(weights[0])):
-        _clip_and_prune([w[c] for w in weights] + [b[c] for b in biases],
-                        anchor.weight_bound, anchor.sparsity)
-
-
 def localized_rademacher(spec: ArchitectureSpec, anchor: ReluNetwork, radius: float,
                          xs, mu_samples, sigma_draws: int, seed: int,
                          ascent_steps: int = 120, ascent_lr: float = 0.1,
@@ -147,23 +140,22 @@ def localized_rademacher(spec: ArchitectureSpec, anchor: ReluNetwork, radius: fl
     n, m = len(xs), len(mu_samples)
     anchor_xs = anchor.forward(xs)
     anchor_mu = anchor.forward(mu_samples)
-    width = max(w.shape[0] for w in anchor.weights)
-    chunk = max(1, _STACK_ELEMENTS // (restarts * max(n, m) * width))
+    chunk = max(1, _STACK_ELEMENTS // (restarts * max(n, m) * anchor.width))
+    n_weights = sum(w.size for w in anchor.weights)  # the weights lead the parameter vector
     rng = np.random.default_rng(seed)
     sups = np.empty(sigma_draws)
     rejected_all = True
     for start in range(0, sigma_draws, chunk):
-        # every sign and perturbation of the chunk, in one-draw-at-a-time order
-        sigmas, perturbed = [], [[] for _ in anchor.weights]
-        for _ in range(min(chunk, sigma_draws - start)):
-            sigmas.append(rng.choice([-1.0, 1.0], size=n))
-            for _ in range(restarts):
-                for l, w in enumerate(anchor.weights):
-                    perturbed[l].append(w + 0.01 * rng.standard_normal(w.shape))
-        weights = [np.stack(p) for p in perturbed]
-        count = len(weights[0])
-        biases = [np.repeat(b[None], count, axis=0) for b in anchor.biases]
-        _project_each(weights, biases, anchor)
+        # one row of params per candidate: every sign and perturbation of the
+        # chunk, in one-draw-at-a-time order, then the projection of the row
+        sigmas, count = [], min(chunk, sigma_draws - start) * restarts
+        params = np.repeat(anchor.params[None], count, axis=0)
+        for c, row in enumerate(params):
+            if c % restarts == 0:
+                sigmas.append(rng.choice([-1.0, 1.0], size=n))
+            row[:n_weights] += 0.01 * rng.standard_normal(n_weights)
+            _clip_and_prune(row, anchor.weight_bound, anchor.sparsity)
+        weights, biases = _split(params, anchor._dims)
         w_xs = np.repeat(np.stack(sigmas) / n, restarts, axis=0)
         best = [0.0] * len(sigmas)  # the anchor itself: zero difference, inside the ball
         cache_xs = _forward(weights, biases, xs)
@@ -171,20 +163,17 @@ def localized_rademacher(spec: ArchitectureSpec, anchor: ReluNetwork, radius: fl
         for step in range(ascent_steps):
             diff_mu = cache_mu[0] - anchor_mu
             over = np.mean(diff_mu ** 2, axis=-1) > radius
-            gw, gb = _output_gradient(weights, cache_xs[1], cache_xs[2], w_xs)
+            grad = _output_gradient(weights, cache_xs[1], cache_xs[2], w_xs)
             if over.any():
-                pw, pb = _output_gradient(weights, cache_mu[1], cache_mu[2],
-                                          -penalty * 2.0 * diff_mu / m)
+                pen = _output_gradient(weights, cache_mu[1], cache_mu[2],
+                                       -penalty * 2.0 * diff_mu / m)
                 # np.where, not a 0/1 mask: a masked add can flip a zero's sign
-                gw = [np.where(over[:, None, None], a + b, a) for a, b in zip(gw, pw)]
-                gb = [np.where(over[:, None], a + b, a) for a, b in zip(gb, pb)]
-            for w, g in zip(weights, gw):
-                w += ascent_lr * g
-            for b, g in zip(biases, gb):
-                b += ascent_lr * g
+                grad = np.where(over[:, None], grad + pen, grad)
+            params += ascent_lr * grad
             checkpoint = (step + 1) % 20 == 0 or step + 1 == ascent_steps
             if checkpoint:
-                _project_each(weights, biases, anchor)
+                for row in params:
+                    _clip_and_prune(row, anchor.weight_bound, anchor.sparsity)
             # one pass per point set serves this checkpoint and the next step
             cache_xs = _forward(weights, biases, xs, reuse=cache_xs)
             cache_mu = _forward(weights, biases, mu_samples, reuse=cache_mu)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -124,6 +124,28 @@ def _layer_dims(input_dim: int, height: int, width: int) -> list:
     return [input_dim] + [width] * (height - 1) + [1]
 
 
+class _Layers(list):
+    """Per-layer views of a parameter vector; assigning a layer writes into it."""
+
+    def __setitem__(self, index, value):
+        view, value = self[index], np.asarray(value, dtype=float)
+        if value.shape != view.shape:
+            raise ValueError(f"layer is shaped {view.shape}, got {value.shape}")
+        view[...] = value
+
+
+def _split(flat, dims):
+    """(weights, biases) views of a parameter vector, or of every row of a
+    (C, P) stack: all weights in layer order, row-major, then all biases."""
+    weights, biases, lead = _Layers(), _Layers(), flat.shape[:-1]
+    pos, bias_pos = 0, sum(fan_out * fan_in for fan_in, fan_out in zip(dims, dims[1:]))
+    for fan_in, fan_out in zip(dims, dims[1:]):
+        weights.append(flat[..., pos:pos + fan_out * fan_in].reshape(lead + (fan_out, fan_in)))
+        biases.append(flat[..., bias_pos:bias_pos + fan_out])
+        pos, bias_pos = pos + fan_out * fan_in, bias_pos + fan_out
+    return weights, biases
+
+
 # -- kernels ----------------------------------------------------------------
 # Each kernel takes one network's parameters (weights[l] shaped (out, in),
 # biases[l] shaped (out,)) or a stack of networks with a leading batch axis
@@ -155,11 +177,12 @@ def _forward(weights, biases, x, reuse=None):
 
 def _output_gradient(weights, pre, acts, w):
     """Gradient of sum_i w_i f(x_i) w.r.t. every parameter, from a _forward
-    cache; w is (n,), or (C, n) for a stack.  The ReLU subgradient at a kink
-    is taken as 0."""
+    cache, in the layout of the parameters; w is (n,), or (C, n) for a stack.
+    The ReLU subgradient at a kink is taken as 0."""
+    dims = [weights[0].shape[-1]] + [a.shape[-2] for a in weights]
+    grad = np.empty(w.shape[:-1] + (sum(a.shape[-2] * (a.shape[-1] + 1) for a in weights),))
+    gw, gb = _split(grad, dims)
     height = len(weights)
-    gw = [None] * height
-    gb = [None] * height
     delta = w[..., None]  # upstream derivative at the output node
     for l in range(height - 1, -1, -1):
         if l < height - 1:
@@ -170,69 +193,56 @@ def _output_gradient(weights, pre, acts, w):
             else:
                 delta = delta @ weights[l + 1]
             delta *= pre[l] > 0.0
-        gw[l] = np.swapaxes(delta, -1, -2) @ acts[l]
-        gb[l] = np.add.reduce(delta, axis=-2)
-    return gw, gb
+        np.matmul(np.swapaxes(delta, -1, -2), acts[l], out=gw[l])
+        np.add.reduce(delta, axis=-2, out=gb[l])
+    return grad
 
 
-def _clip_and_prune(arrays, bound, sparsity):
-    """Clip every entry into [-bound, bound], then keep the sparsity largest
-    magnitudes across all arrays (ties to the earlier entry); in place."""
-    for arr in arrays:
-        np.clip(arr, -bound, bound, out=arr)
-    nnz = sum(int(np.count_nonzero(arr)) for arr in arrays)
-    if nnz > sparsity:
-        flat = np.concatenate([a.ravel() for a in arrays])
-        order = np.argsort(-np.abs(flat), kind="stable")
-        keep = np.zeros(len(flat), dtype=bool)
-        keep[order[:sparsity]] = True
-        pos = 0
-        for arr in arrays:
-            arr *= keep[pos:pos + arr.size].reshape(arr.shape)
-            pos += arr.size
+def _clip_and_prune(params, bound, sparsity):
+    """Clip every entry of a parameter vector into [-bound, bound], then zero all
+    but the sparsity largest magnitudes (ties to the earlier entry); in place."""
+    np.clip(params, -bound, bound, out=params)
+    # *= 0 rather than = 0: a pruned negative entry keeps its sign as -0.0
+    params[np.argsort(-np.abs(params), kind="stable")[sparsity:]] *= 0.0
 
 
 class ReluNetwork:
-    """Feed-forward ReLU network under sparsity and sup-norm constraints.
-
-    Outputs are clamped to [0,1] at evaluation when output_clamp is set; the
-    clamp is never applied inside gradient computations (training acts on the
-    raw output so the clamp cannot zero out gradients).
+    """Feed-forward ReLU network under sparsity and sup-norm constraints, its
+    parameters held in one float64 vector, params, of which weights and biases
+    are per-layer views (layout: _split).  Outputs are clamped to [0,1] at
+    evaluation when output_clamp is set, never inside gradient computations
+    (training acts on the raw output so the clamp cannot zero out gradients).
     """
 
     def __init__(self, weights, biases, sparsity, weight_bound, output_clamp=True):
-        self.weights = [np.asarray(w, dtype=float) for w in weights]
-        self.biases = [np.asarray(b, dtype=float) for b in biases]
+        weights = [np.asarray(w, dtype=float) for w in weights]
+        biases = [np.asarray(b, dtype=float) for b in biases]
+        if not weights or len(weights) != len(biases):
+            raise ValueError("need at least one layer, and one bias per weight matrix")
+        dims = self._dims = [weights[0].shape[-1]] + [w.shape[0] for w in weights]
+        if (dims[-1] != 1 or [w.shape for w in weights] != list(zip(dims[1:], dims))
+                or [b.shape for b in biases] != [(out,) for out in dims[1:]]):
+            raise ValueError("layer shapes must chain from the input to a scalar output")
         self.sparsity = int(sparsity)
         self.weight_bound = float(weight_bound)
         self.output_clamp = bool(output_clamp)
-        self._check_shapes()
+        self.params = np.concatenate([a.ravel() for a in weights + biases])
+        if not np.all(np.isfinite(self.params)):
+            raise ValueError("non-finite parameter detected")
+        self.weights, self.biases = _split(self.params, dims)
 
-    def _check_shapes(self):
-        if len(self.weights) != len(self.biases):
-            raise ValueError("weights and biases must pair up")
-        L = len(self.weights)
-        if L < 1:
-            raise ValueError("need at least one affine layer")
-        if self.weights[-1].shape[0] != 1 or self.biases[-1].shape != (1,):
-            raise ValueError("output layer must map to a scalar")
-        for l in range(L - 1):
-            if self.weights[l].shape[0] != self.biases[l].shape[0]:
-                raise ValueError("bias length must match layer width")
-            if self.weights[l + 1].shape[1] != self.weights[l].shape[0]:
-                raise ValueError("consecutive layer shapes do not chain")
-        for w, b in zip(self.weights, self.biases):
-            if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
-                raise ValueError("non-finite parameter detected")
+    def __reduce__(self):
+        # pickle and deepcopy rebuild through __init__, so the views share params
+        return ReluNetwork, (self.weights, self.biases, self.sparsity, self.weight_bound,
+                             self.output_clamp)
 
     # -- construction -------------------------------------------------------
 
     @classmethod
     def zeros(cls, input_dim: int, spec: ArchitectureSpec, output_clamp=True):
         dims = _layer_dims(input_dim, spec.height, spec.width)
-        ws = [np.zeros((fan_out, fan_in)) for fan_in, fan_out in zip(dims, dims[1:])]
-        bs = [np.zeros(fan_out) for fan_out in dims[1:]]
-        return cls(ws, bs, spec.sparsity, spec.weight_bound, output_clamp)
+        params = np.zeros(sum(fan_out * (fan_in + 1) for fan_in, fan_out in zip(dims, dims[1:])))
+        return cls(*_split(params, dims), spec.sparsity, spec.weight_bound, output_clamp)
 
     @classmethod
     def random(cls, input_dim: int, spec: ArchitectureSpec, rng: np.random.Generator,
@@ -244,30 +254,31 @@ class ReluNetwork:
         """
         net = cls.zeros(input_dim, spec, output_clamp)
         # the hidden layers, or the only layer of a one-layer network
-        for l, w in enumerate(net.weights[:max(net.height - 1, 1)]):
-            fan_in = w.shape[1]
-            net.weights[l] = rng.standard_normal(w.shape) * math.sqrt(2.0 / fan_in)
+        for w in net.weights[:max(net.height - 1, 1)]:
+            w[...] = rng.standard_normal(w.shape) * math.sqrt(2.0 / w.shape[1])
         net._project_inplace()
         return net
 
     def copy(self):
-        return ReluNetwork([w.copy() for w in self.weights], [b.copy() for b in self.biases],
-                           self.sparsity, self.weight_bound, self.output_clamp)
+        return ReluNetwork(*self.__reduce__()[1])
 
     @property
     def height(self):
-        return len(self.weights)
+        return len(self._dims) - 1
 
     @property
     def input_dim(self):
-        return self.weights[0].shape[1]
+        return self._dims[0]
+
+    @property
+    def width(self):
+        return self._dims[1] if self.height > 1 else 1
 
     def n_params(self):
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
+        return self.params.size
 
     def nnz(self):
-        return sum(int(np.count_nonzero(w)) + int(np.count_nonzero(b))
-                   for w, b in zip(self.weights, self.biases))
+        return int(np.count_nonzero(self.params))
 
     # -- evaluation ---------------------------------------------------------
 
@@ -293,16 +304,13 @@ class ReluNetwork:
     # -- gradients ----------------------------------------------------------
 
     def weighted_output_gradient(self, x, out_weights, _cache=None):
-        """Gradient of sum_i w_i f(x_i) w.r.t. every parameter (no clamp).
-
-        The ReLU subgradient at a kink is taken as 0.  Returns (grad_weights,
-        grad_biases) shaped like the parameters.
-        """
+        """Gradient of sum_i w_i f(x_i) w.r.t. every parameter (no clamp), laid
+        out like params; the ReLU subgradient at a kink is taken as 0."""
         _, pre, acts = self._forward_cached(x) if _cache is None else _cache
         return _output_gradient(self.weights, pre, acts, np.asarray(out_weights, dtype=float))
 
     def mse_gradient(self, x, y):
-        """(loss, grads) for the mean squared error over the batch, no clamp."""
+        """(loss, grad) of the batch mean squared error, no clamp; grad is laid out like params."""
         y = np.asarray(y, dtype=float)
         if len(y) == 0:
             raise ValueError("empty batch")
@@ -311,8 +319,7 @@ class ReluNetwork:
         loss = float(np.mean(resid ** 2))
         if not np.isfinite(loss):
             raise NonFiniteLoss("non-finite training loss")
-        gw, gb = self.weighted_output_gradient(x, 2.0 * resid / len(y), _cache=cache)
-        return loss, gw, gb
+        return loss, self.weighted_output_gradient(x, 2.0 * resid / len(y), _cache=cache)
 
     def mse(self, x, y):
         out = self.forward(x, clamp=False)
@@ -321,7 +328,7 @@ class ReluNetwork:
     # -- constraint projection ----------------------------------------------
 
     def _project_inplace(self):
-        _clip_and_prune(self.weights + self.biases, self.weight_bound, self.sparsity)
+        _clip_and_prune(self.params, self.weight_bound, self.sparsity)
         return self
 
     def projected(self):
@@ -331,21 +338,19 @@ class ReluNetwork:
         return self.copy()._project_inplace()
 
     def feasible(self, atol=0.0):
-        sup = max(max(np.abs(w).max(initial=0.0), np.abs(b).max(initial=0.0))
-                  for w, b in zip(self.weights, self.biases))
-        return self.nnz() <= self.sparsity and sup <= self.weight_bound + atol
+        return (self.nnz() <= self.sparsity
+                and np.abs(self.params).max(initial=0.0) <= self.weight_bound + atol)
 
     # -- serialization ------------------------------------------------------
 
     def save(self, path):
-        """Flat little-endian float64 record behind a 16-byte magic/version header."""
+        """Flat little-endian float64 record behind a 16-byte magic/version
+        header; layer by layer, each layer's weights then its biases."""
         header = _MAGIC + struct.pack("<BB6x", 1, int(self.output_clamp))
-        chunks = [np.array([self.height, self.weights[0].shape[0] if self.height > 1 else 1,
-                            self.sparsity, self.weight_bound], dtype="<f8")]
+        chunks = [[self.height, self.width, self.sparsity, self.weight_bound]]
         for w, b in zip(self.weights, self.biases):
-            chunks.append(w.astype("<f8").ravel())
-            chunks.append(b.astype("<f8").ravel())
-        Path(path).write_bytes(header + np.concatenate(chunks).tobytes())
+            chunks += [w.ravel(), b]
+        Path(path).write_bytes(header + np.concatenate(chunks, dtype="<f8").tobytes())
 
     @classmethod
     def load(cls, path):
@@ -374,13 +379,11 @@ class ReluNetwork:
         if first < rows or first % rows:
             raise ValueError("record length does not match the declared sizes")
         dims = _layer_dims(first // rows, height, width)
-        ws, bs, pos = [], [], 0
-        for fan_in, fan_out in zip(dims, dims[1:]):
-            ws.append(rest[pos:pos + fan_out * fan_in].reshape(fan_out, fan_in).copy())
-            pos += fan_out * fan_in
-            bs.append(rest[pos:pos + fan_out].copy())
-            pos += fan_out
-        return cls(ws, bs, sparsity, bound, bool(clamp))
+        # layer by layer: the weight matrix, then the bias
+        ends = np.cumsum([k for i, o in zip(dims, dims[1:]) for k in (o * i, o)])
+        parts = np.split(rest, ends[:-1])
+        return cls([w.reshape(len(b), -1) for w, b in zip(parts[0::2], parts[1::2])],
+                   parts[1::2], sparsity, bound, bool(clamp))
 
 
 def fit_least_squares(net: ReluNetwork, xs, ys, cfg: TrainConfig) -> ReluNetwork:
@@ -407,9 +410,7 @@ def fit_least_squares(net: ReluNetwork, xs, ys, cfg: TrainConfig) -> ReluNetwork
     n = len(xs)
     batch = min(cfg.batch_size or n, n)
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x5eed]))
-    spec = ArchitectureSpec(height=net.height,
-                            width=net.weights[0].shape[0] if net.height > 1 else 1,
-                            sparsity=net.sparsity, weight_bound=net.weight_bound)
+    spec = ArchitectureSpec(net.height, net.width, net.sparsity, net.weight_bound)
     best_net, best_loss = None, np.inf
     diverged = 0
     for restart in range(cfg.restarts):
@@ -429,13 +430,11 @@ def fit_least_squares(net: ReluNetwork, xs, ys, cfg: TrainConfig) -> ReluNetwork
                 idx = order[start:start + batch]
                 lr = base_step * cfg.lr_decay ** (step / max(1, total_steps - 1))
                 try:
-                    loss, gw, gb = cand.mse_gradient(xs[idx], ys[idx])
+                    loss, grad = cand.mse_gradient(xs[idx], ys[idx])
                 except NonFiniteLoss:
                     blew_up = True
                     break
-                for l in range(cand.height):
-                    cand.weights[l] -= lr * gw[l]
-                    cand.biases[l] -= lr * gb[l]
+                cand.params -= lr * grad
                 step += 1
                 if step % cfg.projection_period == 0 or step == total_steps:
                     cand._project_inplace()

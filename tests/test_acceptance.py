@@ -225,21 +225,17 @@ class TestCriterion8NetworkIntegrity:
             if pre and min(float(np.abs(p).min()) for p in pre) < 1e-3:
                 continue
             checked += 1
-            _, gw, gb = net.mse_gradient(x, y)
+            _, grad = net.mse_gradient(x, y)
             step = 1e-5
-            for arrs, grads in ((net.weights, gw), (net.biases, gb)):
-                for arr, grad in zip(arrs, grads):
-                    flat = arr.ravel()
-                    for j in range(flat.size):
-                        orig = flat[j]
-                        flat[j] = orig + step
-                        up = net.mse(x, y)
-                        flat[j] = orig - step
-                        dn = net.mse(x, y)
-                        flat[j] = orig
-                        fd = (up - dn) / (2 * step)
-                        g = grad.ravel()[j]
-                        assert abs(fd - g) / max(abs(fd), abs(g), 1e-8) < 1e-4
+            for j in range(net.params.size):
+                orig = net.params[j]
+                net.params[j] = orig + step
+                up = net.mse(x, y)
+                net.params[j] = orig - step
+                dn = net.mse(x, y)
+                net.params[j] = orig
+                fd = (up - dn) / (2 * step)
+                assert abs(fd - grad[j]) / max(abs(fd), abs(grad[j]), 1e-8) < 1e-4
         assert checked == 100
 
     def test_constraint_fuzz_and_idempotence(self):
@@ -262,9 +258,7 @@ class TestCriterion8NetworkIntegrity:
             out = fit.forward(rng.random((50, 2)))
             assert out.min() >= 0.0 and out.max() <= 1.0
             once = fit.projected()
-            twice = once.projected()
-            for a, b in zip(once.weights + once.biases, twice.weights + twice.biases):
-                np.testing.assert_array_equal(a, b)
+            np.testing.assert_array_equal(once.projected().params, once.params)
         _ok(8, "gradient check: 100/100 configs < 1e-4; fuzz: 100/100 constraint "
                "cases hold; projection idempotent bit-for-bit")
 

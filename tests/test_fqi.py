@@ -92,8 +92,7 @@ class TestRunLsvi:
         assert r1.value == r2.value
         np.testing.assert_array_equal(t1.train_losses, t2.train_losses)
         for a, b in zip(t1.q_iterates, t2.q_iterates):
-            for wa, wb in zip(a.weights, b.weights):
-                np.testing.assert_array_equal(wa, wb)
+            np.testing.assert_array_equal(a.params, b.params)
 
     def test_opl_returns_greedy_of_final_iterate(self, chain_mdp, chain_oracle_star,
                                                  uniform_pi, compact_arch):

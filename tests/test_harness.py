@@ -262,6 +262,9 @@ class TestConfigValidation:
         {"n_values": (256, 0)},
         {"k_values": (0,)},
         {"data_modes": ("split",), "n_values": (2, 256), "k_values": (3,)},
+        # folds of 1025 and 1024 samples: 2 and 1 batches per epoch
+        {"data_modes": ("reuse", "split"), "n_values": (10_240, 10_245), "k_values": (10,),
+         "train_steps_target": 600, "train": TrainConfig(batch_size=1024)},
     ])
     def test_degenerate_axes_rejected(self, overrides):
         with pytest.raises(ValueError):

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import fqlab
 from fqlab.mdp import FixedActionPolicy, UniformPolicy
@@ -51,6 +54,27 @@ class TestApplyBellman:
         p = two_state_mdp.kernel.m_left
         expected = np.array([0.2, 0.8]) + 0.9 * (p @ maxes)
         np.testing.assert_allclose(out, expected[:, None] * np.ones((2, 2)), atol=1e-12)
+
+
+class TestBellmanContraction:
+    """The Bellman operator is a gamma-contraction in sup norm, for the
+    optimality backup and for a fixed policy (Munos & Szepesvari 2008)."""
+
+    @pytest.mark.parametrize("uniform", [False, True])
+    @pytest.mark.parametrize("which", ["chain", "two_state"])
+    def test_sup_norm_contraction(self, which, uniform, chain_mdp, two_state_mdp):
+        mdp = chain_mdp if which == "chain" else two_state_mdp
+        oracle = build_oracle(mdp)
+        policy = UniformPolicy(mdp.n_actions) if uniform else None
+        tables = hnp.arrays(np.float64, oracle.rewards.shape, elements=st.floats(-10.0, 10.0))
+
+        @given(tables, tables)
+        def check(f, g):
+            gap = np.abs(apply_bellman(oracle, mdp, f, policy)
+                         - apply_bellman(oracle, mdp, g, policy)).max()
+            assert gap <= mdp.gamma * np.abs(f - g).max() + 1e-12
+
+        check()
 
 
 class TestGroundTruth:

@@ -156,16 +156,12 @@ def reference_localized(anchor, radius, xs, mu_samples, sigma_draws, seed,
             for step in range(ascent_steps):
                 out_mu = cand.forward(mu_samples, clamp=False)
                 sq = float(np.mean((out_mu - anchor_mu) ** 2))
-                gw, gb = cand.weighted_output_gradient(xs, sigma / n)
+                grad = cand.weighted_output_gradient(xs, sigma / n)
                 if sq > radius:
                     steps_over.add(step)
-                    pw, pb = cand.weighted_output_gradient(
+                    grad = grad + cand.weighted_output_gradient(
                         mu_samples, -penalty * 2.0 * (out_mu - anchor_mu) / m)
-                    gw = [a + b for a, b in zip(gw, pw)]
-                    gb = [a + b for a, b in zip(gb, pb)]
-                for l in range(cand.height):
-                    cand.weights[l] += ascent_lr * gw[l]
-                    cand.biases[l] += ascent_lr * gb[l]
+                cand.params += ascent_lr * grad
                 if (step + 1) % 20 == 0 or step + 1 == ascent_steps:
                     cand._project_inplace()
                     f_xs = cand.forward(xs)

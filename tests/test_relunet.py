@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 import fqlab
 from fqlab.relunet import (ArchitectureSpec, ReluNetwork, TrainConfig,
                            TrainingDiverged, _clip_and_prune, _forward,
-                           _output_gradient, architecture_for, fit_least_squares)
+                           _output_gradient, _split, architecture_for, fit_least_squares)
 
 
 def small_spec(height=2, width=8, sparsity=10**6, bound=50.0):
@@ -67,10 +68,10 @@ class TestGradient:
     def test_zero_net_zero_targets(self):
         net = ReluNetwork.zeros(2, small_spec())
         x = np.random.default_rng(0).random((6, 2))
-        loss, gw, gb = net.mse_gradient(x, np.zeros(6))
+        loss, grad = net.mse_gradient(x, np.zeros(6))
         assert loss == 0.0
-        for g in gw + gb:
-            np.testing.assert_array_equal(g, 0.0)
+        assert grad.shape == net.params.shape
+        np.testing.assert_array_equal(grad, 0.0)
 
     def test_single_affine_hand_chain_rule(self):
         net = ReluNetwork([np.array([[0.5, -0.25]])], [np.array([0.1])],
@@ -78,10 +79,10 @@ class TestGradient:
         x = np.array([[0.4, 0.8]])
         y = np.array([0.3])
         f = 0.5 * 0.4 - 0.25 * 0.8 + 0.1  # 0.1; relu(x) = x on [0,1]
-        loss, gw, gb = net.mse_gradient(x, y)
+        loss, grad = net.mse_gradient(x, y)
         assert abs(loss - (f - 0.3) ** 2) < 1e-15
-        np.testing.assert_allclose(gw[0], 2 * (f - 0.3) * x, atol=1e-15)
-        np.testing.assert_allclose(gb[0], [2 * (f - 0.3)], atol=1e-15)
+        # params are [w_0, w_1, b]
+        np.testing.assert_allclose(grad, 2 * (f - 0.3) * np.array([0.4, 0.8, 1.0]), atol=1e-15)
 
     def test_matches_central_finite_differences(self):
         # 100 random configurations; parameters checked only when every
@@ -100,22 +101,18 @@ class TestGradient:
             if pre and min(float(np.abs(p).min()) for p in pre) < 1e-3:
                 continue
             checked += 1
-            _, gw, gb = net.mse_gradient(x, y)
+            _, grad = net.mse_gradient(x, y)
             step = 1e-5
-            for arrs, grads in ((net.weights, gw), (net.biases, gb)):
-                for arr, grad in zip(arrs, grads):
-                    flat = arr.ravel()
-                    for j in range(flat.size):
-                        orig = flat[j]
-                        flat[j] = orig + step
-                        up = net.mse(x, y)
-                        flat[j] = orig - step
-                        dn = net.mse(x, y)
-                        flat[j] = orig
-                        fd = (up - dn) / (2 * step)
-                        g = grad.ravel()[j]
-                        denom = max(abs(fd), abs(g), 1e-8)
-                        assert abs(fd - g) / denom < 1e-4
+            for j in range(net.params.size):
+                orig = net.params[j]
+                net.params[j] = orig + step
+                up = net.mse(x, y)
+                net.params[j] = orig - step
+                dn = net.mse(x, y)
+                net.params[j] = orig
+                fd = (up - dn) / (2 * step)
+                denom = max(abs(fd), abs(grad[j]), 1e-8)
+                assert abs(fd - grad[j]) / denom < 1e-4
         assert checked == 100
 
 
@@ -126,8 +123,10 @@ def same_bits(a, b):
 
 
 def stack_params(nets):
-    return ([np.stack([net.weights[l] for net in nets]) for l in range(nets[0].height)],
-            [np.stack([net.biases[l] for net in nets]) for l in range(nets[0].height)])
+    """(stack, weights, biases): the (C, P) stack of the networks' params and
+    its per-layer views."""
+    stack = np.stack([net.params for net in nets])
+    return (stack, *_split(stack, nets[0]._dims))
 
 
 class TestStackedKernels:
@@ -139,24 +138,22 @@ class TestStackedKernels:
         nets[1].weights[0][0] = 0.0  # a dead unit: exact zeros through the backward pass
         x = rng.random((rows, 2))
         w = rng.standard_normal((len(nets), rows))
-        weights, biases = stack_params(nets)
+        _, weights, biases = stack_params(nets)
         out, pre, acts = _forward(weights, biases, x)
-        gw, gb = _output_gradient(weights, pre, acts, w)
+        grad = _output_gradient(weights, pre, acts, w)
         for c, net in enumerate(nets):
             ref_out, ref_pre, ref_acts = net._forward_cached(x)
             assert same_bits(out[c], ref_out)
             assert all(same_bits(a[c], b) for a, b in zip(pre, ref_pre))
             assert same_bits(acts[0], ref_acts[0])  # the shared input layer
             assert all(same_bits(a[c], b) for a, b in zip(acts[1:], ref_acts[1:]))
-            ref_gw, ref_gb = net.weighted_output_gradient(x, w[c])
-            assert all(same_bits(a[c], b) for a, b in zip(gw, ref_gw))
-            assert all(same_bits(a[c], b) for a, b in zip(gb, ref_gb))
+            assert same_bits(grad[c], net.weighted_output_gradient(x, w[c]))
 
     @pytest.mark.parametrize("height", [1, 2, 3])
     def test_reused_cache_matches_fresh_pass(self, height):
         rng = np.random.default_rng(height)
         nets = [random_net(rng, height=height, width=6) for _ in range(3)]
-        weights, biases = stack_params(nets)
+        _, weights, biases = stack_params(nets)
         x = rng.random((20, 2))
         stale = _forward(weights, biases, rng.random((20, 2)))
         fresh = _forward(weights, biases, x)
@@ -173,15 +170,13 @@ class TestProjection:
         net = random_net(rng)
         net.sparsity = net.n_params()
         net.weight_bound = 100.0
-        out = net.projected()
-        for a, b in zip(out.weights, net.weights):
-            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(net.projected().params, net.params)
 
     def test_uniform_clip_then_prune(self):
         spec = ArchitectureSpec(height=1, width=1, sparsity=3, weight_bound=1.5)
         net = ReluNetwork([np.full((1, 5), 3.0)], [np.array([3.0])], 3, 1.5)
         out = net.projected()
-        kept = np.concatenate([out.weights[0].ravel(), out.biases[0]])
+        kept = out.params
         assert np.count_nonzero(kept) <= 3
         assert set(np.unique(kept)) <= {0.0, 1.5}
 
@@ -199,9 +194,7 @@ class TestProjection:
             net.sparsity = int(rng.integers(1, net.n_params() + 1))
             net.weight_bound = float(rng.uniform(0.05, 2.0))
             once = net.projected()
-            twice = once.projected()
-            for a, b in zip(once.weights + once.biases, twice.weights + twice.biases):
-                np.testing.assert_array_equal(a, b)
+            assert same_bits(once.projected().params, once.params)
 
 
 @st.composite
@@ -212,50 +205,38 @@ def constrained_nets(draw, copies=1):
     width = draw(st.integers(1, 5))
     input_dim = draw(st.integers(1, 3))
     zero = ReluNetwork.zeros(input_dim, small_spec(height=height, width=width))
-    shapes = [p.shape for p in zero.weights + zero.biases]
-    size = sum(int(np.prod(shape)) for shape in shapes)
+    size = zero.n_params()
     entry = st.one_of(st.floats(-10.0, 10.0), st.sampled_from([0.0, -0.0, 1.0, -1.0]))
     sparsity = draw(st.integers(1, size + 2))
     bound = draw(st.floats(0.05, 5.0))
     nets = []
     for _ in range(copies):
-        flat = draw(st.lists(entry, min_size=size, max_size=size))
-        params, pos = [], 0
-        for shape in shapes:
-            k = int(np.prod(shape))
-            params.append(np.array(flat[pos:pos + k]).reshape(shape))
-            pos += k
-        nets.append(ReluNetwork(params[:height], params[height:], sparsity, bound,
-                                output_clamp=False))
+        flat = np.array(draw(st.lists(entry, min_size=size, max_size=size)))
+        nets.append(ReluNetwork(*_split(flat, zero._dims), sparsity, bound, output_clamp=False))
     return nets
 
 
-def assert_feasible(arrays, sparsity, bound):
-    assert sum(int(np.count_nonzero(a)) for a in arrays) <= sparsity
-    assert all(np.abs(a).max(initial=0.0) <= bound for a in arrays)
+def assert_feasible(params, sparsity, bound):
+    assert np.count_nonzero(params) <= sparsity
+    assert np.abs(params).max(initial=0.0) <= bound
 
 
 class TestProjectionProperties:
     @given(constrained_nets())
     def test_idempotent_and_feasible(self, nets):
         once = nets[0].projected()
-        assert_feasible(once.weights + once.biases, once.sparsity, once.weight_bound)
-        twice = once.projected()
-        for a, b in zip(once.weights + once.biases, twice.weights + twice.biases):
-            assert same_bits(a, b)
+        assert_feasible(once.params, once.sparsity, once.weight_bound)
+        assert same_bits(once.projected().params, once.params)
 
     @given(constrained_nets(copies=3))
     def test_stack_views_project_like_each_network(self, nets):
-        weights, biases = stack_params(nets)
+        stack, _, _ = stack_params(nets)
         sparsity, bound = nets[0].sparsity, nets[0].weight_bound
         for _ in range(2):  # the second pass checks idempotence on the stack
             for c, net in enumerate(nets):
-                views = [w[c] for w in weights] + [b[c] for b in biases]
-                _clip_and_prune(views, bound, sparsity)
-                assert_feasible(views, sparsity, bound)
-                want = net.projected()
-                for got, ref in zip(views, want.weights + want.biases):
-                    assert same_bits(got, ref)
+                _clip_and_prune(stack[c], bound, sparsity)
+                assert_feasible(stack[c], sparsity, bound)
+                assert same_bits(stack[c], net.projected().params)
 
 
 class TestFit:
@@ -274,9 +255,7 @@ class TestFit:
         net.sparsity = 5
         fit = fit_least_squares(net, rng.random((10, 2)), rng.random(10),
                                 TrainConfig(epochs=0, seed=0))
-        expected = net.projected()
-        for a, b in zip(fit.weights + fit.biases, expected.weights + expected.biases):
-            np.testing.assert_array_equal(a, b)
+        assert same_bits(fit.params, net.projected().params)
 
     def test_linear_function(self):
         rng = np.random.default_rng(8)
@@ -369,8 +348,7 @@ class TestSerialization:
         back = ReluNetwork.load(path)
         assert back.sparsity == 17 and back.weight_bound == 2.5
         assert back.output_clamp == net.output_clamp
-        for a, b in zip(net.weights + net.biases, back.weights + back.biases):
-            np.testing.assert_array_equal(a, b)
+        assert same_bits(back.params, net.params)
 
     def test_rejects_truncated_first_layer(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -401,3 +379,72 @@ class TestSerialization:
         path.write_bytes(b"not a network record at all")
         with pytest.raises(ValueError):
             ReluNetwork.load(path)
+
+
+class TestParameterLayout:
+    """weights and biases are views of one params vector, and stay views."""
+
+    @staticmethod
+    def assert_views_share(net):
+        for view in net.weights + net.biases:
+            assert np.shares_memory(view, net.params)
+
+    def test_params_hold_weights_then_biases(self):
+        net = ReluNetwork([np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([[5.0, 6.0]])],
+                          [np.array([7.0, 8.0]), np.array([9.0])], 100, 10.0)
+        np.testing.assert_array_equal(net.params, np.arange(1.0, 10.0))
+        assert net.params.flags.c_contiguous and net.params.dtype == np.float64
+
+    def test_head_assignment_writes_through(self, tmp_path):
+        # the assignment pattern of a network given a nonzero head by hand
+        rng = np.random.default_rng(40)
+        spec = small_spec(height=3, width=6, sparsity=10**4, bound=5.0)
+        net = ReluNetwork.random(2, spec, rng)
+        head = rng.uniform(-0.3, 0.3, net.weights[-1].shape)
+        net.weights[-1] = head
+        net.biases[-1] = np.array([0.5])
+        n_weights = sum(w.size for w in net.weights)
+        np.testing.assert_array_equal(net.params[n_weights - head.size:n_weights], head[0])
+        assert net.params[-1] == 0.5
+        x = rng.random((16, 2))
+        assert np.all(net.forward(x, clamp=False) != 0.0)
+        path = tmp_path / "net.bin"
+        net.save(path)
+        for other in (net.projected(), net.copy(), ReluNetwork.load(path)):
+            self.assert_views_share(other)
+            assert same_bits(other.params, net.params)
+            assert same_bits(other.forward(x), net.forward(x))
+
+    def test_wrong_shape_rejected(self):
+        net = ReluNetwork.zeros(2, small_spec(height=2, width=4))
+        before = net.params.copy()
+        with pytest.raises(ValueError):
+            net.weights[-1] = np.ones((4, 1))
+        with pytest.raises(ValueError):
+            net.weights[0] = np.ones(8)
+        with pytest.raises(ValueError):
+            net.biases[-1] = np.array([0.5, 0.5])
+        with pytest.raises(ValueError):
+            net.biases[0] = 1.0
+        assert same_bits(net.params, before)
+
+    def test_views_share_memory_after_every_constructor(self, tmp_path):
+        rng = np.random.default_rng(41)
+        spec = small_spec(height=3, width=5)
+        random = ReluNetwork.random(2, spec, rng)
+        random.save(tmp_path / "net.bin")
+        for net in (ReluNetwork.zeros(2, spec), random, ReluNetwork.load(tmp_path / "net.bin")):
+            self.assert_views_share(net)
+            twin = net.copy()
+            self.assert_views_share(twin)
+            assert not np.shares_memory(twin.params, net.params)
+            assert not any(np.shares_memory(a, b) for a in twin.weights + twin.biases
+                           for b in net.weights + net.biases)
+
+    def test_pickle_keeps_views_on_params(self):
+        net = random_net(np.random.default_rng(42), height=3, width=4)
+        back = pickle.loads(pickle.dumps(net))
+        self.assert_views_share(back)
+        assert same_bits(back.params, net.params)
+        back.params[:] = 0.0
+        assert np.all(back.weights[0] == 0.0) and not np.all(net.weights[0] == 0.0)
