@@ -383,18 +383,21 @@ class ClosureReport:
 def diagnose_dynamic_closure(mdp, oracle, nets, policies, params: BesovParams,
                              order: int = 1) -> ClosureReport:
     """Apply each policy's Bellman operator to each network and measure the
-    image's smoothness exponent and Besov seminorm on the oracle grid."""
+    image's smoothness exponent and Besov seminorm on the oracle grid; mdp
+    must be the MDP the oracle was built from (ValueError otherwise)."""
     from .oracle import apply_bellman
 
+    if oracle.mdp is not mdp:
+        raise ValueError("oracle was built from a different MDP")
     entries = []
     exponents = []
     seminorms = []
     axes = oracle.state_axes + (oracle.action_grid,)
     shape = tuple(len(a) for a in axes)
     for ni, net in enumerate(nets):
-        fn = (lambda pts, _net=net: _net.forward(pts)) if callable(net) else net
+        fn = net.forward if callable(net) else net
         for pi, policy in enumerate(policies):
-            image = apply_bellman(oracle, mdp, fn, policy)
+            image = apply_bellman(oracle, fn, policy)
             fog = FunctionOnGrid(axes, image.reshape(shape))
             est = estimate_smoothness_exponent(fog, order, params.p)
             semi = besov_seminorm(fog, params)

@@ -6,8 +6,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .mdp import (GreedyPolicy, OfflineDataset, Policy, SyntheticMdp, pair_with_actions,
-                  state_action_inputs)
+from .mdp import GreedyPolicy, OfflineDataset, Policy, pair_with_actions, state_action_inputs
 from .oracle import GridOracle, apply_bellman
 from .relunet import (ArchitectureSpec, ReluNetwork, TrainConfig, TrainingDiverged,
                       fit_least_squares)
@@ -66,16 +65,15 @@ class FqiResult:
     q_final: ReluNetwork | None = None
 
 
-def q_on_actions(net: ReluNetwork, states: np.ndarray, action_grid: np.ndarray) -> np.ndarray:
-    """Evaluate a network at every action-grid value for each state row."""
-    pts = state_action_inputs(*pair_with_actions(states, action_grid))
-    return net.forward(pts).reshape(len(states), len(action_grid))
-
-
 def greedy_policy(net: ReluNetwork, action_grid: np.ndarray) -> GreedyPolicy:
     """Greedy readout of a frozen network on the action grid, first index on ties."""
     grid = np.asarray(action_grid, dtype=float)
-    return GreedyPolicy(lambda states: q_on_actions(net, states, grid), len(grid))
+
+    def q_on_actions(states):
+        pts = state_action_inputs(*pair_with_actions(states, grid))
+        return net.forward(pts).reshape(len(states), len(grid))
+
+    return GreedyPolicy(q_on_actions, len(grid))
 
 
 def _split_folds(n: int, k_folds: int, seed: int):
@@ -89,17 +87,18 @@ def _split_folds(n: int, k_folds: int, seed: int):
     return np.array_split(perm, k_folds)
 
 
-def run_lsvi(data: OfflineDataset, cfg: FqiConfig, mdp: SyntheticMdp, oracle: GridOracle):
+def run_lsvi(data: OfflineDataset, cfg: FqiConfig, oracle: GridOracle):
     """Iterated least-squares regression of Bellman targets onto the network class.
 
     Returns (FqiResult, FqiTrace).  Q_0 is the zero network projected into the
     architecture; iterate k regresses r_i + gamma * continuation(Q_{k-1}, s'_i)
-    on the data (or on fold k in split mode).  The final readout integrates on
-    the grid of the oracle, which must be built from mdp.
+    on the data (or on fold k in split mode), with gamma and the action grid of
+    oracle.mdp.  The final readout integrates on the oracle's grid.
     """
     k_iter = cfg.iterations
     folds = _split_folds(data.n, k_iter, cfg.train.seed) if cfg.data_mode == "split" else None
 
+    mdp = oracle.mdp
     grid = mdp.action_grid
     n, n_a = data.n, len(grid)
     xs_all = data.x
@@ -134,7 +133,7 @@ def run_lsvi(data: OfflineDataset, cfg: FqiConfig, mdp: SyntheticMdp, oracle: Gr
     trace = FqiTrace(q_iterates=iterates, train_losses=losses)
     q_final = iterates[-1]
     if cfg.mode == "ope":
-        table = oracle.tabulate(lambda pts: q_final.forward(pts))
+        table = oracle.tabulate(q_final.forward)
         v_mean = oracle.value_of(table, cfg.target_policy)
         v_norm = float(np.sqrt(oracle.value_of(table ** 2, cfg.target_policy)))
         value = v_mean if cfg.ope_return == "mean" else v_norm
@@ -144,8 +143,8 @@ def run_lsvi(data: OfflineDataset, cfg: FqiConfig, mdp: SyntheticMdp, oracle: Gr
     return result, trace
 
 
-def measure_bellman_residuals(trace: FqiTrace, oracle: GridOracle, mdp: SyntheticMdp,
-                              mu_samples, policy: Policy | None = None) -> np.ndarray:
+def measure_bellman_residuals(trace: FqiTrace, oracle: GridOracle, mu_samples,
+                              policy: Policy | None = None) -> np.ndarray:
     """Visitation-norm distance of each iterate from the Bellman image of its
     predecessor.
 
@@ -156,8 +155,7 @@ def measure_bellman_residuals(trace: FqiTrace, oracle: GridOracle, mdp: Syntheti
     pts = state_action_inputs(*mu_samples)
     out = np.empty(len(trace.q_iterates) - 1)
     for k in range(len(out)):
-        q_k = trace.q_iterates[k]
-        image = apply_bellman(oracle, mdp, lambda p: q_k.forward(p), policy)
+        image = apply_bellman(oracle, trace.q_iterates[k].forward, policy)
         image_at = oracle.interpolator(image)(pts)
         next_at = trace.q_iterates[k + 1].forward(pts)
         out[k] = float(np.sqrt(np.mean((next_at - image_at) ** 2)))
@@ -177,8 +175,8 @@ def decomposition_bound(mode: str, kappa: float, gamma: float, iterations: int,
     raise ValueError("mode must be 'ope' or 'opl'")
 
 
-def run_exact_lsvi(oracle: GridOracle, mdp: SyntheticMdp, iterations: int,
-                   policy: Policy | None = None, reference: np.ndarray | None = None):
+def run_exact_lsvi(oracle: GridOracle, iterations: int, policy: Policy | None = None,
+                   reference: np.ndarray | None = None):
     """Value iteration with exact grid regression in place of the network fit.
 
     Each iterate is the exact Bellman image of its predecessor tabulated on
@@ -193,10 +191,10 @@ def run_exact_lsvi(oracle: GridOracle, mdp: SyntheticMdp, iterations: int,
         reference = oracle.q
     err = float(np.abs(q - reference).max())
     for _ in range(iterations):
-        q = apply_bellman(oracle, mdp, q, policy)
+        q = apply_bellman(oracle, q, policy)
         new_err = float(np.abs(q - reference).max())
         # the reference table is itself only tol-accurate at the fixed point
-        if new_err > mdp.gamma * err + oracle.tol:
+        if new_err > oracle.mdp.gamma * err + oracle.tol:
             raise AssertionError("exact-regression iterates failed to contract")
         err = new_err
         iterates.append(q)

@@ -10,6 +10,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -95,12 +96,9 @@ class ExperimentConfig:
                              "every n: unequal folds would take unequal step counts")
 
     def cells(self):
-        for mode in self.modes:
-            for data_mode in self.data_modes:
-                for k in self.k_values:
-                    for n in self.n_values:
-                        for seed in self.seeds:
-                            yield (int(n), int(k), int(seed), mode, data_mode)
+        for mode, data_mode, k, n, seed in product(self.modes, self.data_modes, self.k_values,
+                                                   self.n_values, self.seeds):
+            yield (int(n), int(k), int(seed), mode, data_mode)
 
 
 @dataclass
@@ -152,7 +150,7 @@ def sample_size_hint(epsilon: float, delta: float, alpha: float, d: int) -> dict
     Reported as a hint only; the analysis leaves the absolute constants
     unspecified, so the value fixes them at 1.
     """
-    expo = 1.0 + d / alpha
+    expo = rate_exponent(alpha, d).sample_exponent
     n = float(np.e ** 2)
     for _ in range(60):
         n = ((1.0 / epsilon ** 2) ** expo * np.log(n) ** 6
@@ -250,11 +248,8 @@ def sweep_setup(cfg: ExperimentConfig) -> SweepSetup:
     the concentration estimate and the residual samples."""
     mdp = mdp_from_config(cfg.mdp)
     policy = UniformPolicy(mdp.n_actions)
-    # one grid build serves every target and the concentration estimate:
-    # ground_truth only rebinds q/target/sweep_deltas, so a shallow copy per
-    # mode keeps the targets apart while sharing the grid and next_op
     grid = build_oracle(mdp)
-    oracles = {mode: ground_truth(replace(grid), mdp, policy if mode == "ope" else None)
+    oracles = {mode: ground_truth(grid, policy if mode == "ope" else None)
                for mode in cfg.modes}
     conc = estimate_concentration(grid, policy, default_probes(mdp.n_actions),
                                   cfg.probe_horizons)
@@ -284,9 +279,9 @@ def run_attempt(cfg: ExperimentConfig, setup: SweepSetup, rec: CellRecord):
     with _stage(rec, "sampling_s"):
         data = sample_visitation(mdp, setup.policy, rec.n, rec.seed)
     with _stage(rec, "run_lsvi_s"):
-        result, trace = run_lsvi(data, fqi_cfg, mdp, oracle)
+        result, trace = run_lsvi(data, fqi_cfg, oracle)
     with _stage(rec, "residuals_s"):
-        resid = measure_bellman_residuals(trace, oracle, mdp, setup.mu_samples, policy=target)
+        resid = measure_bellman_residuals(trace, oracle, setup.mu_samples, policy=target)
     rec.subopt = subopt(oracle, result.value if mode == "ope" else result.policy)
     rec.max_residual = float(resid.max())
     rec.bound_rhs = decomposition_bound(mode, setup.kappa_hat, mdp.gamma, rec.K, rec.max_residual)
@@ -337,23 +332,19 @@ def run_sweep(cfg: ExperimentConfig) -> ExperimentReport:
         ordered = [cell_fn(cell) for cell in cells]
 
     rate_fits = []
-    for mode in cfg.modes:
-        for data_mode in cfg.data_modes:
-            for k_iter in cfg.k_values:
-                group = [r for r in ordered
-                         if (r.mode, r.data_mode, r.K) == (mode, data_mode, k_iter)
-                         and not r.failed]
-                by_n = {}
-                for r in group:
-                    by_n.setdefault(r.n, []).append(r.subopt)
-                ns = sorted(by_n)
-                if len(ns) < 4:
-                    continue
-                means = [float(np.mean(by_n[n])) for n in ns]
-                slope, se = _ols_slope(np.log(ns), np.log(means))
-                rate_fits.append(RateFit(mode=mode, data_mode=data_mode, K=int(k_iter),
-                                         slope=slope, slope_stderr=se,
-                                         n_values=ns, mean_subopt=means))
+    for mode, data_mode, k_iter in product(cfg.modes, cfg.data_modes, cfg.k_values):
+        group = [r for r in ordered
+                 if (r.mode, r.data_mode, r.K) == (mode, data_mode, k_iter) and not r.failed]
+        by_n = {}
+        for r in group:
+            by_n.setdefault(r.n, []).append(r.subopt)
+        ns = sorted(by_n)
+        if len(ns) < 4:
+            continue
+        means = [float(np.mean(by_n[n])) for n in ns]
+        slope, se = _ols_slope(np.log(ns), np.log(means))
+        rate_fits.append(RateFit(mode=mode, data_mode=data_mode, K=int(k_iter), slope=slope,
+                                 slope_stderr=se, n_values=ns, mean_subopt=means))
 
     d = setup.mdp.dim
     theory = asdict(rate_exponent(cfg.alpha, d))

@@ -14,6 +14,8 @@ from typing import Callable
 import numpy as np
 from scipy.special import ndtr, ndtri
 
+from .besov import _weierstrass_axis
+
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
 
 
@@ -133,13 +135,6 @@ class FiniteChainKernel:
         probs = np.transpose(mats, (1, 0, 2))
         return DenseNextOp(probs)
 
-    def density(self, states, action_values, next_states) -> np.ndarray:
-        # pmf w.r.t. counting measure on the node set
-        rows = self.matrix(action_values)[np.arange(len(states))]
-        i = self.node_index(states)
-        j = self.node_index(next_states)
-        return rows[np.arange(len(states)), i, j]
-
 
 class SingleStateKernel:
     """Degenerate kernel for a zero-dimensional state space."""
@@ -152,9 +147,6 @@ class SingleStateKernel:
 
     def node_transition(self, state_axes, action_grid) -> DenseNextOp:
         return DenseNextOp(np.ones((1, len(action_grid), 1)))
-
-    def density(self, states, action_values, next_states):
-        return np.ones(len(action_values))
 
 
 class TruncatedGaussianKernel:
@@ -613,17 +605,11 @@ def make_rough_reward_mdp(alpha=0.5, gamma=0.0, n_actions=11, sigma=0.15, terms=
     Used to probe how much smoothness the Bellman image inherits from the
     reward; at gamma = 0 the Bellman image IS the reward.
     """
-    b = 4.0
-    a_coef = b ** (-alpha)
-    k = np.arange(terms)
-    xs = np.linspace(0.0, 1.0, 4097)
-    w = (a_coef ** k)[None, :] * np.cos(np.pi * (b ** k)[None, :] * xs[:, None])
-    w = w.sum(axis=1)
+    w = _weierstrass_axis(np.linspace(0.0, 1.0, 4097), alpha, terms)
     w_lo, w_hi = w.min(), w.max()
 
     def reward(states, actions):
-        s = states[:, 0]
-        v = ((a_coef ** k)[None, :] * np.cos(np.pi * (b ** k)[None, :] * s[:, None])).sum(axis=1)
+        v = _weierstrass_axis(states[:, 0], alpha, terms)
         # range normalized on a finite grid; clip the off-grid overshoot
         return np.clip((v - w_lo) / (w_hi - w_lo), 0.0, 1.0)
 

@@ -2,7 +2,8 @@
 and concentration-coefficient estimation."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import reduce
 
 import numpy as np
 from scipy.interpolate import RegularGridInterpolator
@@ -40,12 +41,13 @@ def _axis_weights(axis):
     return w
 
 
-@dataclass
+@dataclass(frozen=True)
 class GridOracle:
-    """Tensor-product grid over the state-action space with tabulation machinery.
+    """Tensor-product grid over the state-action space of mdp with tabulation
+    machinery: the one handle on mdp's discretized Bellman operator.
 
-    Populated by value iteration (see ground_truth); immutable afterwards and
-    safe to share read-only.
+    Frozen: ground_truth returns a populated copy that shares the grid and
+    next_op.  On a populated oracle, target None means the optimal target.
     """
 
     mdp: SyntheticMdp
@@ -57,7 +59,7 @@ class GridOracle:
     rewards: np.ndarray         # (S, A) mean rewards on the grid
     tol: float = 1e-8
     q: np.ndarray | None = None             # (S, A) once populated
-    target: str | Policy | None = None      # "optimal" or the evaluated policy
+    target: Policy | None = None            # the evaluated policy, None for optimal
     sweep_deltas: list = field(default_factory=list)
 
     @property
@@ -70,9 +72,6 @@ class GridOracle:
 
     def init_mass(self):
         return self.mdp.init_dist.mass_on_nodes(self.nodes, self.node_weights)
-
-    def policy_probs(self, policy: Policy):
-        return policy.probs(self.nodes)
 
     def x_grid(self):
         """All (state, action) grid points as network inputs, row-major in (node, action)."""
@@ -97,7 +96,7 @@ class GridOracle:
         policy is None, else the policy-weighted sum over it."""
         if policy is None:
             return table.max(axis=1)
-        return np.sum(self.policy_probs(policy) * table, axis=1)
+        return np.sum(policy.probs(self.nodes) * table, axis=1)
 
     def value_of(self, q_table, policy: Policy | None):
         """Initial-state value by quadrature: E_rho[ aggregated q ]."""
@@ -123,13 +122,10 @@ def build_oracle(mdp: SyntheticMdp, resolution: int | None = None, tol: float = 
     else:
         mesh = np.meshgrid(*axes, indexing="ij")
         nodes = np.stack([m.ravel() for m in mesh], axis=-1)
-        weights = np.ones(len(nodes))
-        if not getattr(mdp.kernel, "is_finite", False):
-            for k, ax in enumerate(axes):
-                wk = _axis_weights(ax)
-                shape = [1] * len(axes)
-                shape[k] = len(ax)
-                weights = weights * np.broadcast_to(wk.reshape(shape), tuple(len(a) for a in axes)).ravel()
+        # counting measure on a finite chain, else the product of the per-axis
+        # trapezoid weights, row-major like nodes
+        weights = (np.ones(len(nodes)) if getattr(mdp.kernel, "is_finite", False)
+                   else reduce(np.multiply.outer, map(_axis_weights, axes)).ravel())
 
     next_op = mdp.kernel.node_transition(axes, mdp.action_grid)
     rewards = np.asarray(mdp.reward_mean(*pair_with_actions(nodes, mdp.action_grid)),
@@ -138,7 +134,7 @@ def build_oracle(mdp: SyntheticMdp, resolution: int | None = None, tol: float = 
                       action_grid=mdp.action_grid.copy(), next_op=next_op, rewards=rewards, tol=tol)
 
 
-def apply_bellman(oracle: GridOracle, mdp: SyntheticMdp, f, policy: Policy | None = None) -> np.ndarray:
+def apply_bellman(oracle: GridOracle, f, policy: Policy | None = None) -> np.ndarray:
     """One Bellman sweep on the grid: expected reward plus discounted continuation.
 
     policy=None applies the optimality backup (max over the action grid);
@@ -146,7 +142,7 @@ def apply_bellman(oracle: GridOracle, mdp: SyntheticMdp, f, policy: Policy | Non
     action grid.  The next-state integral uses the tabulated kernel masses.
     """
     g = oracle.aggregate(oracle.tabulate(f), policy)
-    return oracle.rewards + mdp.gamma * oracle.next_op.expect(g)
+    return oracle.rewards + oracle.mdp.gamma * oracle.next_op.expect(g)
 
 
 def max_sweeps(gamma: float, tol: float, margin: int = 50) -> int:
@@ -158,19 +154,20 @@ def max_sweeps(gamma: float, tol: float, margin: int = 50) -> int:
     return int(np.ceil(np.log(target) / np.log(gamma))) + margin
 
 
-def ground_truth(oracle: GridOracle, mdp: SyntheticMdp, policy: Policy | None = None,
+def ground_truth(oracle: GridOracle, policy: Policy | None = None,
                  tol: float | None = None) -> GridOracle:
-    """Populate the oracle with the Bellman fixed point by value iteration.
+    """Copy of the oracle populated with the Bellman fixed point of its MDP
+    for policy (None: the optimality backup), by value iteration.
 
     Raises OracleError if the sweep count exceeds the contraction bound plus a
     safety margin, which signals a mis-specified kernel.
     """
     tol = oracle.tol if tol is None else tol
     q = np.zeros_like(oracle.rewards)
-    cap = max_sweeps(mdp.gamma, tol)
+    cap = max_sweeps(oracle.mdp.gamma, tol)
     deltas = []
     for _ in range(cap):
-        q_new = apply_bellman(oracle, mdp, q, policy)
+        q_new = apply_bellman(oracle, q, policy)
         delta = float(np.abs(q_new - q).max())
         deltas.append(delta)
         q = q_new
@@ -178,22 +175,16 @@ def ground_truth(oracle: GridOracle, mdp: SyntheticMdp, policy: Policy | None = 
             break
     else:
         raise OracleError("value iteration failed to contract within the sweep budget")
-    vmax = 1.0 / (1.0 - mdp.gamma)
-    if q.min() < -1e-9 or q.max() > vmax + 1e-9:
+    if q.min() < -1e-9 or q.max() > 1.0 / (1.0 - oracle.mdp.gamma) + 1e-9:
         raise OracleError("tabulated values escaped [0, 1/(1-gamma)]")
-    oracle.q = q
-    oracle.target = "optimal" if policy is None else policy
-    oracle.sweep_deltas = deltas
-    oracle.tol = tol
-    return oracle
+    return replace(oracle, q=q, target=policy, sweep_deltas=deltas, tol=tol)
 
 
 def oracle_value(oracle: GridOracle) -> float:
     """V under the populated target: E_rho,pi[Q^pi] or E_rho[max_a Q*]."""
     if not oracle.populated:
         raise OracleError("oracle not populated")
-    policy = None if oracle.target == "optimal" else oracle.target
-    return oracle.value_of(oracle.q, policy)
+    return oracle.value_of(oracle.q, oracle.target)
 
 
 def subopt(oracle: GridOracle, estimate) -> float:
@@ -205,7 +196,7 @@ def subopt(oracle: GridOracle, estimate) -> float:
     if not oracle.populated:
         raise OracleError("oracle not populated")
     if isinstance(estimate, Policy):
-        if oracle.target != "optimal":
+        if oracle.target is not None:
             raise OracleError("policy sub-optimality needs the optimal-target oracle")
         rho = oracle.init_mass()
         v_star = oracle.q.max(axis=1)
@@ -242,7 +233,7 @@ def tabulate_visitation(oracle: GridOracle, eta: Policy, tail_tol: float = 1e-14
     """Discounted visitation mass on the grid by explicit geometric-series summation."""
     mdp = oracle.mdp
     rho = oracle.init_mass()
-    eta_probs = oracle.policy_probs(eta)
+    eta_probs = eta.probs(oracle.nodes)
     occ = rho[:, None] * eta_probs
     mu = (1.0 - mdp.gamma) * occ.copy()
     if mdp.gamma > 0.0:
@@ -272,11 +263,12 @@ def estimate_concentration(oracle: GridOracle, eta: Policy, probes: list,
     undefined = []
     defined = mu >= 1e-12
     for pi_idx, probe in enumerate(probes):
-        occ = oracle.init_mass()[:, None] * oracle.policy_probs(probe)
+        probe_probs = probe.probs(oracle.nodes)
+        occ = oracle.init_mass()[:, None] * probe_probs
         t_prev = 0
         for t in sorted(set(int(t) for t in horizon_set)):
             for _ in range(t - t_prev):
-                occ = oracle.next_op.push(occ)[:, None] * oracle.policy_probs(probe)
+                occ = oracle.next_op.push(occ)[:, None] * probe_probs
             t_prev = t
             bad = (~defined) & (occ > 1e-12)
             for cell in zip(*np.nonzero(bad)):

@@ -29,6 +29,18 @@ class RademacherEstimate:
     per_draw: np.ndarray | None = None
 
 
+def _estimate(sups: np.ndarray, n: int, exhaustive=False, caveat="") -> RademacherEstimate:
+    """Mean of the per-draw suprema and its standard error; a trained
+    supremum carries the bias note, followed by caveat."""
+    draws = len(sups)
+    return RademacherEstimate(
+        value=float(sups.mean()), n=n, sigma_draws=draws,
+        sup_method="exhaustive" if exhaustive else "trained",
+        stderr=float(sups.std(ddof=1) / math.sqrt(draws)) if draws > 1 else 0.0,
+        bias_note=None if exhaustive else "trained supremum: lower estimate of the true sup" + caveat,
+        per_draw=sups)
+
+
 class FiniteFunctionClass:
     """Function class given by its value matrix at the sample points."""
 
@@ -91,14 +103,7 @@ def empirical_rademacher(function_class, xs, sigma_draws: int, seed: int) -> Rad
             sups[i] = function_class.sup_correlation(sigma)
         else:
             sups[i] = function_class.sup_correlation(sigma, xs, seed=int(seed) * 1000003 + i)
-    exhaustive = isinstance(function_class, FiniteFunctionClass)
-    return RademacherEstimate(
-        value=float(sups.mean()), n=n, sigma_draws=sigma_draws,
-        sup_method="exhaustive" if exhaustive else "trained",
-        stderr=float(sups.std(ddof=1) / math.sqrt(sigma_draws)) if sigma_draws > 1 else 0.0,
-        bias_note=None if exhaustive else "trained supremum: lower estimate of the true sup",
-        per_draw=sups,
-    )
+    return _estimate(sups, n, exhaustive=isinstance(function_class, FiniteFunctionClass))
 
 
 # the ascent stacks whole sign draws until candidates x max(n, m) x width
@@ -122,8 +127,8 @@ def localized_rademacher(spec: ArchitectureSpec, anchor: ReluNetwork, radius: fl
     each gets exactly the numbers it would get ascending on its own.  The
     feasible set is the anchor's architecture, so spec must describe it.
     """
-    hidden = {w.shape[0] for w in anchor.weights[:-1]}
-    if (anchor.height != spec.height or not hidden <= {spec.width}
+    # a one-layer network has no hidden width to compare
+    if (anchor.height != spec.height or (anchor.height > 1 and anchor.width != spec.width)
             or anchor.sparsity != spec.sparsity or anchor.weight_bound != spec.weight_bound):
         raise ValueError("spec disagrees with the anchor's height, width, sparsity "
                          "or weight bound")
@@ -189,14 +194,8 @@ def localized_rademacher(spec: ArchitectureSpec, anchor: ReluNetwork, radius: fl
                     corr = float(sigmas[i] @ (f_xs[c] - anchor_xs) / n)
                     best[i] = max(best[i], corr)
         sups[start:start + len(sigmas)] = best
-    note = "trained supremum: lower estimate of the true sup"
-    if rejected_all:
-        note += "; no ascent candidate stayed inside the radius (estimate is the anchor's 0)"
-    return RademacherEstimate(
-        value=float(sups.mean()), n=n, sigma_draws=sigma_draws, sup_method="trained",
-        stderr=float(sups.std(ddof=1) / math.sqrt(sigma_draws)) if sigma_draws > 1 else 0.0,
-        bias_note=note, per_draw=sups,
-    )
+    caveat = "; no ascent candidate stayed inside the radius (estimate is the anchor's 0)"
+    return _estimate(sups, n, caveat=caveat if rejected_all else "")
 
 
 # ---------------------------------------------------------------------------

@@ -64,6 +64,8 @@ def architecture_for(n: int, alpha: float, p: float, d: int) -> ArchitectureSpec
     it returns height ceil(log N), width ceil(N log N), sparsity N, and weight
     bound N^(1/d + 2 excess / (alpha - excess)).
     """
+    from .rademacher import rate_exponent  # rademacher imports this module
+
     if n < 2:
         raise ValueError("need n >= 2")
     if d < 1:
@@ -71,16 +73,15 @@ def architecture_for(n: int, alpha: float, p: float, d: int) -> ArchitectureSpec
     if not alpha > d / min(p, 2.0):
         raise ValueError("inadmissible parameters: need alpha > d / min(p, 2)")
     excess = d * max(1.0 / p - 1.0 / (1 + math.floor(alpha)), 0.0)
-    beta = 1.0 / (2.0 + d * d / (alpha * (alpha + d)))
-    n_exponent = (beta + 0.5) * d / (2.0 * alpha + d)
-    resolution = int(math.ceil(n ** n_exponent))
+    rates = rate_exponent(alpha, d)
+    resolution = int(math.ceil(n ** rates.n_exponent))
     height = max(1, int(math.ceil(math.log(resolution))))
     width = max(1, int(math.ceil(resolution * math.log(resolution))))
     bound = resolution ** (1.0 / d + 2.0 * excess / (alpha - excess))
     return ArchitectureSpec(
         height=height, width=width, sparsity=resolution, weight_bound=bound,
-        resolution=resolution, alpha=alpha, p=p, input_dim=d, beta=beta,
-        excess=excess, n_exponent=n_exponent,
+        resolution=resolution, alpha=alpha, p=p, input_dim=d, beta=rates.beta,
+        excess=excess, n_exponent=rates.n_exponent,
     )
 
 
@@ -207,11 +208,12 @@ def _clip_and_prune(params, bound, sparsity):
 
 
 class ReluNetwork:
-    """Feed-forward ReLU network under sparsity and sup-norm constraints, its
-    parameters held in one float64 vector, params, of which weights and biases
-    are per-layer views (layout: _split).  Outputs are clamped to [0,1] at
-    evaluation when output_clamp is set, never inside gradient computations
-    (training acts on the raw output so the clamp cannot zero out gradients).
+    """Feed-forward ReLU network with hidden layers of one width, under sparsity
+    and sup-norm constraints, its parameters held in one float64 vector,
+    params, of which weights and biases are per-layer views (layout: _split).
+    Outputs are clamped to [0,1] at evaluation when output_clamp is set, never
+    inside gradient computations (training acts on the raw output so the
+    clamp cannot zero out gradients).
     """
 
     def __init__(self, weights, biases, sparsity, weight_bound, output_clamp=True):
@@ -221,8 +223,9 @@ class ReluNetwork:
             raise ValueError("need at least one layer, and one bias per weight matrix")
         dims = self._dims = [weights[0].shape[-1]] + [w.shape[0] for w in weights]
         if (dims[-1] != 1 or [w.shape for w in weights] != list(zip(dims[1:], dims))
-                or [b.shape for b in biases] != [(out,) for out in dims[1:]]):
-            raise ValueError("layer shapes must chain from the input to a scalar output")
+                or [b.shape for b in biases] != [(out,) for out in dims[1:]]
+                or len(set(dims[1:-1])) > 1):
+            raise ValueError("layer shapes must chain, at one hidden width, to a scalar output")
         self.sparsity = int(sparsity)
         self.weight_bound = float(weight_bound)
         self.output_clamp = bool(output_clamp)

@@ -22,12 +22,12 @@ def uniform_pi(chain_mdp):
 
 @pytest.fixture(scope="session")
 def chain_oracle_pi(chain_mdp, uniform_pi):
-    return fqlab.ground_truth(fqlab.build_oracle(chain_mdp), chain_mdp, uniform_pi)
+    return fqlab.ground_truth(fqlab.build_oracle(chain_mdp), uniform_pi)
 
 
 @pytest.fixture(scope="session")
 def chain_oracle_star(chain_mdp):
-    return fqlab.ground_truth(fqlab.build_oracle(chain_mdp), chain_mdp, None)
+    return fqlab.ground_truth(fqlab.build_oracle(chain_mdp), None)
 
 
 @pytest.fixture(scope="session")

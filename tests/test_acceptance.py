@@ -105,8 +105,8 @@ class TestCriterion2TabularLimit:
 
 class TestCriterion3Contraction:
     def test_exact_regression_contracts(self, chain_mdp, uniform_pi):
-        oracle = ground_truth(build_oracle(chain_mdp, tol=1e-10), chain_mdp, uniform_pi)
-        iterates = run_exact_lsvi(oracle, chain_mdp, 50, policy=uniform_pi)
+        oracle = ground_truth(build_oracle(chain_mdp, tol=1e-10), uniform_pi)
+        iterates = run_exact_lsvi(oracle, 50, policy=uniform_pi)
         errs = [float(np.abs(q - oracle.q).max()) for q in iterates]
         for a, b in zip(errs, errs[1:]):
             assert b <= chain_mdp.gamma * a + oracle.tol

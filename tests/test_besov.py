@@ -319,6 +319,16 @@ class TestDynamicClosure:
         assert not est.saturated
         assert abs(est.exponent - 0.5) <= 0.1
 
+    def test_rejects_an_mdp_other_than_the_oracles(self):
+        mdp = fqlab.make_rough_reward_mdp(alpha=0.5, gamma=0.0)
+        oracle = fqlab.build_oracle(mdp, resolution=101)
+        zero = fqlab.ReluNetwork.zeros(2, fqlab.ArchitectureSpec(
+            height=2, width=4, sparsity=100, weight_bound=5.0))
+        twin = fqlab.make_rough_reward_mdp(alpha=0.5, gamma=0.0)  # equal, but not the same
+        with pytest.raises(ValueError, match="different MDP"):
+            fqlab.diagnose_dynamic_closure(twin, oracle, [zero], [None],
+                                           BesovParams(alpha=0.5))
+
     def test_gaussian_kernel_regularizes(self):
         mdp = fqlab.make_gaussian_mdp(gamma=0.9)
         oracle = fqlab.build_oracle(mdp, resolution=401)

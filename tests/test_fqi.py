@@ -45,7 +45,7 @@ class TestRunLsvi:
         data = fqlab.sample_visitation(chain_mdp, uniform_pi, 200, seed=0)
         cfg = FqiConfig(iterations=1, mode="ope", arch=compact_arch,
                         train=TrainConfig(epochs=0, seed=0), target_policy=uniform_pi)
-        result, trace = run_lsvi(data, cfg, chain_mdp, chain_oracle_pi)
+        result, trace = run_lsvi(data, cfg, chain_oracle_pi)
         assert result.value == 0.0
         assert len(trace.q_iterates) == 2
         assert trace.q_iterates[-1].nnz() == 0
@@ -53,12 +53,12 @@ class TestRunLsvi:
     def test_gamma_zero_single_iteration_is_reward_regression(self, compact_arch):
         mdp = fqlab.make_chain_mdp(gamma=0.0, noise=0.1)
         eta = UniformPolicy(mdp.n_actions)
-        oracle = ground_truth(build_oracle(mdp), mdp, None)
+        oracle = ground_truth(build_oracle(mdp), None)
         data = fqlab.sample_visitation(mdp, eta, 8000, seed=1)
         cfg = FqiConfig(iterations=1, mode="opl", arch=compact_arch,
                         train=TrainConfig(epochs=250, restarts=2, learning_rate=1.8,
                                           batch_size=512, seed=1))
-        result, trace = run_lsvi(data, cfg, mdp, oracle)
+        result, trace = run_lsvi(data, cfg, oracle)
         held = fqlab.sample_visitation(mdp, eta, 2000, seed=99)
         mean_r = mdp.reward_mean(held.states, held.actions)
         rmse = float(np.sqrt(np.mean((result.q_final.forward(held.x) - mean_r) ** 2)))
@@ -75,7 +75,7 @@ class TestRunLsvi:
                                                     learning_rate=1.5,
                                                     batch_size=1024, seed=seed),
                             target_policy=uniform_pi)
-            result, _ = run_lsvi(data, cfg, chain_mdp, chain_oracle_pi)
+            result, _ = run_lsvi(data, cfg, chain_oracle_pi)
             subs.append(subopt(chain_oracle_pi, result.value))
         # K = 20 leaves an algorithmic tail of order gamma^K * V ~ 0.08 on top
         # of the statistical error; the acceptance-scale run uses K = 50
@@ -87,8 +87,8 @@ class TestRunLsvi:
                         train=TrainConfig(epochs=15, restarts=1, batch_size=256,
                                           learning_rate=1.2, seed=3),
                         target_policy=uniform_pi)
-        r1, t1 = run_lsvi(data, cfg, chain_mdp, chain_oracle_pi)
-        r2, t2 = run_lsvi(data, cfg, chain_mdp, chain_oracle_pi)
+        r1, t1 = run_lsvi(data, cfg, chain_oracle_pi)
+        r2, t2 = run_lsvi(data, cfg, chain_oracle_pi)
         assert r1.value == r2.value
         np.testing.assert_array_equal(t1.train_losses, t2.train_losses)
         for a, b in zip(t1.q_iterates, t2.q_iterates):
@@ -100,7 +100,7 @@ class TestRunLsvi:
         cfg = FqiConfig(iterations=2, mode="opl", arch=compact_arch,
                         train=TrainConfig(epochs=15, restarts=1, batch_size=256,
                                           learning_rate=1.2, seed=4))
-        result, trace = run_lsvi(data, cfg, chain_mdp, chain_oracle_star)
+        result, trace = run_lsvi(data, cfg, chain_oracle_star)
         expected = greedy_policy(trace.q_iterates[-1], chain_mdp.action_grid)
         np.testing.assert_array_equal(result.policy.act(chain_oracle_star.nodes),
                                       expected.act(chain_oracle_star.nodes))
@@ -110,7 +110,7 @@ class TestRunLsvi:
         data = fqlab.sample_visitation(chain_mdp, uniform_pi, 2000, seed=5)
         cfg = FqiConfig(iterations=2, mode="ope", arch=compact_arch,
                         train=fast_train, target_policy=uniform_pi, ope_return="norm")
-        result, _ = run_lsvi(data, cfg, chain_mdp, chain_oracle_pi)
+        result, _ = run_lsvi(data, cfg, chain_oracle_pi)
         assert result.value == result.v_norm
         assert result.v_norm >= result.v_mean - 1e-12  # rms dominates the mean
 
@@ -150,12 +150,12 @@ class TestBellmanResiduals:
     def test_exact_image_gives_zero(self, chain_mdp, chain_oracle_pi, uniform_pi):
         rng = np.random.default_rng(0)
         q0 = rng.random((5, 11))
-        image = apply_bellman(chain_oracle_pi, chain_mdp, q0, uniform_pi)
+        image = apply_bellman(chain_oracle_pi, q0, uniform_pi)
         trace = fqlab.FqiTrace(
             q_iterates=[net_from_table(chain_oracle_pi, q0),
                         net_from_table(chain_oracle_pi, image)],
             train_losses=np.zeros(1))
-        out = measure_bellman_residuals(trace, chain_oracle_pi, chain_mdp,
+        out = measure_bellman_residuals(trace, chain_oracle_pi,
                                         self._mu_samples(chain_mdp, uniform_pi),
                                         policy=uniform_pi)
         assert out[0] <= 1e-10
@@ -163,12 +163,12 @@ class TestBellmanResiduals:
     def test_constant_offset_recovered(self, chain_mdp, chain_oracle_pi, uniform_pi):
         rng = np.random.default_rng(1)
         q0 = rng.random((5, 11))
-        image = apply_bellman(chain_oracle_pi, chain_mdp, q0, uniform_pi)
+        image = apply_bellman(chain_oracle_pi, q0, uniform_pi)
         trace = fqlab.FqiTrace(
             q_iterates=[net_from_table(chain_oracle_pi, q0),
                         net_from_table(chain_oracle_pi, image + 0.1)],
             train_losses=np.zeros(1))
-        out = measure_bellman_residuals(trace, chain_oracle_pi, chain_mdp,
+        out = measure_bellman_residuals(trace, chain_oracle_pi,
                                         self._mu_samples(chain_mdp, uniform_pi),
                                         policy=uniform_pi)
         assert out[0] == pytest.approx(0.1, abs=1e-10)
@@ -182,15 +182,15 @@ class TestBellmanResiduals:
                         train=TrainConfig(epochs=30, restarts=1, batch_size=512,
                                           learning_rate=1.5, seed=6),
                         target_policy=uniform_pi)
-        _, trace = run_lsvi(data, cfg, chain_mdp, chain_oracle_pi)
+        _, trace = run_lsvi(data, cfg, chain_oracle_pi)
         m = 20000
         samples = self._mu_samples(chain_mdp, uniform_pi, m)
-        rms = measure_bellman_residuals(trace, chain_oracle_pi, chain_mdp, samples,
+        rms = measure_bellman_residuals(trace, chain_oracle_pi, samples,
                                         policy=uniform_pi)
         mu = fqlab.tabulate_visitation(chain_oracle_pi, uniform_pi)
         xg = chain_oracle_pi.x_grid()
         for k in range(3):
-            image = apply_bellman(chain_oracle_pi, chain_mdp,
+            image = apply_bellman(chain_oracle_pi,
                                   lambda p: trace.q_iterates[k].forward(p), uniform_pi)
             diff_sq = (trace.q_iterates[k + 1].forward(xg).reshape(5, 11) - image) ** 2
             exact = float(np.sqrt(np.sum(mu * diff_sq)))
@@ -204,14 +204,14 @@ class TestBellmanResiduals:
 
 class TestExactRegressionContraction:
     def test_contracts_every_iteration(self, chain_mdp, chain_oracle_pi, uniform_pi):
-        iterates = run_exact_lsvi(chain_oracle_pi, chain_mdp, 30, policy=uniform_pi)
+        iterates = run_exact_lsvi(chain_oracle_pi, 30, policy=uniform_pi)
         assert len(iterates) == 31
         errs = [np.abs(q - chain_oracle_pi.q).max() for q in iterates]
         for a, b in zip(errs, errs[1:]):
             assert b <= chain_mdp.gamma * a + chain_oracle_pi.tol
 
     def test_optimality_target(self, chain_mdp, chain_oracle_star):
-        iterates = run_exact_lsvi(chain_oracle_star, chain_mdp, 20, policy=None)
+        iterates = run_exact_lsvi(chain_oracle_star, 20, policy=None)
         final_err = np.abs(iterates[-1] - chain_oracle_star.q).max()
         assert final_err <= chain_mdp.gamma ** 20 / (1 - chain_mdp.gamma) + 1e-8
 
@@ -247,7 +247,7 @@ class TestReuseVsSplit:
         cfg = FqiConfig(iterations=10, mode="ope", arch=compact_arch,
                         train=fast_train, target_policy=uniform_pi, data_mode="split")
         with pytest.raises(ValueError):
-            run_lsvi(data, cfg, chain_mdp, chain_oracle_pi)
+            run_lsvi(data, cfg, chain_oracle_pi)
 
     def test_gamma_zero_sample_size_effect(self, compact_arch):
         # at gamma = 0 the modes differ only in regression sample size; with a

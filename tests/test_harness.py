@@ -87,11 +87,11 @@ class TestRunSweep:
 
         mdp = fqlab.mdp_from_config({"kind": "chain5"})
         pi = UniformPolicy(mdp.n_actions)
-        oracle = fqlab.ground_truth(fqlab.build_oracle(mdp), mdp, pi)
+        oracle = fqlab.ground_truth(fqlab.build_oracle(mdp), pi)
         data = fqlab.sample_visitation(mdp, pi, 512, seed=3)
         fqi_cfg = FqiConfig(iterations=3, mode="ope", arch=cfg.arch,
                             train=replace(cfg.train, seed=3), target_policy=pi)
-        result, trace = run_lsvi(data, fqi_cfg, mdp, oracle)
+        result, trace = run_lsvi(data, fqi_cfg, oracle)
         direct = fqlab.subopt(oracle, result.value)
         assert rec.subopt == pytest.approx(direct, abs=1e-12)
 
@@ -129,9 +129,9 @@ class TestRunSweep:
     def test_ope_sweep_solves_only_the_policy_target(self, monkeypatch):
         targets = []
 
-        def recording_ground_truth(oracle, mdp, policy=None, tol=None):
+        def recording_ground_truth(oracle, policy=None, tol=None):
             targets.append(policy)
-            return fqlab.ground_truth(oracle, mdp, policy, tol)
+            return fqlab.ground_truth(oracle, policy, tol)
 
         monkeypatch.setattr(harness, "ground_truth", recording_ground_truth)
         run_sweep(tiny_config(n_values=(256,), k_values=(2,), seeds=(0,)))
@@ -141,7 +141,7 @@ class TestRunSweep:
         class Captured(Exception):
             pass
 
-        def capture(data, fqi_cfg, mdp, oracle):
+        def capture(data, fqi_cfg, oracle):
             raise Captured(fqi_cfg.train)
 
         monkeypatch.setattr(harness, "run_lsvi", capture)

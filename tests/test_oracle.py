@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import fqlab
-from fqlab.mdp import FixedActionPolicy, UniformPolicy
+from fqlab.mdp import FixedActionPolicy, Policy, UniformPolicy
 from fqlab.oracle import (OracleError, apply_bellman, build_oracle,
                           estimate_concentration, ground_truth, max_sweeps,
                           oracle_value, subopt, tabulate_visitation)
@@ -15,12 +17,12 @@ class TestApplyBellman:
     def test_single_state_constant_f(self):
         mdp = fqlab.make_single_state_mdp(gamma=0.5, reward=0.5)
         oracle = build_oracle(mdp)
-        out = apply_bellman(oracle, mdp, np.ones((1, 2)), UniformPolicy(2))
+        out = apply_bellman(oracle, np.ones((1, 2)), UniformPolicy(2))
         np.testing.assert_allclose(out, 1.0)
 
     def test_zero_f_returns_mean_reward(self, chain_mdp, uniform_pi):
         oracle = build_oracle(chain_mdp)
-        out = apply_bellman(oracle, chain_mdp, np.zeros_like(oracle.rewards), uniform_pi)
+        out = apply_bellman(oracle, np.zeros_like(oracle.rewards), uniform_pi)
         np.testing.assert_allclose(out, oracle.rewards)
 
     def test_two_state_hand_kernel(self, two_state_mdp):
@@ -28,28 +30,28 @@ class TestApplyBellman:
         oracle = build_oracle(two_state_mdp)
         f = np.zeros((2, 2))
         f[1, :] = 1.0
-        out = apply_bellman(oracle, two_state_mdp, f, UniformPolicy(2))
+        out = apply_bellman(oracle, f, UniformPolicy(2))
         expected = np.array([0.2 + 0.9 * 0.1, 0.8 + 0.9 * 0.8])
         np.testing.assert_allclose(out, expected[:, None] * np.ones((2, 2)), atol=1e-12)
 
     def test_rejects_runaway_values(self, chain_mdp, uniform_pi):
         oracle = build_oracle(chain_mdp)
         with pytest.raises(ValueError):
-            apply_bellman(oracle, chain_mdp, np.full((5, 11), 11.0), uniform_pi)
+            apply_bellman(oracle, np.full((5, 11), 11.0), uniform_pi)
 
     def test_monotone(self, chain_mdp, uniform_pi):
         oracle = build_oracle(chain_mdp)
         rng = np.random.default_rng(0)
         f = rng.random((5, 11))
         g = f + rng.random((5, 11))
-        tf = apply_bellman(oracle, chain_mdp, f, uniform_pi)
-        tg = apply_bellman(oracle, chain_mdp, g, uniform_pi)
+        tf = apply_bellman(oracle, f, uniform_pi)
+        tg = apply_bellman(oracle, g, uniform_pi)
         assert np.all(tf <= tg + 1e-12)
 
     def test_optimality_target(self, two_state_mdp):
         oracle = build_oracle(two_state_mdp)
         f = np.array([[0.0, 1.0], [0.5, 0.25]])
-        out = apply_bellman(oracle, two_state_mdp, f, None)
+        out = apply_bellman(oracle, f, None)
         maxes = np.array([1.0, 0.5])
         p = two_state_mdp.kernel.m_left
         expected = np.array([0.2, 0.8]) + 0.9 * (p @ maxes)
@@ -70,8 +72,8 @@ class TestBellmanContraction:
 
         @given(tables, tables)
         def check(f, g):
-            gap = np.abs(apply_bellman(oracle, mdp, f, policy)
-                         - apply_bellman(oracle, mdp, g, policy)).max()
+            gap = np.abs(apply_bellman(oracle, f, policy)
+                         - apply_bellman(oracle, g, policy)).max()
             assert gap <= mdp.gamma * np.abs(f - g).max() + 1e-12
 
         check()
@@ -80,19 +82,18 @@ class TestBellmanContraction:
 class TestGroundTruth:
     def test_single_state_geometric_series(self):
         mdp = fqlab.make_single_state_mdp(gamma=0.5, reward=0.5)
-        oracle = ground_truth(build_oracle(mdp), mdp, UniformPolicy(2))
+        oracle = ground_truth(build_oracle(mdp), UniformPolicy(2))
         np.testing.assert_allclose(oracle.q, 1.0, atol=1e-7)
         assert abs(oracle_value(oracle) - 1.0) < 1e-7
 
     def test_gamma_zero_is_reward(self):
         mdp = fqlab.make_chain_mdp(gamma=0.0, noise=0.0)
-        oracle = ground_truth(build_oracle(mdp), mdp, None)
+        oracle = ground_truth(build_oracle(mdp), None)
         np.testing.assert_allclose(oracle.q, oracle.rewards, atol=1e-12)
         assert len(oracle.sweep_deltas) <= 2
 
     def test_two_state_matches_linear_solve(self, two_state_mdp):
-        oracle = ground_truth(build_oracle(two_state_mdp, tol=1e-10), two_state_mdp,
-                              UniformPolicy(2))
+        oracle = ground_truth(build_oracle(two_state_mdp, tol=1e-10), UniformPolicy(2))
         p = np.array([[0.9, 0.1], [0.2, 0.8]])
         r = np.array([0.2, 0.8])
         q_exact = np.linalg.solve(np.eye(2) - 0.9 * p, r)
@@ -116,13 +117,29 @@ class TestGroundTruth:
         oracle.next_op.probs = oracle.next_op.probs * 1.09
         oracle.next_op._flat = oracle.next_op.probs.reshape(4, 2)
         with pytest.raises(OracleError):
-            ground_truth(oracle, mdp, UniformPolicy(2))
+            ground_truth(oracle, UniformPolicy(2))
 
     def test_max_sweeps_formula(self):
         assert max_sweeps(0.0, 1e-8, margin=0) == 2
         g, tol = 0.9, 1e-6
         expected = int(np.ceil(np.log(tol * (1 - g)) / np.log(g)))
         assert max_sweeps(g, tol, margin=0) == expected
+
+
+class TestFrozenOracle:
+    def test_ground_truth_returns_a_populated_copy(self, chain_mdp, uniform_pi):
+        grid = build_oracle(chain_mdp)
+        populated = ground_truth(grid, uniform_pi)
+        assert populated is not grid
+        assert not grid.populated and grid.target is None and grid.sweep_deltas == []
+        assert populated.populated and populated.target is uniform_pi
+        assert populated.mdp is chain_mdp and populated.next_op is grid.next_op
+
+    def test_fields_cannot_be_assigned(self, chain_oracle_pi):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            chain_oracle_pi.q = None
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            chain_oracle_pi.mdp = fqlab.make_chain_mdp()
 
 
 class TestSubopt:
@@ -141,7 +158,7 @@ class TestSubopt:
 
     def test_zero_estimate_on_single_state(self):
         mdp = fqlab.make_single_state_mdp(gamma=0.5, reward=0.5)
-        oracle = ground_truth(build_oracle(mdp), mdp, UniformPolicy(2))
+        oracle = ground_truth(build_oracle(mdp), UniformPolicy(2))
         assert abs(subopt(oracle, 0.0) - 1.0) < 1e-7
 
     def test_requires_population(self, chain_mdp):
@@ -205,6 +222,39 @@ class TestConcentration:
         assert abs(mu.sum() - 1.0) < 1e-9
 
 
+class SoftmaxPolicy(Policy):
+    """State-dependent probe: action probabilities softmax(s @ w + c)."""
+
+    def __init__(self, w, c):
+        self.w, self.c = w, c
+
+    def probs(self, states):
+        logits = states @ self.w + self.c
+        e = np.exp(logits - logits.max(axis=1, keepdims=True))
+        return e / e.sum(axis=1, keepdims=True)
+
+
+class TestVisitationMassProperty:
+    """The discounted visitation of any policy is a probability measure on the
+    grid, whatever the kernel (finite chain or truncated Gaussian)."""
+
+    @pytest.mark.parametrize("which", ["chain5", "two_state", "gaussian1d"])
+    def test_sums_to_one_for_random_probes(self, which, chain_mdp, two_state_mdp):
+        mdp = {"chain5": chain_mdp, "two_state": two_state_mdp,
+               "gaussian1d": fqlab.make_gaussian_mdp()}[which]
+        oracle = build_oracle(mdp, resolution=41)  # finite chains keep their nodes
+        logits = st.floats(-10.0, 10.0)
+
+        @given(hnp.arrays(np.float64, (mdp.state_dim, mdp.n_actions), elements=logits),
+               hnp.arrays(np.float64, (mdp.n_actions,), elements=logits))
+        def check(w, c):
+            mu = tabulate_visitation(oracle, SoftmaxPolicy(w, c))
+            assert mu.min() >= 0.0
+            assert abs(mu.sum() - 1.0) < 1e-9
+
+        check()
+
+
 @pytest.fixture(scope="module")
 def mdp2():
     return fqlab.make_gaussian_mdp(gamma=0.5, sigma=0.2, n_actions=5,
@@ -220,12 +270,10 @@ class TestTwoDimensionalStates:
         np.testing.assert_allclose(row_sums, 1.0, atol=1e-9)
 
     def test_value_iteration_and_range(self, mdp2):
-        oracle = ground_truth(build_oracle(mdp2, resolution=21), mdp2,
-                              UniformPolicy(5))
+        oracle = ground_truth(build_oracle(mdp2, resolution=21), UniformPolicy(5))
         assert oracle.q.min() >= 0.0 and oracle.q.max() <= 2.0
         # constant-function backup: T1 = r + gamma on every node
-        out = apply_bellman(oracle, mdp2, np.ones_like(oracle.rewards),
-                            UniformPolicy(5))
+        out = apply_bellman(oracle, np.ones_like(oracle.rewards), UniformPolicy(5))
         np.testing.assert_allclose(out, oracle.rewards + 0.5, atol=1e-12)
 
     def test_visitation_mass_conserved(self, mdp2):

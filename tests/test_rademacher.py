@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.special import gammaln
 
 import fqlab
@@ -127,6 +129,13 @@ class TestLocalizedRademacher:
                       replace(spec, height=3)):
             with pytest.raises(ValueError, match="disagrees"):
                 localized_rademacher(other, anchor, 0.5, xs, mu, 3, 0)
+
+    def test_one_layer_anchor_has_no_width_to_check(self, setup):
+        _, _, xs, mu = setup
+        spec = ArchitectureSpec(height=1, width=8, sparsity=10**4, weight_bound=5.0)
+        anchor = ReluNetwork.random(2, spec, np.random.default_rng(0))
+        est = localized_rademacher(spec, anchor, 0.5, xs, mu, 2, 0, ascent_steps=20)
+        assert est.value >= 0.0
 
 
 def reference_localized(anchor, radius, xs, mu_samples, sigma_draws, seed,
@@ -269,6 +278,15 @@ class TestSubRootFixedPoint:
             exact = psi.closed_form_fixed_point()
             approx = sub_root_fixed_point(psi, r_max=2 * exact + 1.0, tol=1e-10)
             assert abs(approx - exact) <= 1e-9
+
+    @given(st.floats(0.0, 100.0), st.floats(1e-6, 100.0))
+    def test_bisection_matches_closed_form(self, a, b):
+        # affine psi(r) = a sqrt(r) + b is sub-root, with the unique positive
+        # fixed point of Bartlett, Bousquet & Mendelson (2005)
+        psi = SubRootSpec(form="affine", a=a, b=b)
+        exact = psi.closed_form_fixed_point()
+        approx = sub_root_fixed_point(psi, r_max=2 * exact + 1.0, tol=1e-10)
+        assert abs(approx - exact) <= 1e-9 * max(1.0, exact)
 
     def test_tabulated_form(self):
         r = np.geomspace(1e-8, 10.0, 200)

@@ -63,6 +63,15 @@ class TestForward:
         with pytest.raises(ValueError):
             ReluNetwork([np.array([[np.nan]])], [np.array([0.0])], 5, 1.0)
 
+    def test_rejects_unequal_hidden_widths(self):
+        # save records one hidden width and fit restarts draw at it, so a
+        # [2 -> 3 -> 5 -> 1] network could neither round-trip nor keep its shape
+        rng = np.random.default_rng(0)
+        dims = [2, 3, 5, 1]
+        weights = [rng.standard_normal((out, fan_in)) for fan_in, out in zip(dims, dims[1:])]
+        with pytest.raises(ValueError, match="one hidden width"):
+            ReluNetwork(weights, [np.zeros(out) for out in dims[1:]], 100, 5.0)
+
 
 class TestGradient:
     def test_zero_net_zero_targets(self):
@@ -288,6 +297,14 @@ class TestFit:
                           lr_decay=1.0, projection_period=5, seed=0)
         with pytest.raises(TrainingDiverged):
             fit_least_squares(net, xs, ys, hot)
+
+    def test_restarts_keep_the_layer_shapes(self):
+        rng = np.random.default_rng(8)
+        net = random_net(rng, input_dim=2, height=3, width=5)
+        xs = rng.random((64, 2))
+        fitted = fit_least_squares(net, xs, xs.sum(axis=1) / 2,
+                                   TrainConfig(epochs=5, restarts=3, seed=1))
+        assert [w.shape for w in fitted.weights] == [w.shape for w in net.weights]
 
     def test_constraints_hold_after_fit(self):
         rng = np.random.default_rng(11)
