@@ -12,16 +12,25 @@ import numpy as np
 _MAGIC = b"FQLGRD01"
 
 
-@dataclass
+@dataclass(frozen=True)
 class FunctionOnGrid:
-    """Real values tabulated on a uniform tensor grid over [0,1]^d."""
+    """Real values tabulated on a uniform tensor grid over [0,1]^d.
+
+    Immutable: the axes and values are read-only copies of what was passed
+    in, so the step-norm tables memoized on the instance stay valid.
+    """
 
     axes: tuple
     values: np.ndarray
+    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.axes = tuple(np.asarray(ax, dtype=float) for ax in self.axes)
-        self.values = np.asarray(self.values, dtype=float)
+        axes = tuple(np.array(ax, dtype=float) for ax in self.axes)
+        values = np.array(self.values, dtype=float)
+        for a in axes + (values,):
+            a.flags.writeable = False
+        object.__setattr__(self, "axes", axes)
+        object.__setattr__(self, "values", values)
         if self.values.shape != tuple(len(ax) for ax in self.axes):
             raise ValueError("value shape must match the axes")
         if not np.all(np.isfinite(self.values)):
@@ -40,6 +49,10 @@ class FunctionOnGrid:
     def step(self, axis=0):
         ax = self.axes[axis]
         return float(ax[1] - ax[0])
+
+    @property
+    def min_step(self):
+        return min(self.step(axis) for axis in range(self.ndim))
 
     def save_csv(self, path):
         mesh = np.meshgrid(*self.axes, indexing="ij")
@@ -81,13 +94,9 @@ class FunctionOnGrid:
         sizes = [int(g) for g in head]
         if len(flat) != ndim + sum(sizes) + prod(sizes):
             raise ValueError("grid payload length does not match its axis sizes")
-        pos = ndim
-        axes = []
-        for g in sizes:
-            axes.append(flat[pos:pos + g].copy())
-            pos += g
-        vals = flat[pos:].reshape(tuple(sizes)).copy()
-        return cls(tuple(axes), vals)
+        ends = np.cumsum([ndim] + sizes)
+        axes = tuple(flat[a:b] for a, b in zip(ends, ends[1:]))
+        return cls(axes, flat[ends[-1]:].reshape(tuple(sizes)))
 
 
 @dataclass(frozen=True)
@@ -178,16 +187,32 @@ def _pnorm(values: np.ndarray, p: float) -> float:
 
 
 def _axis_step_norms(f: FunctionOnGrid, order: int, p: float):
-    """All (h, ||difference||_p) pairs for axis-aligned grid-multiple steps."""
-    pairs = []
+    """Every axis-aligned grid-multiple step h in ascending order, and the
+    p-norm of the order-r difference at each."""
+    hs, norms = [], []
     for axis in range(f.ndim):
-        step = f.step(axis)
-        g = f.values.shape[axis]
-        max_j = (g - 1) // order
-        for j in range(1, max_j + 1):
-            pairs.append((j * step, _pnorm(_difference_values(f.values, j, order, axis), p)))
-    pairs.sort(key=lambda hv: hv[0])
-    return pairs
+        step, g = f.step(axis), f.values.shape[axis]
+        for j in range(1, (g - 1) // order + 1):
+            hs.append(j * step)
+            norms.append(_pnorm(_difference_values(f.values, j, order, axis), p))
+    ascending = np.argsort(hs, kind="stable")
+    return np.array(hs)[ascending], np.array(norms)[ascending]
+
+
+def _step_norm_table(f: FunctionOnGrid, order: int, p: float):
+    """(ascending steps h, [0, running max of their norms]): entry i of the
+    second is the modulus at any t with exactly i steps h <= t.  Independent
+    of the t grid, so it is built once per (order, p) and memoized on f."""
+    if (order, p) not in f._tables:
+        hs, norms = _axis_step_norms(f, order, p)
+        f._tables[order, p] = (hs, np.concatenate(([0.0], np.maximum.accumulate(norms))))
+    return f._tables[order, p]
+
+
+def _log_t_grid(f: FunctionOnGrid, points: int, descending: bool = False) -> np.ndarray:
+    """points log-spaced t values between the smallest grid step and 1; the
+    two directions are not reverses of each other bit for bit."""
+    return np.geomspace(*((1.0, f.min_step) if descending else (f.min_step, 1.0)), points)
 
 
 def modulus_of_smoothness(f: FunctionOnGrid, order: int, p: float,
@@ -199,19 +224,12 @@ def modulus_of_smoothness(f: FunctionOnGrid, order: int, p: float,
     subgrid.  Restricting the sup to axis directions makes the curve a lower
     estimate of the isotropic modulus.
     """
-    min_step = min(f.step(axis) for axis in range(f.ndim))
-    if t_grid is None:
-        t_grid = np.geomspace(1.0, min_step, 25)
-    t_grid = np.asarray(t_grid, dtype=float)
-    if np.any(t_grid < min_step * (1 - 1e-12)):
+    t_grid = np.asarray(_log_t_grid(f, 25, descending=True) if t_grid is None else t_grid,
+                        dtype=float)
+    if np.any(t_grid < f.min_step * (1 - 1e-12)):
         raise ValueError("t values below the grid step are unresolvable")
-    pairs = _axis_step_norms(f, order, p)
-    hs = np.array([h for h, _ in pairs])
-    cummax = np.maximum.accumulate([v for _, v in pairs])
-    omega = np.empty(len(t_grid))
-    for i, t in enumerate(t_grid):
-        k = np.searchsorted(hs, t * (1 + 1e-12), side="right") - 1
-        omega[i] = cummax[k] if k >= 0 else 0.0
+    hs, sup_norms = _step_norm_table(f, order, p)
+    omega = sup_norms[np.searchsorted(hs, t_grid * (1 + 1e-12), side="right")]
     order_desc = np.argsort(-t_grid, kind="stable")
     return ModulusCurve(t_grid[order_desc], omega[order_desc], order, p)
 
@@ -219,19 +237,14 @@ def modulus_of_smoothness(f: FunctionOnGrid, order: int, p: float,
 def besov_seminorm(f: FunctionOnGrid, params: BesovParams, t_points: int = 41) -> float:
     """Scale-aggregated modulus: the q-integral of omega_r(t)/t^alpha over
     log-spaced t from the grid step up to 1 (max over t when q is infinite)."""
-    r = params.order
-    if params.alpha >= r:
+    if params.alpha >= params.order:
         raise ValueError("difference order too small for alpha")
-    min_step = min(f.step(axis) for axis in range(f.ndim))
-    t_grid = np.geomspace(min_step, 1.0, t_points)
-    curve = modulus_of_smoothness(f, r, params.p, t_grid)
+    curve = modulus_of_smoothness(f, params.order, params.p, _log_t_grid(f, t_points))
     t = curve.t_values[::-1]
     ratio = curve.omega_values[::-1] / t ** params.alpha
     if np.isinf(params.q):
         return float(ratio.max())
-    integrand = ratio ** params.q
-    val = np.trapezoid(integrand, np.log(t))
-    return float(val ** (1.0 / params.q))
+    return float(np.trapezoid(ratio ** params.q, np.log(t)) ** (1.0 / params.q))
 
 
 def besov_norm(f: FunctionOnGrid, params: BesovParams) -> float:
@@ -265,18 +278,13 @@ def estimate_smoothness_exponent(f: FunctionOnGrid, order: int, p: float,
     The two largest and two smallest t values are dropped: the small end
     suffers discretization bias and the large end saturates.
     """
-    min_step = min(f.step(axis) for axis in range(f.ndim))
-    t_grid = np.geomspace(min_step, 1.0, t_points)
-    curve = modulus_of_smoothness(f, order, p, t_grid)
-    t = curve.t_values[::-1]
-    om = curve.omega_values[::-1]
-    keep = slice(2, len(t) - 2)
-    t, om = t[keep], om[keep]
+    curve = modulus_of_smoothness(f, order, p, _log_t_grid(f, t_points))
+    # ascending t without the two smallest and two largest values
+    t, om = curve.t_values[::-1][2:-2], curve.omega_values[::-1][2:-2]
     usable = om > 1e-12
     if usable.sum() < 5:
         return SmoothnessEstimate(None, order, True, curve)
-    lt, lo = np.log(t[usable]), np.log(om[usable])
-    slope = np.polyfit(lt, lo, 1)[0]
+    slope = np.polyfit(np.log(t[usable]), np.log(om[usable]), 1)[0]
     return SmoothnessEstimate(float(np.clip(slope, 0.0, order)), order, False, curve)
 
 
@@ -287,8 +295,7 @@ def estimate_smoothness_exponent(f: FunctionOnGrid, order: int, p: float,
 def _weierstrass_axis(xs, alpha, terms=26, base=4.0):
     a = base ** (-alpha)
     k = np.arange(terms)
-    vals = ((a ** k)[None, :] * np.cos(np.pi * (base ** k)[None, :] * xs[:, None])).sum(axis=1)
-    return vals
+    return ((a ** k)[None, :] * np.cos(np.pi * (base ** k)[None, :] * xs[:, None])).sum(axis=1)
 
 
 def _normalize_unit(vals):
@@ -319,8 +326,8 @@ def synth_function(kind: str, target_alpha: float, d: int = 1, seed: int = 0,
 
     if kind == "weierstrass":
         per_axis = [_normalize_unit(_weierstrass_axis(ax, target_alpha)) for ax in axes]
-        vals = per_axis[0] if d == 1 else np.multiply.outer(per_axis[0], per_axis[1])
-    elif kind == "spline_series":
+        return FunctionOnGrid(axes, per_axis[0] if d == 1 else np.multiply.outer(*per_axis))
+    if kind == "spline_series":
         levels = max(2, int(np.log2(g - 1)) - 2)
         decay = target_alpha + 0.5 - 1.0 / p
         axis_vals = []
@@ -332,8 +339,6 @@ def synth_function(kind: str, target_alpha: float, d: int = 1, seed: int = 0,
                 for c, ck in zip(centers, coef):
                     v += ck * _hat((ax - c) * 2 ** j * 2)
             axis_vals.append(v)
-        vals = axis_vals[0] if d == 1 else axis_vals[0][:, None] + axis_vals[1][None, :]
-        vals = _normalize_unit(vals)
     elif kind == "piecewise_spiky":
         cusp_alpha = 0.5 * target_alpha
         x0 = rng.uniform(0.3, 0.7)
@@ -344,11 +349,10 @@ def synth_function(kind: str, target_alpha: float, d: int = 1, seed: int = 0,
             window = _hat((ax - x0) / 0.2)
             return bump + window * np.abs(ax - x0) ** cusp_alpha
         axis_vals = [spiky(ax) for ax in axes]
-        vals = axis_vals[0] if d == 1 else axis_vals[0][:, None] + axis_vals[1][None, :]
-        vals = _normalize_unit(vals)
     else:
         raise ValueError(f"unknown kind {kind!r}")
-    return FunctionOnGrid(axes, vals)
+    vals = axis_vals[0] if d == 1 else axis_vals[0][:, None] + axis_vals[1][None, :]
+    return FunctionOnGrid(axes, _normalize_unit(vals))
 
 
 # ---------------------------------------------------------------------------
@@ -390,8 +394,6 @@ def diagnose_dynamic_closure(mdp, oracle, nets, policies, params: BesovParams,
     if oracle.mdp is not mdp:
         raise ValueError("oracle was built from a different MDP")
     entries = []
-    exponents = []
-    seminorms = []
     axes = oracle.state_axes + (oracle.action_grid,)
     shape = tuple(len(a) for a in axes)
     for ni, net in enumerate(nets):
@@ -402,10 +404,7 @@ def diagnose_dynamic_closure(mdp, oracle, nets, policies, params: BesovParams,
             est = estimate_smoothness_exponent(fog, order, params.p)
             semi = besov_seminorm(fog, params)
             entries.append(ClosureEntry(ni, pi, est, semi))
-            seminorms.append(semi)
-            if not est.saturated:
-                exponents.append(est.exponent)
-    min_exp = min(exponents) if exponents else None
-    return ClosureReport(entries=entries, min_exponent=min_exp,
-                         max_seminorm=max(seminorms), batch_size=len(entries),
-                         params=params)
+    exponents = [e.estimate.exponent for e in entries if not e.estimate.saturated]
+    return ClosureReport(entries=entries, min_exponent=min(exponents) if exponents else None,
+                         max_seminorm=max(e.seminorm for e in entries),
+                         batch_size=len(entries), params=params)

@@ -3,11 +3,30 @@ import pytest
 from hypothesis import settings
 
 import fqlab
+from fqlab.mdp import Policy
 
 # property tests replay the same examples on every run (no example database,
 # no wall-clock deadline), so a loaded machine can neither flake nor shift them
 settings.register_profile("fqlab", deadline=None, derandomize=True, database=None)
 settings.load_profile("fqlab")
+
+
+class SoftmaxPolicy(Policy):
+    """State-dependent policy: action probabilities softmax(s @ w + c)."""
+
+    def __init__(self, w, c):
+        self.w, self.c = w, c
+
+    def probs(self, states):
+        logits = states @ self.w + self.c
+        e = np.exp(logits - logits.max(axis=1, keepdims=True))
+        return e / e.sum(axis=1, keepdims=True)
+
+
+@pytest.fixture(scope="session")
+def softmax_policy():
+    """The SoftmaxPolicy class, for tests that draw random policies."""
+    return SoftmaxPolicy
 
 
 @pytest.fixture(scope="session")

@@ -1,11 +1,15 @@
+import dataclasses
+from collections import Counter
 from math import comb
 
 import numpy as np
 import pytest
 
 import fqlab
-from fqlab.besov import (BesovParams, FunctionOnGrid, _axis_step_norms, _pnorm, besov_norm,
-                         besov_seminorm, estimate_smoothness_exponent,
+from fqlab import besov
+from fqlab.besov import (BesovParams, FunctionOnGrid, _axis_step_norms, _pnorm,
+                         _step_norm_table, besov_norm, besov_seminorm,
+                         diagnose_dynamic_closure, estimate_smoothness_exponent,
                          modulus_of_smoothness, synth_function, translation_difference)
 
 
@@ -95,8 +99,13 @@ class TestModulus:
                 vals = d.values if isinstance(d, FunctionOnGrid) else d
                 expected.append((j * f.step(axis), _pnorm(vals, p)))
         expected.sort(key=lambda hv: hv[0])
+        hs, norms = _axis_step_norms(f, order, p)
         # norms are abs-based, so == on the floats is bit-for-bit equality
-        assert _axis_step_norms(f, order, p) == expected
+        assert list(zip(hs.tolist(), norms.tolist())) == expected
+        # the memoized table holds those steps and, behind a 0, their running max
+        table_hs, sup_norms = _step_norm_table(f, order, p)
+        assert table_hs.tolist() == [h for h, _ in expected]
+        assert sup_norms.tolist() == [0.0] + list(np.maximum.accumulate([v for _, v in expected]))
 
     def test_constant_gives_zero(self):
         f = grid_1d(lambda x: np.full_like(x, 2.0))
@@ -130,6 +139,56 @@ class TestModulus:
         cf = modulus_of_smoothness(f, 1, 2.0)
         cg = modulus_of_smoothness(g, 1, 2.0)
         np.testing.assert_allclose(cf.omega_values, cg.omega_values, atol=1e-12)
+
+
+@pytest.fixture
+def table_builds(monkeypatch):
+    """Counts the step-norm table builds per (order, p)."""
+    builds = Counter()
+    build = besov._axis_step_norms
+
+    def counting(f, order, p):
+        builds[order, p] += 1
+        return build(f, order, p)
+
+    monkeypatch.setattr(besov, "_axis_step_norms", counting)
+    return builds
+
+
+class TestMemoizedTables:
+    def test_one_table_per_order_and_p(self, table_builds):
+        f = synth_function("weierstrass", 0.5, resolution=257)
+        estimate_smoothness_exponent(f, 1, np.inf)
+        besov_seminorm(f, BesovParams(alpha=0.5))  # order 1, p = inf
+        modulus_of_smoothness(f, 1, np.inf)
+        modulus_of_smoothness(f, 1, np.inf, np.array([0.5, 0.1, 0.02]))
+        modulus_of_smoothness(f, 2, 2.0)
+        besov_seminorm(f, BesovParams(alpha=1.5, p=2.0, q=2.0))  # order 2, p = 2
+        assert table_builds == {(1, np.inf): 1, (2, 2.0): 1}
+
+    def test_closure_builds_one_table_per_image(self, table_builds):
+        mdp = fqlab.make_rough_reward_mdp(alpha=0.5, gamma=0.5)
+        oracle = fqlab.build_oracle(mdp, resolution=129)
+        spec = fqlab.ArchitectureSpec(height=2, width=4, sparsity=100, weight_bound=5.0)
+        nets = [fqlab.ReluNetwork.zeros(2, spec) for _ in range(2)]
+        report = diagnose_dynamic_closure(mdp, oracle, nets,
+                                          [fqlab.UniformPolicy(mdp.n_actions), None],
+                                          BesovParams(alpha=0.5))
+        assert report.batch_size == 4
+        assert table_builds == {(1, np.inf): 4}
+
+    @pytest.mark.parametrize("p", [2.0, np.inf])
+    def test_cache_hits_match_a_fresh_instance_bit_for_bit(self, p):
+        f = synth_function("spline_series", 0.5, d=2, seed=4, resolution=33)
+        t_grid = np.array([0.8, 0.3, 0.1, 0.05])
+        params = BesovParams(alpha=0.5, p=p, q=2.0)
+        estimate_smoothness_exponent(f, 1, p)  # fills the (1, p) table
+        for call in (lambda g: modulus_of_smoothness(g, 1, p).omega_values,
+                     lambda g: modulus_of_smoothness(g, 1, p, t_grid).omega_values,
+                     lambda g: estimate_smoothness_exponent(g, 1, p).exponent,
+                     lambda g: besov_seminorm(g, params)):
+            hit, fresh = call(f), call(FunctionOnGrid(f.axes, f.values))
+            assert np.asarray(hit).tobytes() == np.asarray(fresh).tobytes()
 
 
 class TestSeminorm:
@@ -254,6 +313,40 @@ class TestSynthFunctions:
             synth_function("nope", 0.5)
         with pytest.raises(ValueError):
             synth_function("weierstrass", 3.0)
+
+
+class TestImmutability:
+    def test_arrays_and_fields_are_read_only(self):
+        f = grid_1d(lambda x: x ** 2)
+        with pytest.raises(ValueError):
+            f.values[3] = 1.0
+        with pytest.raises(ValueError):
+            f.axes[0][3] = 0.5
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            f.values = np.zeros(101)
+
+    def test_mutating_the_source_arrays_changes_nothing(self):
+        xs = np.linspace(0.0, 1.0, 101)
+        vals = np.abs(xs - 0.3) ** 0.5
+        f = FunctionOnGrid((xs,), vals)
+        expected = modulus_of_smoothness(FunctionOnGrid((xs.copy(),), vals.copy()), 1, 2.0)
+        vals[::2] = 7.0
+        xs *= 0.5
+        got = modulus_of_smoothness(f, 1, 2.0)
+        np.testing.assert_array_equal(got.t_values, expected.t_values)
+        np.testing.assert_array_equal(got.omega_values, expected.omega_values)
+
+    @pytest.mark.parametrize("fmt", ["binary", "csv"])
+    def test_loaded_grids_round_trip_read_only(self, tmp_path, fmt):
+        f = synth_function("piecewise_spiky", 0.5, d=2, seed=1, resolution=17)
+        path = tmp_path / f"f.{fmt}"
+        getattr(f, f"save_{fmt}")(path)
+        back = getattr(FunctionOnGrid, f"load_{fmt}")(path)
+        np.testing.assert_array_equal(back.values, f.values)
+        for a, b in zip(back.axes, f.axes):
+            np.testing.assert_array_equal(a, b)
+        assert not back.values.flags.writeable
+        assert not any(ax.flags.writeable for ax in back.axes)
 
 
 class TestGridIO:

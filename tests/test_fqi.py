@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import fqlab
 from fqlab.fqi import (FqiConfig, greedy_policy, decomposition_bound,
                        measure_bellman_residuals, run_exact_lsvi, run_lsvi)
 from fqlab.harness import ExperimentConfig, run_sweep
 from fqlab.mdp import UniformPolicy
-from fqlab.oracle import apply_bellman, build_oracle, ground_truth, subopt
+from fqlab.oracle import (apply_bellman, build_oracle, estimate_concentration, ground_truth,
+                          subopt, tabulate_visitation)
 from fqlab.relunet import ArchitectureSpec, ReluNetwork, TrainConfig
 
 
@@ -228,6 +231,81 @@ class TestDecompositionBound:
         vals = [decomposition_bound("ope", 2.0, 0.9, k, 0.05) for k in (5, 20, 80, 320)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
         assert vals[-1] == pytest.approx(np.sqrt(2.0) / 0.1 * 0.05, rel=1e-3)
+
+
+def exact_ope_error_and_bound(mdp, pi, eta, residual_draw):
+    """OPE sub-optimality of Q_K and its decomposition bound, all exact on the grid.
+
+    residual_draw(shape) gives the (K, S, A) residual tables;
+    Q_k = T^pi Q_{k-1} + residuals[k-1] from Q_0 = 0.  The residual norms are
+    taken in L2 of eta's discounted visitation, and kappa is the largest
+    density ratio of pi's state-action distributions at horizons 0..K-1
+    against it, the coefficient the error propagation
+    Q^pi - Q_K = -sum_k (gamma P^pi)^(K-k) eps_k + (gamma P^pi)^K Q^pi needs.
+    Also returns the accuracy of the error itself: value iteration stops
+    within gamma tol / (1 - gamma) of Q^pi, plus float rounding.
+    """
+    oracle = ground_truth(build_oracle(mdp), pi, tol=1e-12)
+    residuals = residual_draw(oracle.rewards.shape)
+    q = np.zeros_like(oracle.rewards)
+    for eps in residuals:
+        q = apply_bellman(oracle, q, pi) + eps
+    mu = tabulate_visitation(oracle, eta)
+    max_residual = max(float(np.sqrt(np.sum(mu * eps ** 2))) for eps in residuals)
+    kappa = estimate_concentration(oracle, eta, [pi], range(len(residuals))).kappa_hat
+    bound = decomposition_bound("ope", kappa, mdp.gamma, len(residuals), max_residual)
+    accuracy = mdp.gamma * oracle.tol / (1 - mdp.gamma) + 1e-14
+    return subopt(oracle, oracle.value_of(q, pi)), bound, kappa, accuracy
+
+
+def normalized_mdp(which, gamma):
+    """Mean rewards in [0, 1 - gamma], so every Q^pi lies in [0, 1]."""
+    if which == "chain5":
+        return fqlab.make_chain_mdp(n_states=5, gamma=gamma, n_actions=11)
+    if which == "two_state":
+        return fqlab.make_finite_mdp(matrix=[[0.9, 0.1], [0.2, 0.8]], gamma=gamma,
+                                     node_rewards=[0.2 * (1 - gamma), 0.8 * (1 - gamma)])
+    return fqlab.make_single_state_mdp(gamma=gamma, reward=0.5 * (1 - gamma), n_actions=3)
+
+
+class TestExactDecompositionBound:
+    """fqi.decomposition_bound against the error propagation it encodes
+    (Munos & Szepesvari 2008), with every quantity exact on a grid oracle."""
+
+    def test_ope_bound_holds(self, softmax_policy):
+        @given(st.sampled_from(["chain5", "two_state", "single_state"]),
+               st.floats(0.05, 0.95), st.integers(1, 30), st.floats(0.0, 2.0),
+               st.integers(0, 2 ** 32 - 1))
+        def check(which, gamma, iterations, scale, seed):
+            mdp = normalized_mdp(which, gamma)
+            rng = np.random.default_rng(seed)
+            logits = (mdp.state_dim, mdp.n_actions)
+            pi = softmax_policy(rng.uniform(-6, 6, logits), rng.uniform(-6, 6, logits[1]))
+            eta = softmax_policy(rng.uniform(-3, 3, logits), rng.uniform(-3, 3, logits[1]))
+            # |eps| <= scale (1 - gamma) keeps every |Q_k| <= 3
+            top = scale * (1 - gamma)
+            err, bound, _, accuracy = exact_ope_error_and_bound(
+                mdp, pi, eta, lambda shape: rng.uniform(-top, top, (iterations,) + shape))
+            assert err <= bound + accuracy
+
+        check()
+
+    @pytest.mark.parametrize("gamma", [0.5, 0.8])
+    def test_tight_on_single_state_with_constant_negative_residuals(self, gamma):
+        # pi = eta gives kappa = 1; eps_k = -c adds to the tail at every step,
+        # so V^pi - V_K = c (1 - gamma^K) / (1 - gamma) + gamma^K V^pi, and only
+        # the algorithmic tail is left as slack
+        K, c, reward = 30, 0.3 * (1 - gamma), 0.5 * (1 - gamma)
+        mdp = fqlab.make_single_state_mdp(gamma=gamma, reward=reward, n_actions=3)
+        pi = UniformPolicy(3)
+        err, bound, kappa, accuracy = exact_ope_error_and_bound(
+            mdp, pi, pi, lambda shape: np.full((K,) + shape, -c))
+        v_pi = reward / (1 - gamma)
+        assert kappa == pytest.approx(1.0, abs=1e-12)
+        assert err == pytest.approx(c * (1 - gamma ** K) / (1 - gamma) + gamma ** K * v_pi,
+                                    abs=accuracy)
+        assert err <= bound
+        assert bound - err <= decomposition_bound("ope", kappa, gamma, K, 0.0)
 
 
 class TestReuseVsSplit:

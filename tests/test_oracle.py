@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import fqlab
-from fqlab.mdp import FixedActionPolicy, Policy, UniformPolicy
+from fqlab.mdp import FixedActionPolicy, UniformPolicy
 from fqlab.oracle import (OracleError, apply_bellman, build_oracle,
                           estimate_concentration, ground_truth, max_sweeps,
                           oracle_value, subopt, tabulate_visitation)
@@ -222,24 +222,13 @@ class TestConcentration:
         assert abs(mu.sum() - 1.0) < 1e-9
 
 
-class SoftmaxPolicy(Policy):
-    """State-dependent probe: action probabilities softmax(s @ w + c)."""
-
-    def __init__(self, w, c):
-        self.w, self.c = w, c
-
-    def probs(self, states):
-        logits = states @ self.w + self.c
-        e = np.exp(logits - logits.max(axis=1, keepdims=True))
-        return e / e.sum(axis=1, keepdims=True)
-
-
 class TestVisitationMassProperty:
     """The discounted visitation of any policy is a probability measure on the
     grid, whatever the kernel (finite chain or truncated Gaussian)."""
 
     @pytest.mark.parametrize("which", ["chain5", "two_state", "gaussian1d"])
-    def test_sums_to_one_for_random_probes(self, which, chain_mdp, two_state_mdp):
+    def test_sums_to_one_for_random_probes(self, which, chain_mdp, two_state_mdp,
+                                           softmax_policy):
         mdp = {"chain5": chain_mdp, "two_state": two_state_mdp,
                "gaussian1d": fqlab.make_gaussian_mdp()}[which]
         oracle = build_oracle(mdp, resolution=41)  # finite chains keep their nodes
@@ -248,7 +237,7 @@ class TestVisitationMassProperty:
         @given(hnp.arrays(np.float64, (mdp.state_dim, mdp.n_actions), elements=logits),
                hnp.arrays(np.float64, (mdp.n_actions,), elements=logits))
         def check(w, c):
-            mu = tabulate_visitation(oracle, SoftmaxPolicy(w, c))
+            mu = tabulate_visitation(oracle, softmax_policy(w, c))
             assert mu.min() >= 0.0
             assert abs(mu.sum() - 1.0) < 1e-9
 
