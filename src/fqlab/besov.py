@@ -12,17 +12,18 @@ import numpy as np
 _MAGIC = b"FQLGRD01"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FunctionOnGrid:
     """Real values tabulated on a uniform tensor grid over [0,1]^d.
 
     Immutable: the axes and values are read-only copies of what was passed
-    in, so the step-norm tables memoized on the instance stay valid.
+    in, so the step-norm tables memoized on the instance stay valid.  Equality
+    and hash are by identity, as ndarray fields have no single truth value.
     """
 
     axes: tuple
     values: np.ndarray
-    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _tables: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         axes = tuple(np.array(ax, dtype=float) for ax in self.axes)

@@ -16,8 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .fqi import FqiConfig, decomposition_bound, measure_bellman_residuals, run_lsvi
-from .mdp import (FixedActionPolicy, SyntheticMdp, UniformPolicy, mdp_from_config,
-                  sample_visitation)
+from .mdp import FixedActionPolicy, UniformPolicy, mdp_from_config, sample_visitation
 from .oracle import build_oracle, estimate_concentration, ground_truth, subopt
 from .rademacher import rate_exponent
 from .relunet import ArchitectureSpec, TrainConfig, TrainingDiverged, architecture_for
@@ -234,9 +233,9 @@ def _stage(rec: CellRecord, field_name: str):
 @dataclass
 class SweepSetup:
     """What every cell of a sweep shares: policy collects the data and is the
-    OPE target, and oracles maps each mode to its populated grid oracle."""
+    OPE target, and oracles maps each mode to its populated grid oracle, which
+    carries the MDP."""
 
-    mdp: SyntheticMdp
     policy: UniformPolicy
     oracles: dict
     kappa_hat: float
@@ -254,7 +253,7 @@ def sweep_setup(cfg: ExperimentConfig) -> SweepSetup:
     conc = estimate_concentration(grid, policy, default_probes(mdp.n_actions),
                                   cfg.probe_horizons)
     mu_data = sample_visitation(mdp, policy, cfg.residual_samples, seed=940_001)
-    return SweepSetup(mdp=mdp, policy=policy, oracles=oracles, kappa_hat=conc.kappa_hat,
+    return SweepSetup(policy=policy, oracles=oracles, kappa_hat=conc.kappa_hat,
                       mu_samples=(mu_data.states, mu_data.actions))
 
 
@@ -262,9 +261,10 @@ def run_attempt(cfg: ExperimentConfig, setup: SweepSetup, rec: CellRecord):
     """One attempt at the cell rec names, seeded with rec.seed: fills rec's
     numbers and stage seconds and returns (FqiResult, FqiTrace, residuals).
     A diverged fit raises TrainingDiverged and leaves rec's numbers as they were."""
-    mdp, mode = setup.mdp, rec.mode
+    mode = rec.mode
     target = setup.policy if mode == "ope" else None
     oracle = setup.oracles[mode]
+    mdp = oracle.mdp
     train = replace(cfg.train, seed=rec.seed)
     if cfg.train_steps_target is not None:
         per_fit = rec.n // rec.K if rec.data_mode == "split" else rec.n
@@ -346,7 +346,7 @@ def run_sweep(cfg: ExperimentConfig) -> ExperimentReport:
         rate_fits.append(RateFit(mode=mode, data_mode=data_mode, K=int(k_iter), slope=slope,
                                  slope_stderr=se, n_values=ns, mean_subopt=means))
 
-    d = setup.mdp.dim
+    d = setup.oracles[cfg.modes[0]].mdp.dim
     theory = asdict(rate_exponent(cfg.alpha, d))
     return ExperimentReport(
         config=cfg, records=ordered, kappa_hat=setup.kappa_hat, rate_fits=rate_fits,

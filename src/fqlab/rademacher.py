@@ -8,7 +8,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .relunet import (ArchitectureSpec, ReluNetwork, TrainConfig, _clip_and_prune, _forward,
-                      _output_gradient, _split, fit_least_squares)
+                      _output_gradient, _split, _Workspace, fit_least_squares)
 
 
 @dataclass
@@ -143,6 +143,7 @@ def localized_rademacher(spec: ArchitectureSpec, anchor: ReluNetwork, radius: fl
     if xs.ndim != 2 or mu_samples.ndim != 2 or len(xs) < 1 or len(mu_samples) < 1:
         raise ValueError("xs and mu_samples must be nonempty (points, dim) arrays")
     n, m = len(xs), len(mu_samples)
+    z_xs, z_mu = np.maximum(xs, 0.0), np.maximum(mu_samples, 0.0)  # the input ReLU
     anchor_xs = anchor.forward(xs)
     anchor_mu = anchor.forward(mu_samples)
     chunk = max(1, _STACK_ELEMENTS // (restarts * max(n, m) * anchor.width))
@@ -163,25 +164,29 @@ def localized_rademacher(spec: ArchitectureSpec, anchor: ReluNetwork, radius: fl
         weights, biases = _split(params, anchor._dims)
         w_xs = np.repeat(np.stack(sigmas) / n, restarts, axis=0)
         best = [0.0] * len(sigmas)  # the anchor itself: zero difference, inside the ball
-        cache_xs = _forward(weights, biases, xs)
-        cache_mu = _forward(weights, biases, mu_samples)
+        # one workspace per point set, so the gradient and the penalty have their own arrays
+        work_xs = _Workspace(anchor._dims, n, (count,))
+        work_mu = _Workspace(anchor._dims, m, (count,))
+        cache_xs = _forward(weights, biases, z_xs, reuse=work_xs.cache)
+        cache_mu = _forward(weights, biases, z_mu, reuse=work_mu.cache)
         for step in range(ascent_steps):
             diff_mu = cache_mu[0] - anchor_mu
             over = np.mean(diff_mu ** 2, axis=-1) > radius
-            grad = _output_gradient(weights, cache_xs[1], cache_xs[2], w_xs)
+            grad = _output_gradient(weights, cache_xs[1], cache_xs[2], w_xs, work_xs)
             if over.any():
                 pen = _output_gradient(weights, cache_mu[1], cache_mu[2],
-                                       -penalty * 2.0 * diff_mu / m)
-                # np.where, not a 0/1 mask: a masked add can flip a zero's sign
-                grad = np.where(over[:, None], grad + pen, grad)
-            params += ascent_lr * grad
+                                       -penalty * 2.0 * diff_mu / m, work_mu)
+                # add only where over, not a 0/1 mask: a masked add can flip a zero's sign
+                np.add(grad, pen, out=grad, where=over[:, None])
+            grad *= ascent_lr
+            params += grad
             checkpoint = (step + 1) % 20 == 0 or step + 1 == ascent_steps
             if checkpoint:
                 for row in params:
                     _clip_and_prune(row, anchor.weight_bound, anchor.sparsity)
             # one pass per point set serves this checkpoint and the next step
-            cache_xs = _forward(weights, biases, xs, reuse=cache_xs)
-            cache_mu = _forward(weights, biases, mu_samples, reuse=cache_mu)
+            cache_xs = _forward(weights, biases, z_xs, reuse=work_xs.cache)
+            cache_mu = _forward(weights, biases, z_mu, reuse=work_mu.cache)
             if not checkpoint:
                 continue
             f_xs, f_mu = cache_xs[0], cache_mu[0]

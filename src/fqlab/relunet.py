@@ -155,15 +155,30 @@ def _split(flat, dims):
 # are bit-identical to C separate calls.
 
 
-def _forward(weights, biases, x, reuse=None):
-    """(out, pre, acts) of the ReLU network on the rows of x.
+class _Workspace:
+    """Arrays for one network, or a stack with leading shape lead, on rows
+    points, allocated once: the cache for _forward's reuse, the residual, its
+    square, and _output_gradient's gradient (with _split views), deltas and mask."""
 
-    x is (n, d); a stack of networks shares it.  pre holds the hidden
-    pre-activations, acts the inputs of every affine layer.  Passing the
-    result of an earlier call on the same shapes as reuse overwrites its
-    hidden arrays instead of allocating new ones.
+    def __init__(self, dims, rows, lead=()):
+        pre = [np.empty(lead + (rows, m)) for m in dims[1:-1]]
+        self.cache = (np.empty(lead + (rows,)), pre, [None] + [np.empty_like(a) for a in pre])
+        self.resid, self.sq = np.empty(lead + (rows,)), np.empty(lead + (rows,))
+        self.grad = np.empty(lead + (sum(o * (i + 1) for i, o in zip(dims, dims[1:])),))
+        self.gw, self.gb = _split(self.grad, dims)
+        self.delta = [np.empty_like(a) for a in pre]
+        self.mask = np.empty(lead + (rows, dims[1]), dtype=bool)
+
+
+def _forward(weights, biases, z, reuse=None):
+    """(out, pre, acts) of the ReLU network on the rows of z.
+
+    z is np.maximum(x, 0.0), the (n, d) points x after the input ReLU; a
+    stack of networks shares it.  pre holds the hidden pre-activations, acts
+    the inputs of every affine layer (acts[0] is z).  Passing the result of an
+    earlier call on the same shapes, or a _Workspace's cache, as reuse
+    overwrites its arrays, the output included, instead of allocating new ones.
     """
-    z = np.maximum(x, 0.0)  # ReLU on the raw input; identity on [0,1]^d
     pre, acts = [], [z]
     for l, (w, b) in enumerate(zip(weights[:-1], biases[:-1])):
         a = np.matmul(z, np.swapaxes(w, -1, -2), out=None if reuse is None else reuse[1][l])
@@ -171,18 +186,20 @@ def _forward(weights, biases, x, reuse=None):
         pre.append(a)
         z = np.maximum(a, 0.0, out=None if reuse is None else reuse[2][l + 1])
         acts.append(z)
-    y = z @ np.swapaxes(weights[-1], -1, -2)
+    head = None if reuse is None else reuse[0].reshape(reuse[0].shape + (1,))
+    y = np.matmul(z, np.swapaxes(weights[-1], -1, -2), out=head)
     y += biases[-1][..., None, :]
     return y[..., 0], pre, acts
 
 
-def _output_gradient(weights, pre, acts, w):
+def _output_gradient(weights, pre, acts, w, work=None):
     """Gradient of sum_i w_i f(x_i) w.r.t. every parameter, from a _forward
     cache, in the layout of the parameters; w is (n,), or (C, n) for a stack.
-    The ReLU subgradient at a kink is taken as 0."""
-    dims = [weights[0].shape[-1]] + [a.shape[-2] for a in weights]
-    grad = np.empty(w.shape[:-1] + (sum(a.shape[-2] * (a.shape[-1] + 1) for a in weights),))
-    gw, gb = _split(grad, dims)
+    The ReLU subgradient at a kink is taken as 0.  Writes into work, a
+    _Workspace for these shapes, or into new arrays; returns work.grad."""
+    if work is None:
+        dims = [weights[0].shape[-1]] + [a.shape[-2] for a in weights]
+        work = _Workspace(dims, w.shape[-1], w.shape[:-1])
     height = len(weights)
     delta = w[..., None]  # upstream derivative at the output node
     for l in range(height - 1, -1, -1):
@@ -190,13 +207,26 @@ def _output_gradient(weights, pre, acts, w):
             if l == height - 2:
                 # (n, 1) @ (1, width) is an outer product, which matmul forms
                 # without BLAS as 0 + a*b; einsum gives the same bits faster
-                delta = np.einsum("...ni,...ij->...nj", delta, weights[l + 1])
+                delta = np.einsum("...ni,...ij->...nj", delta, weights[l + 1], out=work.delta[l])
             else:
-                delta = delta @ weights[l + 1]
-            delta *= pre[l] > 0.0
-        np.matmul(np.swapaxes(delta, -1, -2), acts[l], out=gw[l])
-        np.add.reduce(delta, axis=-2, out=gb[l])
-    return grad
+                delta = np.matmul(delta, weights[l + 1], out=work.delta[l])
+            delta *= np.greater(pre[l], 0.0, out=work.mask)
+        np.matmul(np.swapaxes(delta, -1, -2), acts[l], out=work.gw[l])
+        np.add.reduce(delta, axis=-2, out=work.gb[l])
+    return work.grad
+
+
+def _mse_gradient(weights, cache, y, work):
+    """(loss, grad) of the batch mean squared error, no clamp, from a _forward
+    cache; grad is work.grad, or None when the loss is not finite.  The loss
+    is np.add.reduce(sq) / m, which has np.mean's bits."""
+    resid = np.subtract(cache[0], y, out=work.resid)
+    loss = float(np.add.reduce(np.square(resid, out=work.sq)) / len(y))
+    if not math.isfinite(loss):
+        return loss, None
+    resid *= 2.0
+    resid /= len(y)
+    return loss, _output_gradient(weights, cache[1], cache[2], resid, work)
 
 
 def _clip_and_prune(params, bound, sparsity):
@@ -285,13 +315,13 @@ class ReluNetwork:
 
     # -- evaluation ---------------------------------------------------------
 
-    def _forward_cached(self, x):
+    def _forward_cached(self, x, reuse=None):
         x = np.asarray(x, dtype=float)
         if x.ndim == 1:
             x = x[None, :]
         if x.shape[1] != self.input_dim:
             raise ValueError("input dimension mismatch")
-        return _forward(self.weights, self.biases, x)
+        return _forward(self.weights, self.biases, np.maximum(x, 0.0), reuse)
 
     def forward(self, x, clamp: bool | None = None) -> np.ndarray:
         """Evaluate on a batch of points; clamp defaults to the instance flag."""
@@ -306,10 +336,10 @@ class ReluNetwork:
 
     # -- gradients ----------------------------------------------------------
 
-    def weighted_output_gradient(self, x, out_weights, _cache=None):
+    def weighted_output_gradient(self, x, out_weights):
         """Gradient of sum_i w_i f(x_i) w.r.t. every parameter (no clamp), laid
         out like params; the ReLU subgradient at a kink is taken as 0."""
-        _, pre, acts = self._forward_cached(x) if _cache is None else _cache
+        _, pre, acts = self._forward_cached(x)
         return _output_gradient(self.weights, pre, acts, np.asarray(out_weights, dtype=float))
 
     def mse_gradient(self, x, y):
@@ -317,12 +347,11 @@ class ReluNetwork:
         y = np.asarray(y, dtype=float)
         if len(y) == 0:
             raise ValueError("empty batch")
-        cache = self._forward_cached(x)
-        resid = cache[0] - y
-        loss = float(np.mean(resid ** 2))
-        if not np.isfinite(loss):
+        work = _Workspace(self._dims, len(y))
+        loss, grad = _mse_gradient(self.weights, self._forward_cached(x, work.cache), y, work)
+        if grad is None:
             raise NonFiniteLoss("non-finite training loss")
-        return loss, self.weighted_output_gradient(x, 2.0 * resid / len(y), _cache=cache)
+        return loss, grad
 
     def mse(self, x, y):
         out = self.forward(x, clamp=False)
@@ -399,23 +428,29 @@ def fit_least_squares(net: ReluNetwork, xs, ys, cfg: TrainConfig) -> ReluNetwork
     data; with batch_size set, each pass walks a fresh shuffled partition.
     Divergence (full-data loss past 10x the initialization, or any non-finite
     loss) aborts a restart; TrainingDiverged is raised only if every restart
-    blows up.
+    blows up.  Non-finite or misshapen xs or ys raise ValueError.
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    if len(xs) == 0:
-        raise ValueError("empty training data")
-    if not np.all(np.isfinite(ys)):
-        raise ValueError("targets must be finite")
+    if xs.ndim != 2 or xs.shape[1] != net.input_dim or len(xs) == 0:
+        raise ValueError(f"need nonempty (points, {net.input_dim}) inputs, got {xs.shape}")
+    if ys.shape != (len(xs),):
+        raise ValueError(f"need one target per point: inputs {xs.shape}, targets {ys.shape}")
+    if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
+        raise ValueError("inputs and targets must be finite")
     if cfg.epochs == 0:
         return net.projected()
 
     n = len(xs)
     batch = min(cfg.batch_size or n, n)
+    works = {rows: _Workspace(net._dims, rows) for rows in {batch, n % batch or batch}}
+    z = np.maximum(xs, 0.0)  # the input ReLU, once per fit
+    z_ord, y_ord = z.copy(), ys.copy()  # each epoch's order; batches are slices of it
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x5eed]))
     spec = ArchitectureSpec(net.height, net.width, net.sparsity, net.weight_bound)
+    steps_per_epoch = (n + batch - 1) // batch
+    total_steps = cfg.epochs * steps_per_epoch
     best_net, best_loss = None, np.inf
-    diverged = 0
     for restart in range(cfg.restarts):
         cand = net.projected() if restart == 0 else ReluNetwork.random(
             net.input_dim, spec, rng, net.output_clamp)
@@ -424,37 +459,32 @@ def fit_least_squares(net: ReluNetwork, xs, ys, cfg: TrainConfig) -> ReluNetwork
         head_acts = cand._forward_cached(xs[:batch])[2][-1]
         curvature = 2.0 * (float(np.mean(np.sum(head_acts ** 2, axis=1))) + 1.0)
         base_step = cfg.learning_rate / curvature
-        blew_up = False
-        total_steps = cfg.epochs * ((n + batch - 1) // batch)
-        step = 0
-        for epoch in range(cfg.epochs):
-            order = rng.permutation(n) if batch < n else np.arange(n)
-            for start in range(0, n, batch):
-                idx = order[start:start + batch]
-                lr = base_step * cfg.lr_decay ** (step / max(1, total_steps - 1))
-                try:
-                    loss, grad = cand.mse_gradient(xs[idx], ys[idx])
-                except NonFiniteLoss:
-                    blew_up = True
-                    break
-                cand.params -= lr * grad
-                step += 1
-                if step % cfg.projection_period == 0 or step == total_steps:
-                    cand._project_inplace()
-                    loss_now = cand.mse(xs, ys)
-                    if loss_now < local_loss:
-                        local_net, local_loss = cand.copy(), loss_now
-                    if not loss_now <= 10.0 * init_loss + 1e-12:  # also catches NaN
-                        blew_up = True
-                        break
-            if blew_up:
+        for step in range(total_steps):
+            start = step % steps_per_epoch * batch
+            if start == 0 and batch < n:  # a new epoch: reshuffle
+                order = rng.permutation(n)
+                np.take(z, order, axis=0, out=z_ord, mode="clip")
+                np.take(ys, order, out=y_ord, mode="clip")
+            y_batch = y_ord[start:start + batch]
+            work = works[len(y_batch)]
+            cache = _forward(cand.weights, cand.biases, z_ord[start:start + batch], work.cache)
+            lr = base_step * cfg.lr_decay ** (step / max(1, total_steps - 1))
+            _, grad = _mse_gradient(cand.weights, cache, y_batch, work)
+            if grad is None:  # non-finite loss
                 break
-        if blew_up:
-            diverged += 1
-            continue
-        if local_loss < best_loss:
-            best_net, best_loss = local_net, local_loss
+            grad *= lr
+            cand.params -= grad
+            if (step + 1) % cfg.projection_period == 0 or step + 1 == total_steps:
+                cand._project_inplace()
+                loss_now = cand.mse(xs, ys)
+                if loss_now < local_loss:
+                    local_net, local_loss = cand.copy(), loss_now
+                if not loss_now <= 10.0 * init_loss + 1e-12:  # also catches NaN
+                    break
+        else:  # the restart did not blow up
+            if local_loss < best_loss:
+                best_net, best_loss = local_net, local_loss
     if best_net is None:
-        raise TrainingDiverged(f"all {diverged} restart(s) exceeded 10x the initial loss "
+        raise TrainingDiverged(f"all {cfg.restarts} restart(s) exceeded 10x the initial loss "
                                "or went non-finite")
     return best_net

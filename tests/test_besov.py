@@ -348,6 +348,12 @@ class TestImmutability:
         assert not back.values.flags.writeable
         assert not any(ax.flags.writeable for ax in back.axes)
 
+    def test_equality_and_hash_are_by_identity(self):
+        xs = np.linspace(0.0, 1.0, 5)
+        f, g = FunctionOnGrid((xs,), xs), FunctionOnGrid((xs,), xs)
+        assert f == f and f != g  # no ValueError from comparing the arrays
+        assert len({f, g, f}) == 2 and hash(f) == hash(f)
+
 
 class TestGridIO:
     def test_csv_roundtrip(self, tmp_path):

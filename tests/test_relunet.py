@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import fqlab
-from fqlab.relunet import (ArchitectureSpec, ReluNetwork, TrainConfig,
+from fqlab.relunet import (ArchitectureSpec, NonFiniteLoss, ReluNetwork, TrainConfig,
                            TrainingDiverged, _clip_and_prune, _forward,
                            _output_gradient, _split, architecture_for, fit_least_squares)
 
@@ -168,6 +168,7 @@ class TestStackedKernels:
         fresh = _forward(weights, biases, x)
         reused = _forward(weights, biases, x, reuse=stale)
         assert all(a is b for a, b in zip(reused[1], stale[1]))
+        assert np.shares_memory(reused[0], stale[0])  # the head output is reused too
         assert same_bits(reused[0], fresh[0])
         for got, want in zip(reused[1] + reused[2], fresh[1] + fresh[2]):
             assert same_bits(got, want)
@@ -298,6 +299,22 @@ class TestFit:
         with pytest.raises(TrainingDiverged):
             fit_least_squares(net, xs, ys, hot)
 
+    @pytest.mark.parametrize("xs, ys", [
+        (np.full(8, 0.5), np.zeros(8)),                        # 1-d inputs
+        (np.full((8, 3), 0.5), np.zeros(8)),                   # wrong input dimension
+        (np.zeros((0, 2)), np.zeros(0)),                       # no points
+        (np.full((8, 2), 0.5), np.zeros(7)),                   # one target short
+        (np.full((8, 2), 0.5), np.zeros((8, 1))),              # targets not one per point
+        (np.where(np.eye(8, 2) > 0, np.nan, 0.5), np.zeros(8)),  # NaN input
+        (np.where(np.eye(8, 2) > 0, -np.inf, 0.5), np.zeros(8)),  # infinite input
+        (np.full((8, 2), 0.5), np.r_[np.nan, np.zeros(7)]),    # NaN target
+    ])
+    def test_rejects_malformed_data(self, xs, ys):
+        net = random_net(np.random.default_rng(0))
+        for epochs in (0, 3):
+            with pytest.raises(ValueError):
+                fit_least_squares(net, xs, ys, TrainConfig(epochs=epochs, restarts=1))
+
     def test_restarts_keep_the_layer_shapes(self):
         rng = np.random.default_rng(8)
         net = random_net(rng, input_dim=2, height=3, width=5)
@@ -319,6 +336,125 @@ class TestFit:
             fit = fit_least_squares(net, xs, ys, TrainConfig(epochs=60, restarts=1, seed=trial))
             assert fit.nnz() <= spec.sparsity
             assert fit.feasible(atol=1e-12)
+
+
+def reference_mse_gradient(net, x, y):
+    """(loss, grad) of the batch mean squared error by plain backprop: numpy
+    expressions on fresh arrays, one layer at a time."""
+    z = np.maximum(x, 0.0)
+    pre, acts = [], [z]
+    for w, b in zip(net.weights[:-1], net.biases[:-1]):
+        pre.append(z @ w.T + b)
+        z = np.maximum(pre[-1], 0.0)
+        acts.append(z)
+    resid = (z @ net.weights[-1].T + net.biases[-1])[:, 0] - y
+    delta = (2.0 * resid / len(y))[:, None]
+    gw, gb = [None] * net.height, [None] * net.height
+    for l in range(net.height - 1, -1, -1):
+        if l == net.height - 2:  # einsum: matmul forms this outer product as 0 + a*b
+            delta = np.einsum("ni,ij->nj", delta, net.weights[l + 1]) * (pre[l] > 0.0)
+        elif l < net.height - 2:
+            delta = (delta @ net.weights[l + 1]) * (pre[l] > 0.0)
+        gw[l], gb[l] = delta.T @ acts[l], np.add.reduce(delta, axis=0)
+    return float(np.mean(resid ** 2)), np.concatenate([g.ravel() for g in gw + gb])
+
+
+def reference_fit(net, xs, ys, cfg):
+    """fit_least_squares as a plain loop: the public mse_gradient on xs[idx],
+    params -= lr * grad and _project_inplace, on the same random stream."""
+    n = len(xs)
+    batch = min(cfg.batch_size or n, n)
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x5eed]))
+    spec = ArchitectureSpec(net.height, net.width, net.sparsity, net.weight_bound)
+    total = cfg.epochs * ((n + batch - 1) // batch)
+    best, best_loss = None, np.inf
+    for restart in range(cfg.restarts):
+        cand = net.projected() if restart == 0 else ReluNetwork.random(
+            net.input_dim, spec, rng, net.output_clamp)
+        init_loss = cand.mse(xs, ys)
+        local, local_loss = cand.copy(), init_loss
+        head = cand._forward_cached(xs[:batch])[2][-1]
+        base = cfg.learning_rate / (2.0 * (float(np.mean(np.sum(head ** 2, axis=1))) + 1.0))
+        step, blew_up = 0, False
+        for _ in range(cfg.epochs):
+            order = rng.permutation(n) if batch < n else np.arange(n)
+            for start in range(0, n, batch):
+                idx = order[start:start + batch]
+                lr = base * cfg.lr_decay ** (step / max(1, total - 1))
+                try:
+                    _, grad = cand.mse_gradient(xs[idx], ys[idx])
+                except NonFiniteLoss:
+                    blew_up = True
+                    break
+                cand.params -= lr * grad
+                step += 1
+                if step % cfg.projection_period == 0 or step == total:
+                    cand._project_inplace()
+                    loss = cand.mse(xs, ys)
+                    if loss < local_loss:
+                        local, local_loss = cand.copy(), loss
+                    if not loss <= 10.0 * init_loss + 1e-12:
+                        blew_up = True
+                        break
+            if blew_up:
+                break
+        if not blew_up and local_loss < best_loss:
+            best, best_loss = local, local_loss
+    if best is None:
+        raise TrainingDiverged("every restart blew up")
+    return best
+
+
+class TestFusedStepBitIdentity:
+    """The fused step in fit_least_squares against reference_fit, and the
+    kernels behind it against reference_mse_gradient, byte for byte."""
+
+    @pytest.mark.parametrize("height", [1, 2, 3])
+    @pytest.mark.parametrize("rows, width", [(16, 6), (64, 1), (1024, 24)])
+    def test_mse_gradient_matches_plain_backprop(self, height, rows, width):
+        rng = np.random.default_rng(rows + height)
+        net = random_net(rng, height=height, width=width)
+        x = rng.random((rows, 2)) - 0.2
+        y = rng.random(rows)
+        loss, grad = net.mse_gradient(x, y)
+        ref_loss, ref_grad = reference_mse_gradient(net, x, y)
+        assert same_bits(loss, ref_loss) and same_bits(grad, ref_grad)
+
+    @pytest.mark.parametrize("height", [1, 2, 3])
+    @pytest.mark.parametrize("n, batch_size", [(48, 16), (50, 16), (40, None)])
+    @pytest.mark.parametrize("signed", [False, True])
+    def test_matches_reference_loop(self, height, n, batch_size, signed):
+        rng = np.random.default_rng(7 * height + n)
+        xs = rng.random((n, 2))
+        if signed:  # negative entries and -0.0: the input ReLU is not the identity
+            xs[::3, 0] -= 0.6
+            xs[1::4, 1] = -0.0
+        ys = 0.5 * np.sin(4.0 * xs[:, 0]) + 0.3 * xs[:, 1]
+        net = ReluNetwork.random(2, small_spec(height, width=6, bound=4.0), rng)
+        cfg = TrainConfig(epochs=4, restarts=2, batch_size=batch_size, projection_period=3,
+                          seed=height)
+        assert same_bits(fit_least_squares(net, xs, ys, cfg).params,
+                         reference_fit(net, xs, ys, cfg).params)
+
+    def test_binding_sparsity_prunes_to_negative_zero(self):
+        rng = np.random.default_rng(12)
+        xs = rng.random((60, 2)) - 0.2
+        ys = xs[:, 0] - xs[:, 1]
+        net = ReluNetwork.random(2, small_spec(height=2, width=6, sparsity=12), rng)
+        cfg = TrainConfig(epochs=6, restarts=2, batch_size=16, projection_period=2, seed=3)
+        fit = fit_least_squares(net, xs, ys, cfg)
+        assert same_bits(fit.params, reference_fit(net, xs, ys, cfg).params)
+        assert np.any((fit.params == 0.0) & np.signbit(fit.params))  # pruned -0.0 entries
+
+    def test_divergence_matches_reference_loop(self):
+        rng = np.random.default_rng(13)
+        net = random_net(rng)
+        xs, ys = rng.random((40, 2)), rng.random(40)
+        hot = TrainConfig(epochs=50, restarts=2, learning_rate=200.0, lr_decay=1.0,
+                          projection_period=5, batch_size=8, seed=0)
+        for fit in (fit_least_squares, reference_fit):
+            with pytest.raises(TrainingDiverged):
+                fit(net, xs, ys, hot)
 
 
 class TestArchitectureSelector:
