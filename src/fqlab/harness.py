@@ -48,7 +48,8 @@ class ExperimentConfig:
     JSON file path.  When arch is None, each cell picks its architecture from
     the rate-driven selector using (alpha, p) and the cell's sample count.
     epsilon/delta feed the reported sample-size hint only; nothing is gated
-    on it.  Degenerate axes raise ValueError here, before any oracle is built.
+    on it.  Degenerate axes and probe horizons raise ValueError here, before any
+    oracle is built.
     """
 
     mdp: dict | str = field(default_factory=lambda: {"kind": "chain5"})
@@ -87,6 +88,8 @@ class ExperimentConfig:
             raise ValueError(f"data_modes must be 'reuse' or 'split', got {self.data_modes}")
         if min(self.n_values) < 1 or min(self.k_values) < 1:
             raise ValueError("every n and every K must be at least 1")
+        if len(self.probe_horizons) == 0 or min(self.probe_horizons) < 0:
+            raise ValueError("probe_horizons must be nonempty, every horizon at least 0")
         if "split" in self.data_modes and min(self.n_values) < max(self.k_values):
             raise ValueError("split mode needs n >= K in every cell")
         if (self.train_steps_target is not None and "split" in self.data_modes
@@ -141,6 +144,7 @@ class ExperimentReport:
     rate_fits: list
     theory: dict
     sizing_hint: dict
+    setup_seconds: dict = field(default_factory=dict)
 
 
 def sample_size_hint(epsilon: float, delta: float, alpha: float, d: int) -> dict:
@@ -221,25 +225,27 @@ def _worker_pool(workers: int, run_cell) -> ProcessPoolExecutor:
 
 
 @contextmanager
-def _stage(rec: CellRecord, field_name: str):
-    """Add the seconds spent in the block to rec's stage field."""
+def _timed(seconds: dict, key: str):
+    """Add the seconds spent in the block to seconds[key] (0 when absent);
+    vars(rec) as seconds adds them to a CellRecord's stage field."""
     t0 = time.perf_counter()
     try:
         yield
     finally:
-        setattr(rec, field_name, getattr(rec, field_name) + time.perf_counter() - t0)
+        seconds[key] = seconds.get(key, 0.0) + time.perf_counter() - t0
 
 
 @dataclass
 class SweepSetup:
     """What every cell of a sweep shares: policy collects the data and is the
     OPE target, and oracles maps each mode to its populated grid oracle, which
-    carries the MDP."""
+    carries the MDP.  seconds holds the wall time of each setup stage."""
 
     policy: UniformPolicy
     oracles: dict
     kappa_hat: float
     mu_samples: tuple
+    seconds: dict
 
 
 def sweep_setup(cfg: ExperimentConfig) -> SweepSetup:
@@ -247,14 +253,19 @@ def sweep_setup(cfg: ExperimentConfig) -> SweepSetup:
     the concentration estimate and the residual samples."""
     mdp = mdp_from_config(cfg.mdp)
     policy = UniformPolicy(mdp.n_actions)
-    grid = build_oracle(mdp)
-    oracles = {mode: ground_truth(grid, policy if mode == "ope" else None)
-               for mode in cfg.modes}
-    conc = estimate_concentration(grid, policy, default_probes(mdp.n_actions),
-                                  cfg.probe_horizons)
-    mu_data = sample_visitation(mdp, policy, cfg.residual_samples, seed=940_001)
+    seconds, oracles = {}, {}
+    with _timed(seconds, "build_oracle"):
+        grid = build_oracle(mdp)
+    for mode in cfg.modes:
+        with _timed(seconds, f"ground_truth_{mode}"):
+            oracles[mode] = ground_truth(grid, policy if mode == "ope" else None)
+    with _timed(seconds, "estimate_concentration"):
+        conc = estimate_concentration(grid, policy, default_probes(mdp.n_actions),
+                                      cfg.probe_horizons)
+    with _timed(seconds, "residual_samples"):
+        mu_data = sample_visitation(mdp, policy, cfg.residual_samples, seed=940_001)
     return SweepSetup(policy=policy, oracles=oracles, kappa_hat=conc.kappa_hat,
-                      mu_samples=(mu_data.states, mu_data.actions))
+                      mu_samples=(mu_data.states, mu_data.actions), seconds=seconds)
 
 
 def run_attempt(cfg: ExperimentConfig, setup: SweepSetup, rec: CellRecord):
@@ -276,11 +287,11 @@ def run_attempt(cfg: ExperimentConfig, setup: SweepSetup, rec: CellRecord):
         iterations=rec.K, mode=mode, train=train, target_policy=target,
         arch=cfg.arch or architecture_for(rec.n, cfg.alpha, cfg.p, mdp.dim),
         data_mode=rec.data_mode, ope_return=cfg.ope_return)
-    with _stage(rec, "sampling_s"):
+    with _timed(vars(rec), "sampling_s"):
         data = sample_visitation(mdp, setup.policy, rec.n, rec.seed)
-    with _stage(rec, "run_lsvi_s"):
+    with _timed(vars(rec), "run_lsvi_s"):
         result, trace = run_lsvi(data, fqi_cfg, oracle)
-    with _stage(rec, "residuals_s"):
+    with _timed(vars(rec), "residuals_s"):
         resid = measure_bellman_residuals(trace, oracle, setup.mu_samples, policy=target)
     rec.subopt = subopt(oracle, result.value if mode == "ope" else result.policy)
     rec.max_residual = float(resid.max())
@@ -351,6 +362,7 @@ def run_sweep(cfg: ExperimentConfig) -> ExperimentReport:
     return ExperimentReport(
         config=cfg, records=ordered, kappa_hat=setup.kappa_hat, rate_fits=rate_fits,
         theory=theory, sizing_hint=sample_size_hint(cfg.epsilon, cfg.delta, cfg.alpha, d),
+        setup_seconds=setup.seconds,
     )
 
 
@@ -438,6 +450,7 @@ def write_report(report: ExperimentReport, out_dir) -> None:
                            "bellman_residuals": r.residuals_s}
             for r in report.records
         },
+        "setup_seconds_nondeterministic": report.setup_seconds,
         "failures": [
             {"n": r.n, "K": r.K, "seed": r.seed, "reason": r.fail_reason}
             for r in report.records if r.failed

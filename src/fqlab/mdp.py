@@ -68,23 +68,41 @@ class DenseNextOp:
 
 
 class SeparableNextOp:
-    """Axis-factorized next-state operator for product kernels on [0,1]^2."""
+    """Axis-factorized next-state operator for product kernels on [0,1]^2.
+
+    When each axis's mean depends only on that axis's coordinate and the
+    action, m0 is (G0, A, G0) and m1 (G1, A, G1), and push/expect contract one
+    state axis at a time; otherwise both hold one row per (node, action),
+    (G0*G1*A, G_axis), and each call is one joint GEMM.
+    """
 
     def __init__(self, m0: np.ndarray, m1: np.ndarray, grid_shape, n_actions: int):
-        # m0, m1: (n_nodes * n_actions, G_axis) per-axis next-node masses
         self.m0 = m0
         self.m1 = m1
         self.grid_shape = tuple(grid_shape)
         self.n_actions = n_actions
 
     def expect(self, g: np.ndarray) -> np.ndarray:
+        (g0, g1), n_act = self.grid_shape, self.n_actions
         g2 = np.asarray(g, dtype=float).reshape(self.grid_shape)
+        if self.m0.ndim == 3:
+            # u[i0, a, j1] = sum_j0 m0[i0, a, j0] g[j0, j1], then per action
+            # vals[a, i0, i1] = sum_j1 u[i0, a, j1] m1[i1, a, j1]
+            u = (self.m0.reshape(-1, g0) @ g2).reshape(g0, n_act, g1)
+            vals = np.matmul(u.transpose(1, 0, 2), self.m1.transpose(1, 2, 0))
+            return vals.transpose(1, 2, 0).reshape(g0 * g1, n_act)
         u = self.m1 @ g2.T  # (X, G0)
         vals = np.einsum("xk,xk->x", self.m0, u)
-        n_nodes = self.grid_shape[0] * self.grid_shape[1]
-        return vals.reshape(n_nodes, self.n_actions)
+        return vals.reshape(g0 * g1, n_act)
 
     def push(self, occupancy: np.ndarray) -> np.ndarray:
+        if self.m0.ndim == 3:
+            # per action t[a, i0, j1] = sum_i1 occ[i0, i1, a] m1[i1, a, j1],
+            # then out[j0, j1] = sum_(i0, a) m0[i0, a, j0] t[a, i0, j1]
+            g0, g1 = self.grid_shape
+            occ = occupancy.reshape(g0, g1, self.n_actions).transpose(2, 0, 1)
+            t = np.matmul(occ, self.m1.transpose(1, 0, 2)).transpose(1, 0, 2)
+            return (self.m0.reshape(-1, g0).T @ t.reshape(-1, g1)).ravel()
         # out[i, j] = sum_x occ[x] m0[x, i] m1[x, j] as one GEMM; m0.T is a
         # view, so the only temporary is the occupancy-scaled (G0, X) factor
         occ = occupancy.ravel()
@@ -204,11 +222,19 @@ class TruncatedGaussianKernel:
             return DenseNextOp(masses.reshape(len(axis), len(action_grid), len(axis)))
         if self.state_dim == 2:
             ax0, ax1 = state_axes
+            shape = (len(ax0), len(ax1), len(action_grid))
             nodes = np.stack(np.meshgrid(ax0, ax1, indexing="ij"), axis=-1).reshape(-1, 2)
             m = self._means(*pair_with_actions(nodes, action_grid))
-            m0 = self._axis_masses(m[:, 0], self.sigma[0], ax0)
-            m1 = self._axis_masses(m[:, 1], self.sigma[1], ax1)
-            return SeparableNextOp(m0, m1, (len(ax0), len(ax1)), len(action_grid))
+            c = m.reshape(*shape, 2)
+            if (c[..., 0] == c[:, :1, :, 0]).all() and (c[..., 1] == c[:1, :, :, 1]).all():
+                # axis-local means: tabulate only the G0*A and G1*A distinct rows
+                m0 = self._axis_masses(c[:, 0, :, 0].ravel(), self.sigma[0], ax0)
+                m1 = self._axis_masses(c[0, :, :, 1].ravel(), self.sigma[1], ax1)
+                m0, m1 = m0.reshape(shape[0], shape[2], -1), m1.reshape(shape[1], shape[2], -1)
+            else:
+                m0 = self._axis_masses(m[:, 0], self.sigma[0], ax0)
+                m1 = self._axis_masses(m[:, 1], self.sigma[1], ax1)
+            return SeparableNextOp(m0, m1, shape[:2], shape[2])
         raise ValueError("tabulated transitions support state_dim <= 2 only")
 
     def density(self, states, action_values, next_states):
@@ -572,7 +598,10 @@ def make_gaussian_mdp(gamma=0.9, sigma=0.15, n_actions=11, noise=0.05, normalize
     """Smooth MDP: truncated-Gaussian transitions, analytic reward surface.
 
     With state_dim = 2 the kernel is an axis-separable product of truncated
-    Gaussians: the action drifts the first axis and contracts the second.
+    Gaussians: the action drifts the first axis and the second contracts on
+    its own.  Each axis's mean depends only on that axis's coordinate and the
+    action, so the grid oracle's SeparableNextOp contracts one axis at a time;
+    a mean that coupled the axes would fall back to the joint GEMM.
     """
     if state_dim == 1:
         def mean_fn(s, a):

@@ -255,9 +255,13 @@ def estimate_concentration(oracle: GridOracle, eta: Policy, probes: list,
     oracle can be shared with the value-iteration ground truth.  Cells where
     the visitation mass is below 1e-12 while a probe assigns mass are
     reported as undefined (infinite ratio) rather than silently clipped.
+    An empty horizon set or a negative horizon raises ValueError.
     """
     if not probes:
         raise ValueError("need at least one probe policy")
+    horizons = sorted(set(int(t) for t in horizon_set))
+    if not horizons or horizons[0] < 0:
+        raise ValueError("probe horizons must be nonempty, every horizon at least 0")
     mu = tabulate_visitation(oracle, eta)
     best = (-np.inf, -1, -1, (0, 0))
     undefined = []
@@ -266,7 +270,7 @@ def estimate_concentration(oracle: GridOracle, eta: Policy, probes: list,
         probe_probs = probe.probs(oracle.nodes)
         occ = oracle.init_mass()[:, None] * probe_probs
         t_prev = 0
-        for t in sorted(set(int(t) for t in horizon_set)):
+        for t in horizons:
             for _ in range(t - t_prev):
                 occ = oracle.next_op.push(occ)[:, None] * probe_probs
             t_prev = t

@@ -246,6 +246,16 @@ class TestReportEmission:
             assert all(s > 0 for s in seconds.values())
             assert sum(seconds.values()) <= walls[key]
 
+    def test_json_has_setup_seconds(self, tmp_path):
+        write_report(run_sweep(mixed_config()), tmp_path)
+        payload = json.loads((tmp_path / "report.json").read_text())
+        setup = payload["setup_seconds_nondeterministic"]
+        assert set(setup) == {"build_oracle", "ground_truth_ope", "ground_truth_opl",
+                              "estimate_concentration", "residual_samples"}
+        assert all(s > 0 for s in setup.values())
+        header = (tmp_path / "report.csv").read_text().splitlines()[0]
+        assert "seconds" not in header
+
 
 class TestConfigValidation:
     def test_empty_axis_rejected(self):
@@ -269,6 +279,11 @@ class TestConfigValidation:
     def test_degenerate_axes_rejected(self, overrides):
         with pytest.raises(ValueError):
             tiny_config(**overrides)
+
+    @pytest.mark.parametrize("horizons", [(), (-3, 0)], ids=["empty", "negative"])
+    def test_degenerate_probe_horizons_rejected(self, horizons):
+        with pytest.raises(ValueError, match="probe_horizons"):
+            tiny_config(probe_horizons=horizons)
 
     def test_split_shorter_than_k_rejected_before_any_oracle(self, monkeypatch):
         def no_build(*args, **kwargs):

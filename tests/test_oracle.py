@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import fqlab
-from fqlab.mdp import FixedActionPolicy, UniformPolicy
+from fqlab.mdp import (FixedActionPolicy, TruncatedGaussianKernel, UniformPolicy,
+                       pair_with_actions)
 from fqlab.oracle import (OracleError, apply_bellman, build_oracle,
                           estimate_concentration, ground_truth, max_sweeps,
                           oracle_value, subopt, tabulate_visitation)
@@ -221,6 +222,14 @@ class TestConcentration:
         mu = tabulate_visitation(oracle, uniform_pi)
         assert abs(mu.sum() - 1.0) < 1e-9
 
+    def test_rejects_empty_horizon_set(self, chain_mdp, uniform_pi):
+        with pytest.raises(ValueError, match="horizon"):
+            estimate_concentration(build_oracle(chain_mdp), uniform_pi, [uniform_pi], [])
+
+    def test_rejects_negative_horizon(self, chain_mdp, uniform_pi):
+        with pytest.raises(ValueError, match="horizon"):
+            estimate_concentration(build_oracle(chain_mdp), uniform_pi, [uniform_pi], [0, -3])
+
 
 class TestVisitationMassProperty:
     """The discounted visitation of any policy is a probability measure on the
@@ -255,8 +264,16 @@ class TestTwoDimensionalStates:
     def test_separable_rows_sum_to_one(self, mdp2):
         oracle = build_oracle(mdp2, resolution=21)
         op = oracle.next_op
-        row_sums = op.m0.sum(axis=1) * op.m1.sum(axis=1)
+        # factored layout: m0[i0, a, :] and m1[i1, a, :] are the per-axis rows
+        row_sums = op.m0.sum(axis=-1)[:, None, :] * op.m1.sum(axis=-1)[None, :, :]
+        assert row_sums.shape == (21, 21, 5)
         np.testing.assert_allclose(row_sums, 1.0, atol=1e-9)
+
+    def test_default_preset_contracts_one_axis_at_a_time(self):
+        # a preset whose axes coupled would fall back to the 25x slower joint GEMM
+        op = build_oracle(fqlab.make_gaussian_mdp(state_dim=2)).next_op
+        assert op.grid_shape == (51, 51)
+        assert op.m0.shape == (51, 11, 51) and op.m1.shape == (51, 11, 51)
 
     def test_value_iteration_and_range(self, mdp2):
         oracle = ground_truth(build_oracle(mdp2, resolution=21), UniformPolicy(5))
@@ -277,8 +294,9 @@ class TestTwoDimensionalStates:
         return build_oracle(mdp, resolution=9).next_op
 
     def test_separable_push_matches_joint_kernel(self, small_op):
-        # explicit joint kernel P[x, i*G1 + j] = m0[x, i] * m1[x, j]
-        joint = (small_op.m0[:, :, None] * small_op.m1[:, None, :]).reshape(243, 81)
+        # explicit joint kernel P[(i0, i1, a), j0*G1 + j1] = m0[i0, a, j0] * m1[i1, a, j1]
+        joint = (small_op.m0[:, None, :, :, None]
+                 * small_op.m1[None, :, :, None, :]).reshape(243, 81)
         rng = np.random.default_rng(0)
         occ = rng.random((81, 3))
         np.testing.assert_allclose(small_op.push(occ), joint.T @ occ.ravel(),
@@ -292,6 +310,43 @@ class TestTwoDimensionalStates:
             lhs = small_op.push(occ) @ g
             rhs = np.sum(occ * small_op.expect(g))
             assert lhs == pytest.approx(rhs, rel=1e-12, abs=0.0)
+
+    @given(g0=st.integers(2, 8), g1=st.integers(2, 8), n_actions=st.integers(1, 4),
+           sigma0=st.floats(0.1, 0.5), sigma1=st.floats(0.1, 0.5),
+           drift=st.floats(-0.5, 0.5), contraction=st.floats(0.0, 1.0),
+           coupling=st.sampled_from([0.0, 0.05, 0.3]), seed=st.integers(0, 2**16))
+    def test_both_contraction_paths_match_the_joint_kernel(
+            self, g0, g1, n_actions, sigma0, sigma1, drift, contraction, coupling, seed):
+        # coupling > 0 makes the axis-0 mean depend on s1: the joint path
+        def mean_fn(s, a):
+            return np.stack([s[:, 0] + drift * (a - 0.5) + coupling * s[:, 1],
+                             contraction * s[:, 1] + 0.5 * (1.0 - contraction)], axis=1)
+
+        kernel = TruncatedGaussianKernel(mean_fn, [sigma0, sigma1], state_dim=2)
+        axes = (np.linspace(0.0, 1.0, g0), np.linspace(0.0, 1.0, g1))
+        actions = np.linspace(0.0, 1.0, n_actions)
+        op = kernel.node_transition(axes, actions)
+        # reference: one (node, action) row per axis straight from the means
+        nodes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2)
+        m = mean_fn(*pair_with_actions(nodes, actions))
+        rows0 = kernel._axis_masses(m[:, 0], sigma0, axes[0])
+        rows1 = kernel._axis_masses(m[:, 1], sigma1, axes[1])
+        if coupling:
+            assert op.m0.shape == (len(m), g0) and op.m1.shape == (len(m), g1)
+        else:
+            assert op.m0.shape == (g0, n_actions, g0) and op.m1.shape == (g1, n_actions, g1)
+            # the factored rows are the joint rows, bit for bit
+            shape = (g0, g1, n_actions)
+            assert np.array_equal(np.broadcast_to(op.m0[:, None], shape + (g0,)),
+                                  rows0.reshape(shape + (g0,)))
+            assert np.array_equal(np.broadcast_to(op.m1[None], shape + (g1,)),
+                                  rows1.reshape(shape + (g1,)))
+        joint = (rows0[:, :, None] * rows1[:, None, :]).reshape(len(m), g0 * g1)
+        rng = np.random.default_rng(seed)
+        occ = rng.random((g0 * g1, n_actions))
+        g = rng.random(g0 * g1)
+        np.testing.assert_allclose(op.push(occ), joint.T @ occ.ravel(), rtol=1e-13, atol=0.0)
+        assert op.push(occ) @ g == pytest.approx(np.sum(occ * op.expect(g)), rel=1e-12, abs=0.0)
 
     def test_sampler_stays_in_cube(self, mdp2):
         data = fqlab.sample_visitation(mdp2, UniformPolicy(5), 2000, seed=0)
