@@ -69,7 +69,7 @@ def cmd_run_fqi(args):
     cfg = _experiment_config({
         "mdp": args.mdp, "n_values": [args.n], "k_values": [args.K], "seeds": [args.seed],
         "modes": [args.mode], "data_modes": [args.data_mode], "alpha": args.alpha,
-        "p": _float(args.p), "train": _train_kwargs(args), "ope_return": args.ope_return})
+        "p": _float(args.p), "train": _train_kwargs(args)})
     setup = sweep_setup(cfg)
     (cell,) = cfg.cells()
     rec = CellRecord(*cell, kappa_hat=setup.kappa_hat)
@@ -85,12 +85,10 @@ def cmd_run_fqi(args):
     payload.update({key: getattr(rec, key) for key in
                     ("subopt", "kappa_hat", "bound_rhs", "bound_slack", "max_residual")})
     if args.mode == "ope":
-        payload["value"] = result.value
-        payload["value_mean"] = result.v_mean
-        payload["value_norm"] = result.v_norm
+        payload["value"] = result.estimate
     else:
         payload["greedy_action_by_state_node"] = (
-            result.policy.act(setup.oracles["opl"].nodes).tolist())
+            result.estimate.act(setup.oracles["opl"].nodes).tolist())
     (out / "result.json").write_text(json.dumps(payload, indent=2) + "\n")
     result.q_final.save(out / "q_final.net")
     print(f"subopt={rec.subopt:.6f} bound_rhs={rec.bound_rhs:.6f} -> {out}")
@@ -208,7 +206,6 @@ def build_parser():
     p.add_argument("--data-mode", choices=("reuse", "split"), default="reuse")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.add_argument("--ope-return", choices=("mean", "norm"), default="mean")
     p.set_defaults(func=cmd_run_fqi)
 
     p = sub.add_parser("measure-rates", help="error-vs-n sweep with rate fit")

@@ -18,30 +18,18 @@ class FqiConfig:
 
     data_mode "reuse" fits every iterate on the full dataset; "split" shuffles
     once (seeded) and fits iterate k on fold k of K contiguous equal blocks.
-    ope_return picks the final value readout: "mean" is E[Q_K] under the
-    initial distribution and target policy, "norm" the root mean square.
-    Both are computed and reported; they disagree for non-constant Q.
     """
 
     iterations: int
-    mode: str                              # "ope" | "opl"
     arch: ArchitectureSpec
     train: TrainConfig
-    target_policy: Policy | None = None
     data_mode: str = "reuse"
-    ope_return: str = "mean"
 
     def __post_init__(self):
         if self.iterations < 1:
             raise ValueError("need at least one iteration")
-        if self.mode not in ("ope", "opl"):
-            raise ValueError("mode must be 'ope' or 'opl'")
         if self.data_mode not in ("reuse", "split"):
             raise ValueError("data_mode must be 'reuse' or 'split'")
-        if self.ope_return not in ("mean", "norm"):
-            raise ValueError("ope_return must be 'mean' or 'norm'")
-        if self.mode == "ope" and self.target_policy is None:
-            raise ValueError("ope mode needs a target policy")
 
 
 @dataclass
@@ -58,11 +46,18 @@ class FqiTrace:
 
 @dataclass
 class FqiResult:
-    value: float | None              # configured OPE readout, None for OPL
-    v_mean: float | None = None
-    v_norm: float | None = None
-    policy: Policy | None = None
-    q_final: ReluNetwork | None = None
+    """estimate is what subopt scores: E_rho,pi[Q_K] for the oracle's target
+    policy pi (OPE), or the greedy policy of Q_K for the optimal target (OPL)."""
+
+    estimate: float | Policy
+    q_final: ReluNetwork
+
+
+def _target(oracle: GridOracle) -> Policy | None:
+    """The populated oracle's target policy, None for the optimal target."""
+    if not oracle.populated:
+        raise ValueError("need an oracle populated by ground_truth: it names the target")
+    return oracle.target
 
 
 def greedy_policy(net: ReluNetwork, action_grid: np.ndarray) -> GreedyPolicy:
@@ -92,9 +87,11 @@ def run_lsvi(data: OfflineDataset, cfg: FqiConfig, oracle: GridOracle):
 
     Returns (FqiResult, FqiTrace).  Q_0 is the zero network projected into the
     architecture; iterate k regresses r_i + gamma * continuation(Q_{k-1}, s'_i)
-    on the data (or on fold k in split mode), with gamma and the action grid of
-    oracle.mdp.  The final readout integrates on the oracle's grid.
+    on the data (or on fold k in split mode), with gamma, the action grid and
+    the target of the populated oracle (ValueError if unpopulated).  The OPE
+    readout integrates on the oracle's grid.
     """
+    policy = _target(oracle)
     k_iter = cfg.iterations
     folds = _split_folds(data.n, k_iter, cfg.train.seed) if cfg.data_mode == "split" else None
 
@@ -103,15 +100,15 @@ def run_lsvi(data: OfflineDataset, cfg: FqiConfig, oracle: GridOracle):
     n, n_a = data.n, len(grid)
     xs_all = data.x
     next_pts = state_action_inputs(*pair_with_actions(data.next_states, grid))
-    if cfg.mode == "ope":
-        pi_probs = cfg.target_policy.probs(data.next_states)
+    if policy is not None:
+        pi_probs = policy.probs(data.next_states)
 
     q = ReluNetwork.zeros(mdp.dim, cfg.arch).projected()
     iterates = [q]
     losses = np.empty(k_iter)
     for k in range(1, k_iter + 1):
         q_next = iterates[-1].forward(next_pts).reshape(n, n_a)
-        if cfg.mode == "ope":
+        if policy is not None:
             cont = np.sum(pi_probs * q_next, axis=1)
         else:
             cont = q_next.max(axis=1)
@@ -130,28 +127,23 @@ def run_lsvi(data: OfflineDataset, cfg: FqiConfig, oracle: GridOracle):
         losses[k - 1] = q.mse(xs_all[idx], ys[idx])
         iterates.append(q)
 
-    trace = FqiTrace(q_iterates=iterates, train_losses=losses)
     q_final = iterates[-1]
-    if cfg.mode == "ope":
-        table = oracle.tabulate(q_final.forward)
-        v_mean = oracle.value_of(table, cfg.target_policy)
-        v_norm = float(np.sqrt(oracle.value_of(table ** 2, cfg.target_policy)))
-        value = v_mean if cfg.ope_return == "mean" else v_norm
-        result = FqiResult(value=value, v_mean=v_mean, v_norm=v_norm, q_final=q_final)
+    if policy is not None:
+        estimate = oracle.value_of(oracle.tabulate(q_final.forward), policy)
     else:
-        result = FqiResult(value=None, policy=greedy_policy(q_final, grid), q_final=q_final)
-    return result, trace
+        estimate = greedy_policy(q_final, grid)
+    return FqiResult(estimate, q_final), FqiTrace(q_iterates=iterates, train_losses=losses)
 
 
-def measure_bellman_residuals(trace: FqiTrace, oracle: GridOracle, mu_samples,
-                              policy: Policy | None = None) -> np.ndarray:
+def measure_bellman_residuals(trace: FqiTrace, oracle: GridOracle, mu_samples) -> np.ndarray:
     """Visitation-norm distance of each iterate from the Bellman image of its
-    predecessor.
+    predecessor, under the populated oracle's target.
 
     The Bellman image is computed exactly by grid quadrature and interpolated
     at the sample points; the norm is the root mean square over mu_samples.
-    Returns the per-iteration array.
+    Returns the per-iteration array.  An unpopulated oracle raises ValueError.
     """
+    policy = _target(oracle)
     pts = state_action_inputs(*mu_samples)
     out = np.empty(len(trace.q_iterates) - 1)
     for k in range(len(out)):
@@ -181,13 +173,16 @@ def run_exact_lsvi(oracle: GridOracle, iterations: int, policy: Policy | None = 
 
     Each iterate is the exact Bellman image of its predecessor tabulated on
     the grid, so the sup-distance to the fixed point must contract by gamma
-    at every step; that contraction is asserted.
+    at every step; that contraction is asserted.  Without a reference the
+    fixed point is the populated oracle's, and policy must be its target.
     """
     q = np.zeros_like(oracle.rewards)
     iterates = [q]
     if reference is None:
         if not oracle.populated:
             raise ValueError("need a populated oracle or an explicit reference table")
+        if policy is not oracle.target:
+            raise ValueError("policy is not the target the oracle was populated for")
         reference = oracle.q
     err = float(np.abs(q - reference).max())
     for _ in range(iterations):
@@ -199,4 +194,3 @@ def run_exact_lsvi(oracle: GridOracle, iterations: int, policy: Policy | None = 
         err = new_err
         iterates.append(q)
     return iterates
-

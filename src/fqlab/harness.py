@@ -62,7 +62,6 @@ class ExperimentConfig:
     alpha: float = 2.0
     p: float = float("inf")
     train: TrainConfig = field(default_factory=TrainConfig)
-    ope_return: str = "mean"
     epsilon: float = 0.1
     delta: float = 0.05
     residual_samples: int = 4096
@@ -145,6 +144,7 @@ class ExperimentReport:
     theory: dict
     sizing_hint: dict
     setup_seconds: dict = field(default_factory=dict)
+    kappa_origin: dict = field(default_factory=dict)
 
 
 def sample_size_hint(epsilon: float, delta: float, alpha: float, d: int) -> dict:
@@ -239,11 +239,13 @@ def _timed(seconds: dict, key: str):
 class SweepSetup:
     """What every cell of a sweep shares: policy collects the data and is the
     OPE target, and oracles maps each mode to its populated grid oracle, which
-    carries the MDP.  seconds holds the wall time of each setup stage."""
+    carries the MDP.  kappa_origin holds report.json's kappa_argmax and
+    kappa_undefined_cells.  seconds holds the wall time of each setup stage."""
 
     policy: UniformPolicy
     oracles: dict
     kappa_hat: float
+    kappa_origin: dict
     mu_samples: tuple
     seconds: dict
 
@@ -264,17 +266,19 @@ def sweep_setup(cfg: ExperimentConfig) -> SweepSetup:
                                       cfg.probe_horizons)
     with _timed(seconds, "residual_samples"):
         mu_data = sample_visitation(mdp, policy, cfg.residual_samples, seed=940_001)
+    origin = {"kappa_argmax": {"probe": conc.argmax_probe, "horizon": conc.argmax_horizon,
+                               "cell": conc.argmax_cell},
+              "kappa_undefined_cells": len(conc.undefined_cells)}
     return SweepSetup(policy=policy, oracles=oracles, kappa_hat=conc.kappa_hat,
-                      mu_samples=(mu_data.states, mu_data.actions), seconds=seconds)
+                      kappa_origin=origin, mu_samples=(mu_data.states, mu_data.actions),
+                      seconds=seconds)
 
 
 def run_attempt(cfg: ExperimentConfig, setup: SweepSetup, rec: CellRecord):
     """One attempt at the cell rec names, seeded with rec.seed: fills rec's
     numbers and stage seconds and returns (FqiResult, FqiTrace, residuals).
     A diverged fit raises TrainingDiverged and leaves rec's numbers as they were."""
-    mode = rec.mode
-    target = setup.policy if mode == "ope" else None
-    oracle = setup.oracles[mode]
+    oracle = setup.oracles[rec.mode]
     mdp = oracle.mdp
     train = replace(cfg.train, seed=rec.seed)
     if cfg.train_steps_target is not None:
@@ -284,18 +288,17 @@ def run_attempt(cfg: ExperimentConfig, setup: SweepSetup, rec: CellRecord):
         epochs = max(1, int(np.ceil(cfg.train_steps_target / steps_per_epoch)))
         train = replace(train, epochs=epochs)
     fqi_cfg = FqiConfig(
-        iterations=rec.K, mode=mode, train=train, target_policy=target,
-        arch=cfg.arch or architecture_for(rec.n, cfg.alpha, cfg.p, mdp.dim),
-        data_mode=rec.data_mode, ope_return=cfg.ope_return)
+        iterations=rec.K, train=train, data_mode=rec.data_mode,
+        arch=cfg.arch or architecture_for(rec.n, cfg.alpha, cfg.p, mdp.dim))
     with _timed(vars(rec), "sampling_s"):
         data = sample_visitation(mdp, setup.policy, rec.n, rec.seed)
     with _timed(vars(rec), "run_lsvi_s"):
         result, trace = run_lsvi(data, fqi_cfg, oracle)
     with _timed(vars(rec), "residuals_s"):
-        resid = measure_bellman_residuals(trace, oracle, setup.mu_samples, policy=target)
-    rec.subopt = subopt(oracle, result.value if mode == "ope" else result.policy)
+        resid = measure_bellman_residuals(trace, oracle, setup.mu_samples)
+    rec.subopt = subopt(oracle, result.estimate)
     rec.max_residual = float(resid.max())
-    rec.bound_rhs = decomposition_bound(mode, setup.kappa_hat, mdp.gamma, rec.K, rec.max_residual)
+    rec.bound_rhs = decomposition_bound(rec.mode, setup.kappa_hat, mdp.gamma, rec.K, rec.max_residual)
     rec.bound_slack = rec.bound_rhs - rec.subopt
     rec.final_train_loss = float(trace.train_losses[-1])
     return result, trace, resid
@@ -362,7 +365,7 @@ def run_sweep(cfg: ExperimentConfig) -> ExperimentReport:
     return ExperimentReport(
         config=cfg, records=ordered, kappa_hat=setup.kappa_hat, rate_fits=rate_fits,
         theory=theory, sizing_hint=sample_size_hint(cfg.epsilon, cfg.delta, cfg.alpha, d),
-        setup_seconds=setup.seconds,
+        setup_seconds=setup.seconds, kappa_origin=setup.kappa_origin,
     )
 
 
@@ -433,6 +436,7 @@ def write_report(report: ExperimentReport, out_dir) -> None:
     audit = audit_decomposition(report)
     payload = {
         "kappa_hat": report.kappa_hat,
+        **report.kappa_origin,
         "rate_fits": [asdict(f) for f in report.rate_fits],
         "theory_exponents": report.theory,
         "sizing_hint": report.sizing_hint,

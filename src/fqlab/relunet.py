@@ -52,7 +52,7 @@ class ArchitectureSpec:
     def __post_init__(self):
         if self.height < 1 or self.width < 1 or self.sparsity < 1:
             raise ValueError("height, width, sparsity must be positive")
-        if self.weight_bound <= 0:
+        if not self.weight_bound > 0:  # also rejects NaN
             raise ValueError("weight_bound must be positive")
 
 
@@ -258,6 +258,8 @@ class ReluNetwork:
             raise ValueError("layer shapes must chain, at one hidden width, to a scalar output")
         self.sparsity = int(sparsity)
         self.weight_bound = float(weight_bound)
+        if self.sparsity < 1 or not self.weight_bound > 0:
+            raise ValueError("sparsity must be at least 1 and weight_bound positive")
         self.output_clamp = bool(output_clamp)
         self.params = np.concatenate([a.ravel() for a in weights + biases])
         if not np.all(np.isfinite(self.params)):

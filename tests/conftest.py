@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 
 import fqlab
 from fqlab.mdp import Policy
@@ -27,6 +28,30 @@ class SoftmaxPolicy(Policy):
 def softmax_policy():
     """The SoftmaxPolicy class, for tests that draw random policies."""
     return SoftmaxPolicy
+
+
+def _flip(raw: bytes, bit: int) -> bytes:
+    out = bytearray(raw)
+    out[bit // 8] ^= 1 << (bit % 8)
+    return bytes(out)
+
+
+def _overwrite(raw: bytes, slot: int, value: float) -> bytes:
+    start = 16 + 8 * slot  # past the 16-byte magic/version header
+    return raw[:start] + np.array([value], dtype="<f8").tobytes() + raw[start + 8:]
+
+
+@pytest.fixture(scope="session")
+def damaged_records():
+    """damaged_records(raw): a strategy for the binary record raw truncated,
+    padded with arbitrary bytes, with one bit flipped, or with one float64 of
+    its payload set to an arbitrary value."""
+    return lambda raw: st.one_of(
+        st.integers(0, len(raw) - 1).map(lambda k: raw[:k]),
+        st.binary(min_size=1, max_size=64).map(lambda pad: raw + pad),
+        st.integers(0, 8 * len(raw) - 1).map(lambda bit: _flip(raw, bit)),
+        st.builds(_overwrite, st.just(raw), st.integers(0, (len(raw) - 16) // 8 - 1),
+                  st.floats()))
 
 
 @pytest.fixture(scope="session")

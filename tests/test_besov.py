@@ -4,6 +4,7 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given
 
 import fqlab
 from fqlab import besov
@@ -401,6 +402,24 @@ class TestGridIO:
         path.write_bytes(bytes(raw))
         with pytest.raises(ValueError):
             FunctionOnGrid.load_binary(path)
+
+    def test_damaged_record_raises_value_error_or_loads_a_valid_grid(self, tmp_path,
+                                                                     damaged_records):
+        path = tmp_path / "f.bin"
+        synth_function("weierstrass", 0.5, d=2, resolution=5).save_binary(path)
+        raw = path.read_bytes()
+
+        @given(damaged_records(raw))
+        def check(record):
+            path.write_bytes(record)
+            try:
+                back = FunctionOnGrid.load_binary(path)
+            except ValueError:
+                return
+            assert back.values.shape == tuple(len(ax) for ax in back.axes)
+            assert min(back.values.shape) >= 4 and np.all(np.isfinite(back.values))
+
+        check()
 
 
 class TestDynamicClosure:

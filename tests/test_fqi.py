@@ -34,22 +34,23 @@ def net_from_table(oracle, table):
 
 
 class TestRunLsvi:
-    def test_k_zero_rejected(self, compact_arch, fast_train, uniform_pi):
+    def test_k_zero_rejected(self, compact_arch, fast_train):
         with pytest.raises(ValueError):
-            FqiConfig(iterations=0, mode="ope", arch=compact_arch,
-                      train=fast_train, target_policy=uniform_pi)
+            FqiConfig(iterations=0, arch=compact_arch, train=fast_train)
 
-    def test_ope_needs_policy(self, compact_arch, fast_train):
+    def test_unpopulated_oracle_rejected(self, chain_mdp, uniform_pi, compact_arch, fast_train):
+        # the populated oracle names the Bellman target; a bare grid names none
+        data = fqlab.sample_visitation(chain_mdp, uniform_pi, 50, seed=0)
+        cfg = FqiConfig(iterations=1, arch=compact_arch, train=fast_train)
         with pytest.raises(ValueError):
-            FqiConfig(iterations=1, mode="ope", arch=compact_arch, train=fast_train)
+            run_lsvi(data, cfg, build_oracle(chain_mdp))
 
     def test_zero_epochs_returns_zero_value(self, chain_mdp, chain_oracle_pi,
                                             uniform_pi, compact_arch):
         data = fqlab.sample_visitation(chain_mdp, uniform_pi, 200, seed=0)
-        cfg = FqiConfig(iterations=1, mode="ope", arch=compact_arch,
-                        train=TrainConfig(epochs=0, seed=0), target_policy=uniform_pi)
+        cfg = FqiConfig(iterations=1, arch=compact_arch, train=TrainConfig(epochs=0, seed=0))
         result, trace = run_lsvi(data, cfg, chain_oracle_pi)
-        assert result.value == 0.0
+        assert result.estimate == 0.0
         assert len(trace.q_iterates) == 2
         assert trace.q_iterates[-1].nnz() == 0
 
@@ -58,7 +59,7 @@ class TestRunLsvi:
         eta = UniformPolicy(mdp.n_actions)
         oracle = ground_truth(build_oracle(mdp), None)
         data = fqlab.sample_visitation(mdp, eta, 8000, seed=1)
-        cfg = FqiConfig(iterations=1, mode="opl", arch=compact_arch,
+        cfg = FqiConfig(iterations=1, arch=compact_arch,
                         train=TrainConfig(epochs=250, restarts=2, learning_rate=1.8,
                                           batch_size=512, seed=1))
         result, trace = run_lsvi(data, cfg, oracle)
@@ -73,26 +74,24 @@ class TestRunLsvi:
         subs = []
         for seed in range(2):
             data = fqlab.sample_visitation(chain_mdp, uniform_pi, 4000, seed=seed)
-            cfg = FqiConfig(iterations=20, mode="ope", arch=compact_arch,
+            cfg = FqiConfig(iterations=20, arch=compact_arch,
                             train=fqlab.TrainConfig(epochs=200, restarts=1,
                                                     learning_rate=1.5,
-                                                    batch_size=1024, seed=seed),
-                            target_policy=uniform_pi)
+                                                    batch_size=1024, seed=seed))
             result, _ = run_lsvi(data, cfg, chain_oracle_pi)
-            subs.append(subopt(chain_oracle_pi, result.value))
+            subs.append(subopt(chain_oracle_pi, result.estimate))
         # K = 20 leaves an algorithmic tail of order gamma^K * V ~ 0.08 on top
         # of the statistical error; the acceptance-scale run uses K = 50
         assert np.mean(subs) <= 0.12
 
     def test_determinism(self, chain_mdp, chain_oracle_pi, uniform_pi, compact_arch):
         data = fqlab.sample_visitation(chain_mdp, uniform_pi, 1000, seed=3)
-        cfg = FqiConfig(iterations=3, mode="ope", arch=compact_arch,
+        cfg = FqiConfig(iterations=3, arch=compact_arch,
                         train=TrainConfig(epochs=15, restarts=1, batch_size=256,
-                                          learning_rate=1.2, seed=3),
-                        target_policy=uniform_pi)
+                                          learning_rate=1.2, seed=3))
         r1, t1 = run_lsvi(data, cfg, chain_oracle_pi)
         r2, t2 = run_lsvi(data, cfg, chain_oracle_pi)
-        assert r1.value == r2.value
+        assert r1.estimate == r2.estimate
         np.testing.assert_array_equal(t1.train_losses, t2.train_losses)
         for a, b in zip(t1.q_iterates, t2.q_iterates):
             np.testing.assert_array_equal(a.params, b.params)
@@ -100,22 +99,13 @@ class TestRunLsvi:
     def test_opl_returns_greedy_of_final_iterate(self, chain_mdp, chain_oracle_star,
                                                  uniform_pi, compact_arch):
         data = fqlab.sample_visitation(chain_mdp, uniform_pi, 1000, seed=4)
-        cfg = FqiConfig(iterations=2, mode="opl", arch=compact_arch,
+        cfg = FqiConfig(iterations=2, arch=compact_arch,
                         train=TrainConfig(epochs=15, restarts=1, batch_size=256,
                                           learning_rate=1.2, seed=4))
         result, trace = run_lsvi(data, cfg, chain_oracle_star)
         expected = greedy_policy(trace.q_iterates[-1], chain_mdp.action_grid)
-        np.testing.assert_array_equal(result.policy.act(chain_oracle_star.nodes),
+        np.testing.assert_array_equal(result.estimate.act(chain_oracle_star.nodes),
                                       expected.act(chain_oracle_star.nodes))
-
-    def test_ope_norm_and_mean_readings_differ(self, chain_mdp, chain_oracle_pi,
-                                               uniform_pi, compact_arch, fast_train):
-        data = fqlab.sample_visitation(chain_mdp, uniform_pi, 2000, seed=5)
-        cfg = FqiConfig(iterations=2, mode="ope", arch=compact_arch,
-                        train=fast_train, target_policy=uniform_pi, ope_return="norm")
-        result, _ = run_lsvi(data, cfg, chain_oracle_pi)
-        assert result.value == result.v_norm
-        assert result.v_norm >= result.v_mean - 1e-12  # rms dominates the mean
 
 
 class TestGreedyPolicy:
@@ -159,8 +149,7 @@ class TestBellmanResiduals:
                         net_from_table(chain_oracle_pi, image)],
             train_losses=np.zeros(1))
         out = measure_bellman_residuals(trace, chain_oracle_pi,
-                                        self._mu_samples(chain_mdp, uniform_pi),
-                                        policy=uniform_pi)
+                                        self._mu_samples(chain_mdp, uniform_pi))
         assert out[0] <= 1e-10
 
     def test_constant_offset_recovered(self, chain_mdp, chain_oracle_pi, uniform_pi):
@@ -172,8 +161,7 @@ class TestBellmanResiduals:
                         net_from_table(chain_oracle_pi, image + 0.1)],
             train_losses=np.zeros(1))
         out = measure_bellman_residuals(trace, chain_oracle_pi,
-                                        self._mu_samples(chain_mdp, uniform_pi),
-                                        policy=uniform_pi)
+                                        self._mu_samples(chain_mdp, uniform_pi))
         assert out[0] == pytest.approx(0.1, abs=1e-10)
 
     def test_matches_full_grid_quadrature_oracle(self, chain_mdp, chain_oracle_pi,
@@ -181,15 +169,13 @@ class TestBellmanResiduals:
         # independent re-implementation: residual as a quadrature against the
         # tabulated visitation distribution, compared within 2 standard errors
         data = fqlab.sample_visitation(chain_mdp, uniform_pi, 3000, seed=6)
-        cfg = FqiConfig(iterations=3, mode="ope", arch=compact_arch,
+        cfg = FqiConfig(iterations=3, arch=compact_arch,
                         train=TrainConfig(epochs=30, restarts=1, batch_size=512,
-                                          learning_rate=1.5, seed=6),
-                        target_policy=uniform_pi)
+                                          learning_rate=1.5, seed=6))
         _, trace = run_lsvi(data, cfg, chain_oracle_pi)
         m = 20000
         samples = self._mu_samples(chain_mdp, uniform_pi, m)
-        rms = measure_bellman_residuals(trace, chain_oracle_pi, samples,
-                                        policy=uniform_pi)
+        rms = measure_bellman_residuals(trace, chain_oracle_pi, samples)
         mu = fqlab.tabulate_visitation(chain_oracle_pi, uniform_pi)
         xg = chain_oracle_pi.x_grid()
         for k in range(3):
@@ -205,6 +191,15 @@ class TestBellmanResiduals:
             assert abs(rms[k] - exact) <= 2 * se + 1e-12
 
 
+    def test_unpopulated_oracle_rejected(self, chain_mdp, chain_oracle_pi, uniform_pi):
+        q0 = np.zeros((5, 11))
+        trace = fqlab.FqiTrace(q_iterates=[net_from_table(chain_oracle_pi, q0)] * 2,
+                               train_losses=np.zeros(1))
+        with pytest.raises(ValueError):
+            measure_bellman_residuals(trace, build_oracle(chain_mdp),
+                                      self._mu_samples(chain_mdp, uniform_pi, 64))
+
+
 class TestExactRegressionContraction:
     def test_contracts_every_iteration(self, chain_mdp, chain_oracle_pi, uniform_pi):
         iterates = run_exact_lsvi(chain_oracle_pi, 30, policy=uniform_pi)
@@ -212,6 +207,14 @@ class TestExactRegressionContraction:
         errs = [np.abs(q - chain_oracle_pi.q).max() for q in iterates]
         for a, b in zip(errs, errs[1:]):
             assert b <= chain_mdp.gamma * a + chain_oracle_pi.tol
+
+    def test_target_other_than_the_oracles_rejected(self, chain_oracle_pi, chain_oracle_star,
+                                                    uniform_pi):
+        # iterating T* against Q^pi, or T^pi against Q*, cannot contract to it
+        with pytest.raises(ValueError):
+            run_exact_lsvi(chain_oracle_pi, 30)
+        with pytest.raises(ValueError):
+            run_exact_lsvi(chain_oracle_star, 30, policy=uniform_pi)
 
     def test_optimality_target(self, chain_mdp, chain_oracle_star):
         iterates = run_exact_lsvi(chain_oracle_star, 20, policy=None)
@@ -322,8 +325,7 @@ class TestReuseVsSplit:
     def test_split_needs_enough_data(self, chain_mdp, chain_oracle_pi, uniform_pi,
                                      compact_arch, fast_train):
         data = fqlab.sample_visitation(chain_mdp, uniform_pi, 5, seed=0)
-        cfg = FqiConfig(iterations=10, mode="ope", arch=compact_arch,
-                        train=fast_train, target_policy=uniform_pi, data_mode="split")
+        cfg = FqiConfig(iterations=10, arch=compact_arch, train=fast_train, data_mode="split")
         with pytest.raises(ValueError):
             run_lsvi(data, cfg, chain_oracle_pi)
 

@@ -89,10 +89,9 @@ class TestRunSweep:
         pi = UniformPolicy(mdp.n_actions)
         oracle = fqlab.ground_truth(fqlab.build_oracle(mdp), pi)
         data = fqlab.sample_visitation(mdp, pi, 512, seed=3)
-        fqi_cfg = FqiConfig(iterations=3, mode="ope", arch=cfg.arch,
-                            train=replace(cfg.train, seed=3), target_policy=pi)
+        fqi_cfg = FqiConfig(iterations=3, arch=cfg.arch, train=replace(cfg.train, seed=3))
         result, trace = run_lsvi(data, fqi_cfg, oracle)
-        direct = fqlab.subopt(oracle, result.value)
+        direct = fqlab.subopt(oracle, result.estimate)
         assert rec.subopt == pytest.approx(direct, abs=1e-12)
 
     def test_rate_fit_present(self, tiny_report):
@@ -234,6 +233,25 @@ class TestReportEmission:
         assert payload["audit"]["violation_count"] == 0
         assert "stat_exponent" in payload["theory_exponents"]
         assert payload["sizing_hint"]["n_hint"] > 0
+
+    def test_json_names_where_kappa_hat_came_from(self, tmp_path):
+        cfg = tiny_config(n_values=(256,), seeds=(0,), k_values=(2,))
+        write_report(run_sweep(cfg), tmp_path)
+        payload = json.loads((tmp_path / "report.json").read_text())
+        # recompute the probe occupancy over data visitation ratio at the
+        # reported probe, horizon and cell: it is the reported kappa_hat
+        oracle = fqlab.build_oracle(fqlab.mdp_from_config(cfg.mdp))
+        n_actions = len(oracle.action_grid)
+        where = payload["kappa_argmax"]
+        probe = harness.default_probes(n_actions)[where["probe"]].probs(oracle.nodes)
+        occ = oracle.init_mass()[:, None] * probe
+        for _ in range(where["horizon"]):
+            occ = oracle.next_op.push(occ)[:, None] * probe
+        mu = fqlab.tabulate_visitation(oracle, UniformPolicy(n_actions))
+        node, action = where["cell"]
+        assert occ[node, action] / mu[node, action] == pytest.approx(payload["kappa_hat"],
+                                                                     rel=1e-12)
+        assert payload["kappa_undefined_cells"] == 0
 
     def test_json_has_stage_seconds_per_cell(self, tmp_path):
         write_report(run_sweep(mixed_config()), tmp_path)

@@ -3,7 +3,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fqlab
@@ -62,6 +62,11 @@ class TestForward:
     def test_rejects_nonfinite_params(self):
         with pytest.raises(ValueError):
             ReluNetwork([np.array([[np.nan]])], [np.array([0.0])], 5, 1.0)
+
+    @pytest.mark.parametrize("sparsity,bound", [(0, 1.0), (5, -1.0), (5, 0.0), (5, np.nan)])
+    def test_rejects_empty_sparsity_or_nonpositive_bound(self, sparsity, bound):
+        with pytest.raises(ValueError):
+            ReluNetwork([np.array([[1.0]])], [np.array([0.0])], sparsity, bound)
 
     def test_rejects_unequal_hidden_widths(self):
         # save records one hidden width and fit restarts draw at it, so a
@@ -476,6 +481,11 @@ class TestArchitectureSelector:
         assert spec.sparsity == 16
         assert spec.weight_bound == pytest.approx(16.0)
 
+    @pytest.mark.parametrize("bound", [0.0, -1.0, np.nan])
+    def test_spec_rejects_nonpositive_or_nan_bound(self, bound):
+        with pytest.raises(ValueError):
+            ArchitectureSpec(height=2, width=4, sparsity=10, weight_bound=bound)
+
     def test_rejects_inadmissible(self):
         with pytest.raises(ValueError):
             architecture_for(100, 0.5, 2.0, 1)          # alpha <= d / min(p,2)
@@ -516,7 +526,8 @@ class TestSerialization:
             ReluNetwork.load(path)
 
     @pytest.mark.parametrize("slot,value", [(0, 0.0), (0, 2.5), (0, np.nan), (1, 0.0),
-                                            (1, np.inf), (2, -1.0), (2, np.inf)])
+                                            (1, np.inf), (2, -1.0), (2, np.inf),
+                                            (3, -1.0), (3, 0.0), (3, np.nan)])
     def test_rejects_bad_header_sizes(self, tmp_path, slot, value):
         rng = np.random.default_rng(6)
         path = tmp_path / "net.bin"
@@ -532,6 +543,29 @@ class TestSerialization:
         path.write_bytes(b"not a network record at all")
         with pytest.raises(ValueError):
             ReluNetwork.load(path)
+
+    def test_damaged_record_raises_value_error_or_loads_a_valid_net(self, tmp_path,
+                                                                    damaged_records):
+        # FQLNET01 does not store the input dimension, so a record cut or
+        # padded by whole first-layer rows can load as a net of another shape;
+        # the property asks only that what loads meets the constructor's rules
+        # (layer shapes that chain hold by construction)
+        path = tmp_path / "net.bin"
+        random_net(np.random.default_rng(8), input_dim=2, height=2, width=3).save(path)
+        raw = path.read_bytes()
+
+        @settings(max_examples=400)
+        @given(damaged_records(raw))
+        def check(record):
+            path.write_bytes(record)
+            try:
+                back = ReluNetwork.load(path)
+            except ValueError:
+                return
+            assert back.sparsity >= 1 and back.weight_bound > 0
+            assert np.all(np.isfinite(back.params))
+
+        check()
 
 
 class TestParameterLayout:
