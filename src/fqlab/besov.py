@@ -2,14 +2,10 @@
 Besov seminorms, exponent estimation, and synthetic test functions."""
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
-from math import comb, prod
-from pathlib import Path
+from math import comb
 
 import numpy as np
-
-_MAGIC = b"FQLGRD01"
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,35 +65,6 @@ class FunctionOnGrid:
         axes = tuple(np.unique(table[:, k]) for k in range(d))
         shape = tuple(len(a) for a in axes)
         return cls(axes, table[:, -1].reshape(shape))
-
-    def save_binary(self, path):
-        header = _MAGIC + struct.pack("<BB6x", 1, self.ndim)
-        sizes = np.array([len(ax) for ax in self.axes], dtype="<f8")
-        payload = np.concatenate([sizes] + [ax.astype("<f8") for ax in self.axes]
-                                 + [self.values.astype("<f8").ravel()])
-        Path(path).write_bytes(header + payload.tobytes())
-
-    @classmethod
-    def load_binary(cls, path):
-        raw = Path(path).read_bytes()
-        if len(raw) < 16 or raw[:8] != _MAGIC:
-            raise ValueError("not a grid record")
-        version, ndim = struct.unpack("<BB6x", raw[8:16])
-        if version != 1:
-            raise ValueError(f"unsupported grid record version {version}")
-        if ndim < 1:
-            raise ValueError("grid record has no axes")
-        flat = np.frombuffer(raw[16:], dtype="<f8")
-        head = flat[:ndim]
-        if not (len(head) == ndim and np.all(np.isfinite(head))
-                and np.all(head == np.floor(head)) and np.all(head >= 1)):
-            raise ValueError("grid axis sizes must be finite integers >= 1")
-        sizes = [int(g) for g in head]
-        if len(flat) != ndim + sum(sizes) + prod(sizes):
-            raise ValueError("grid payload length does not match its axis sizes")
-        ends = np.cumsum([ndim] + sizes)
-        axes = tuple(flat[a:b] for a, b in zip(ends, ends[1:]))
-        return cls(axes, flat[ends[-1]:].reshape(tuple(sizes)))
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,15 @@ def _train_kwargs(args):
     return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
 
 
+def _build(cls, raw: dict, what: str):
+    """cls(**raw), or a ValueError naming the keys cls does not take."""
+    accepted = {f.name for f in fields(cls)}
+    unknown = set(raw) - accepted
+    if unknown:
+        raise ValueError(f"unknown {what} keys {sorted(unknown)}; accepted: {sorted(accepted)}")
+    return cls(**raw)
+
+
 def _experiment_config(raw: dict):
     """ExperimentConfig from a JSON-shaped dict (lists, nested arch/train dicts)."""
     from .harness import ExperimentConfig
@@ -30,13 +40,13 @@ def _experiment_config(raw: dict):
 
     raw = dict(raw)
     if raw.get("arch") is not None:
-        raw["arch"] = ArchitectureSpec(**raw["arch"])
+        raw["arch"] = _build(ArchitectureSpec, raw["arch"], "arch")
     if "train" in raw:
-        raw["train"] = TrainConfig(**raw["train"])
+        raw["train"] = _build(TrainConfig, raw["train"], "train")
     for key in ("n_values", "k_values", "seeds", "modes", "data_modes"):
         if key in raw:
             raw[key] = tuple(raw[key])
-    return ExperimentConfig(**raw)
+    return _build(ExperimentConfig, raw, "sweep config")
 
 
 def _sweep(raw: dict, out):
@@ -55,10 +65,7 @@ def cmd_gen_data(args):
     data = sample_visitation(mdp, UniformPolicy(mdp.n_actions), args.n, args.seed)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    if args.format == "csv":
-        data.save_csv(out)
-    else:
-        data.save_binary(out)
+    data.save_csv(out)
     print(f"wrote {data.n} transitions to {out}")
 
 
@@ -196,7 +203,6 @@ def build_parser():
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.add_argument("--format", choices=("csv", "bin"), default="csv")
     p.set_defaults(func=cmd_gen_data)
 
     p = sub.add_parser("run-fqi", help="one value-iteration run with diagnostics")

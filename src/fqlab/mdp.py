@@ -447,37 +447,34 @@ class OfflineDataset:
     def x(self) -> np.ndarray:
         return state_action_inputs(self.states, self.actions)
 
-    def _table(self):
-        return np.concatenate(
-            [self.states, self.actions[:, None], self.next_states, self.rewards[:, None]], axis=1
-        )
+    @staticmethod
+    def _columns(state_dim):
+        axes = range(state_dim)
+        return [f"s{i}" for i in axes] + ["a"] + [f"sp{i}" for i in axes] + ["r"]
 
     def save_csv(self, path):
-        ds = self.state_dim
-        cols = [f"s{i}" for i in range(ds)] + ["a"] + [f"sp{i}" for i in range(ds)] + ["r"]
-        np.savetxt(path, self._table(), delimiter=",", header=",".join(cols), comments="", fmt="%.17g")
-
-    def save_binary(self, path):
-        # flat little-endian float64 rows: s[0..ds), a, s'[0..ds), r
-        Path(path).write_bytes(self._table().astype("<f8").tobytes())
-
-    @classmethod
-    def _from_table(cls, table, state_dim):
-        ds = state_dim
-        return cls(states=table[:, :ds], actions=table[:, ds],
-                   next_states=table[:, ds + 1:2 * ds + 1], rewards=table[:, 2 * ds + 1])
+        table = np.concatenate([self.states, self.actions[:, None], self.next_states,
+                                self.rewards[:, None]], axis=1)
+        np.savetxt(path, table, delimiter=",", header=",".join(self._columns(self.state_dim)),
+                   comments="", fmt="%.17g")
 
     @classmethod
     def load_csv(cls, path):
-        table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        state_dim = (table.shape[1] - 2) // 2
-        return cls._from_table(table, state_dim)
-
-    @classmethod
-    def load_binary(cls, path, state_dim):
-        flat = np.frombuffer(Path(path).read_bytes(), dtype="<f8")
-        width = 2 * state_dim + 2
-        return cls._from_table(flat.reshape(-1, width).astype(float), state_dim)
+        """Read what save_csv writes: the state dimension comes from the
+        header, and any other header, a row of another width or a file with
+        no transitions raises ValueError."""
+        lines = Path(path).read_text().strip().splitlines()
+        header = lines[0].split(",") if lines else []
+        ds = (len(header) - 2) // 2
+        if header != cls._columns(ds):
+            raise ValueError(f"dataset CSV header must read s0..,a,sp0..,r, got {header}")
+        if len(lines) < 2:
+            raise ValueError("dataset CSV holds no transitions")
+        table = np.loadtxt(lines[1:], delimiter=",", ndmin=2)
+        if table.shape[1] != len(header):
+            raise ValueError("dataset CSV rows must be as wide as its header")
+        return cls(states=table[:, :ds], actions=table[:, ds],
+                   next_states=table[:, ds + 1:2 * ds + 1], rewards=table[:, 2 * ds + 1])
 
 
 def sample_visitation(mdp: SyntheticMdp, eta: Policy, n: int, seed: int) -> OfflineDataset:
@@ -672,6 +669,8 @@ _PRESETS = {
         n_actions=int(cfg.get("n_actions", 11)), sigma=float(cfg.get("kernel_sigma", 0.15))),
 }
 _PRESETS["chain"] = _PRESETS["chain5"]
+_CONFIG_KEYS = {"kind", "gamma", "n_states", "n_actions", "noise", "noise_kind", "kernel_sigma",
+                "state_dim", "reward", "alpha", "normalize", "seed"}
 
 
 def mdp_from_config(cfg) -> SyntheticMdp:
@@ -681,7 +680,7 @@ def mdp_from_config(cfg) -> SyntheticMdp:
     Documented keys: kind (preset name; "chain" is an alias of "chain5"),
     gamma, n_states, n_actions, noise, noise_kind, kernel_sigma, state_dim,
     reward, alpha, normalize, seed (accepted, unused: MDP construction is
-    deterministic).
+    deterministic).  Any other key raises ValueError.
     """
     if isinstance(cfg, (str, Path)):
         text = str(cfg)
@@ -692,4 +691,7 @@ def mdp_from_config(cfg) -> SyntheticMdp:
     kind = cfg.get("kind", "chain5")
     if kind not in _PRESETS:
         raise ValueError(f"unknown mdp kind {kind!r}; choose from {sorted(_PRESETS)}")
+    unknown = set(cfg) - _CONFIG_KEYS
+    if unknown:
+        raise ValueError(f"unknown mdp config keys {sorted(unknown)}; accepted: {sorted(_CONFIG_KEYS)}")
     return _PRESETS[kind](cfg)

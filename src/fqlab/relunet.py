@@ -8,13 +8,12 @@ with the constrained function class the rest of the code reasons about.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-_MAGIC = b"FQLNET01"
+_MAGIC = b"FQLNET01\x02"  # the network record's magic, then its version
 
 
 class TrainingDiverged(RuntimeError):
@@ -379,9 +378,10 @@ class ReluNetwork:
 
     def save(self, path):
         """Flat little-endian float64 record behind a 16-byte magic/version
-        header; layer by layer, each layer's weights then its biases."""
-        header = _MAGIC + struct.pack("<BB6x", 1, int(self.output_clamp))
-        chunks = [[self.height, self.width, self.sparsity, self.weight_bound]]
+        header: input_dim, height, width, sparsity, weight_bound, then layer
+        by layer each layer's weights and its biases."""
+        header = _MAGIC + bytes([int(self.output_clamp)]) + bytes(6)
+        chunks = [[self.input_dim, self.height, self.width, self.sparsity, self.weight_bound]]
         for w, b in zip(self.weights, self.biases):
             chunks += [w.ravel(), b]
         Path(path).write_bytes(header + np.concatenate(chunks, dtype="<f8").tobytes())
@@ -389,35 +389,23 @@ class ReluNetwork:
     @classmethod
     def load(cls, path):
         raw = Path(path).read_bytes()
-        if len(raw) < 16 or raw[:8] != _MAGIC:
-            raise ValueError("not a network record")
-        version, clamp = struct.unpack("<BB6x", raw[8:16])
-        if version != 1:
-            raise ValueError(f"unsupported record version {version}")
+        if len(raw) < 16 or raw[:9] != _MAGIC:
+            raise ValueError("not a version-2 network record")
         flat = np.frombuffer(raw[16:], dtype="<f8")
-        if len(flat) < 4:
-            raise ValueError("record header is truncated")
-        sizes = flat[:3]
-        if not (np.all(np.isfinite(sizes)) and np.all(sizes == np.floor(sizes))
-                and np.all(sizes >= 1)):
+        sizes = flat[:4]
+        if len(flat) < 5 or not np.all((sizes >= 1) & (sizes < np.inf) & (sizes == np.floor(sizes))):
             raise ValueError("record sizes must be finite integers >= 1")
-        height, width, sparsity = (int(v) for v in sizes)
-        bound = float(flat[3])
-        rest = flat[4:]
-        # everything but the first layer's weight matrix has a known length;
-        # what is left must fill `rows` rows of at least one input each
-        rows = 1 if height == 1 else width
-        first = len(rest) - rows
-        if height > 1:
-            first -= (height - 2) * (width * width + width) + width + 1
-        if first < rows or first % rows:
-            raise ValueError("record length does not match the declared sizes")
-        dims = _layer_dims(first // rows, height, width)
+        input_dim, height, width, sparsity = (int(v) for v in sizes)
+        if max(input_dim, height, width) > len(flat):  # before anything is sized by them
+            raise ValueError("record shape exceeds the record")
+        dims = _layer_dims(input_dim, height, width)
         # layer by layer: the weight matrix, then the bias
-        ends = np.cumsum([k for i, o in zip(dims, dims[1:]) for k in (o * i, o)])
-        parts = np.split(rest, ends[:-1])
+        lengths = [k for i, o in zip(dims, dims[1:]) for k in (o * i, o)]
+        if 5 + sum(lengths) != len(flat):
+            raise ValueError("record length does not match the declared sizes")
+        parts = np.split(flat[5:], np.cumsum(lengths)[:-1])
         return cls([w.reshape(len(b), -1) for w, b in zip(parts[0::2], parts[1::2])],
-                   parts[1::2], sparsity, bound, bool(clamp))
+                   parts[1::2], sparsity, float(flat[4]), bool(raw[9]))
 
 
 def fit_least_squares(net: ReluNetwork, xs, ys, cfg: TrainConfig) -> ReluNetwork:

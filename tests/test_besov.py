@@ -4,7 +4,6 @@ from math import comb
 
 import numpy as np
 import pytest
-from hypothesis import given
 
 import fqlab
 from fqlab import besov
@@ -337,12 +336,11 @@ class TestImmutability:
         np.testing.assert_array_equal(got.t_values, expected.t_values)
         np.testing.assert_array_equal(got.omega_values, expected.omega_values)
 
-    @pytest.mark.parametrize("fmt", ["binary", "csv"])
-    def test_loaded_grids_round_trip_read_only(self, tmp_path, fmt):
+    def test_loaded_grids_round_trip_read_only(self, tmp_path):
         f = synth_function("piecewise_spiky", 0.5, d=2, seed=1, resolution=17)
-        path = tmp_path / f"f.{fmt}"
-        getattr(f, f"save_{fmt}")(path)
-        back = getattr(FunctionOnGrid, f"load_{fmt}")(path)
+        path = tmp_path / "f.csv"
+        f.save_csv(path)
+        back = FunctionOnGrid.load_csv(path)
         np.testing.assert_array_equal(back.values, f.values)
         for a, b in zip(back.axes, f.axes):
             np.testing.assert_array_equal(a, b)
@@ -358,68 +356,17 @@ class TestImmutability:
 
 class TestGridIO:
     def test_csv_roundtrip(self, tmp_path):
-        f = synth_function("weierstrass", 0.5, resolution=65)
+        # %.17g round-trips every float64, so the CSV is bit-exact
         path = tmp_path / "f.csv"
-        f.save_csv(path)
-        back = FunctionOnGrid.load_csv(path)
-        np.testing.assert_allclose(back.values, f.values, atol=1e-15)
-
-    def test_binary_roundtrip_bit_exact(self, tmp_path):
-        f = synth_function("spline_series", 0.7, seed=2, resolution=65)
-        path = tmp_path / "f.bin"
-        f.save_binary(path)
-        back = FunctionOnGrid.load_binary(path)
-        np.testing.assert_array_equal(back.values, f.values)
-        np.testing.assert_array_equal(back.axes[0], f.axes[0])
-
-    def test_2d_binary_roundtrip(self, tmp_path):
-        f = synth_function("weierstrass", 0.5, d=2, resolution=33)
-        path = tmp_path / "f2.bin"
-        f.save_binary(path)
-        back = FunctionOnGrid.load_binary(path)
-        assert back.values.shape == (33, 33)
-        np.testing.assert_array_equal(back.values, f.values)
-
-    @pytest.mark.parametrize("damage", ["truncated", "padded", "version", "no_axes",
-                                        "nan_size", "fractional_size", "zero_size"])
-    def test_binary_rejects_damaged_record(self, tmp_path, damage):
-        f = synth_function("weierstrass", 0.5, d=2, resolution=9)
-        path = tmp_path / "f.bin"
-        f.save_binary(path)
-        raw = bytearray(path.read_bytes())
-        size = {"nan_size": np.nan, "fractional_size": 8.5, "zero_size": 0.0}
-        if damage == "truncated":
-            raw = raw[:-8]
-        elif damage == "padded":
-            raw += np.zeros(1, dtype="<f8").tobytes()
-        elif damage == "version":
-            raw[8] = 2
-        elif damage == "no_axes":
-            # a single-value payload read as a 0-d grid
-            raw = raw[:9] + bytes([0]) + raw[10:16] + np.ones(1, dtype="<f8").tobytes()
-        else:
-            raw[16:24] = np.array([size[damage]], dtype="<f8").tobytes()
-        path.write_bytes(bytes(raw))
-        with pytest.raises(ValueError):
-            FunctionOnGrid.load_binary(path)
-
-    def test_damaged_record_raises_value_error_or_loads_a_valid_grid(self, tmp_path,
-                                                                     damaged_records):
-        path = tmp_path / "f.bin"
-        synth_function("weierstrass", 0.5, d=2, resolution=5).save_binary(path)
-        raw = path.read_bytes()
-
-        @given(damaged_records(raw))
-        def check(record):
-            path.write_bytes(record)
-            try:
-                back = FunctionOnGrid.load_binary(path)
-            except ValueError:
-                return
-            assert back.values.shape == tuple(len(ax) for ax in back.axes)
-            assert min(back.values.shape) >= 4 and np.all(np.isfinite(back.values))
-
-        check()
+        for f in (synth_function("weierstrass", 0.5, resolution=65),
+                  synth_function("spline_series", 0.7, seed=2, resolution=65),
+                  synth_function("weierstrass", 0.5, d=2, resolution=33)):
+            f.save_csv(path)
+            back = FunctionOnGrid.load_csv(path)
+            np.testing.assert_array_equal(back.values, f.values)
+            assert len(back.axes) == f.ndim
+            for a, b in zip(back.axes, f.axes):
+                np.testing.assert_array_equal(a, b)
 
 
 class TestDynamicClosure:

@@ -15,13 +15,6 @@ class TestGenData:
         data = fqlab.OfflineDataset.load_csv(out)
         assert data.n == 100
 
-    def test_binary_output(self, tmp_path):
-        out = tmp_path / "data.bin"
-        main(["gen-data", "--mdp", "chain5", "--n", "64", "--seed", "4",
-              "--out", str(out), "--format", "bin"])
-        data = fqlab.OfflineDataset.load_binary(out, state_dim=1)
-        assert data.n == 64
-
 
 class TestRunFqi:
     def test_emits_trace_result_and_network(self, tmp_path):
@@ -117,6 +110,19 @@ class TestReportCommand:
         assert (out / "report.csv").exists()
         payload = json.loads((out / "report.json").read_text())
         assert payload["audit"]["violation_count"] == 0
+
+    @pytest.mark.parametrize("section,key", [(None, "ope_return"), ("train", "epoch"),
+                                             ("arch", "depth")])
+    def test_unknown_config_key_rejected(self, tmp_path, section, key):
+        cfg = {"mdp": "chain5", "n_values": [256], "k_values": [2], "seeds": [0],
+               "arch": {"height": 2, "width": 8, "sparsity": 1000000, "weight_bound": 8.0},
+               "train": {"epochs": 2}}
+        (cfg if section is None else cfg[section])[key] = 1
+        cfg_path = tmp_path / "sweep.json"
+        cfg_path.write_text(json.dumps(cfg))
+        with pytest.raises(ValueError, match=f"unknown .*'{key}'.*accepted"):
+            main(["report", "--config", str(cfg_path), "--out", str(tmp_path / "rep")])
+        assert not (tmp_path / "rep").exists()
 
 
 class TestMeasureRates:

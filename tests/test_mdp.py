@@ -1,5 +1,9 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.stats import chi2
 
 import fqlab
@@ -85,24 +89,87 @@ class TestRewards:
         assert abs((r - mean).mean()) < 3 * r.std() / np.sqrt(len(r))
 
 
+_HEADER_NAMES = ["s0", "s1", "s2", "a", "sp0", "sp1", "sp2", "r", "x", ""]
+
+
+def _damaged_csv(text):
+    """A strategy for the dataset CSV text truncated at any byte, with one
+    column dropped or one added, or with one header name changed."""
+    rows = [line.split(",") for line in text.splitlines()]
+
+    def join(table):
+        return "\n".join(",".join(row) for row in table) + "\n"
+
+    def drop(j):
+        return join([row[:j] + row[j + 1:] for row in rows])
+
+    def add(j, name):
+        return join([row[:j] + [name if i == 0 else "0.5"] + row[j:] for i, row in enumerate(rows)])
+
+    def rename(j, name):
+        return join([rows[0][:j] + [name] + rows[0][j + 1:]] + rows[1:])
+
+    width = len(rows[0])
+    return st.one_of(
+        st.integers(0, len(text) - 1).map(lambda k: text[:k]),
+        st.integers(0, width - 1).map(drop),
+        st.builds(add, st.integers(0, width), st.sampled_from(_HEADER_NAMES)),
+        st.builds(rename, st.integers(0, width - 1), st.sampled_from(_HEADER_NAMES)))
+
+
+def _dataset(kind, n, seed):
+    mdp = fqlab.mdp_from_config(kind)
+    return fqlab.sample_visitation(mdp, UniformPolicy(mdp.n_actions), n, seed)
+
+
 class TestDatasetIO:
-    def test_csv_roundtrip(self, chain_mdp, uniform_pi, tmp_path):
-        data = fqlab.sample_visitation(chain_mdp, uniform_pi, 50, seed=1)
+    def test_csv_roundtrip(self, tmp_path):
+        # %.17g round-trips every float64, so the CSV is bit-exact
+        path = tmp_path / "d.csv"
+        for kind in ("chain5", {"kind": "gaussian", "state_dim": 2}, "single_state"):
+            data = _dataset(kind, 300, seed=1)
+            data.save_csv(path)
+            back = fqlab.OfflineDataset.load_csv(path)
+            assert back.state_dim == data.state_dim
+            for field in ("states", "actions", "next_states", "rewards"):
+                np.testing.assert_array_equal(getattr(back, field), getattr(data, field))
+
+    @pytest.mark.parametrize("damage", ["no_reward_column", "extra_column", "renamed_column",
+                                        "header_only", "empty"])
+    def test_csv_rejects_a_table_unlike_its_header(self, tmp_path, damage):
+        path = tmp_path / "d.csv"
+        _dataset("chain5", 6, seed=2).save_csv(path)
+        rows = [line.split(",") for line in path.read_text().splitlines()]
+        if damage == "no_reward_column":  # a column count alone reads this as 0-d
+            rows = [row[:-1] for row in rows]
+        elif damage == "extra_column":
+            rows = [row + ["0.5"] for row in rows]
+        elif damage == "renamed_column":
+            rows[0][1] = "action"
+        else:
+            rows = rows[:1] if damage == "header_only" else []
+        path.write_text("".join(",".join(row) + "\n" for row in rows))
+        with pytest.raises(ValueError):
+            fqlab.OfflineDataset.load_csv(path)
+
+    @pytest.mark.parametrize("kind", ["chain5", "gaussian2d"])
+    def test_damaged_csv_raises_value_error_or_keeps_state_dim(self, tmp_path, kind):
+        cfg = {"kind": "gaussian", "state_dim": 2} if kind == "gaussian2d" else kind
+        data = _dataset(cfg, 5, seed=3)
         path = tmp_path / "d.csv"
         data.save_csv(path)
-        back = fqlab.OfflineDataset.load_csv(path)
-        np.testing.assert_allclose(back.states, data.states)
-        np.testing.assert_allclose(back.rewards, data.rewards)
+        text = path.read_text()
 
-    def test_binary_roundtrip_bit_exact(self, chain_mdp, uniform_pi, tmp_path):
-        data = fqlab.sample_visitation(chain_mdp, uniform_pi, 50, seed=2)
-        path = tmp_path / "d.bin"
-        data.save_binary(path)
-        back = fqlab.OfflineDataset.load_binary(path, state_dim=1)
-        np.testing.assert_array_equal(back.states, data.states)
-        np.testing.assert_array_equal(back.actions, data.actions)
-        np.testing.assert_array_equal(back.next_states, data.next_states)
-        np.testing.assert_array_equal(back.rewards, data.rewards)
+        @given(_damaged_csv(text))
+        def check(record):
+            path.write_text(record)
+            try:
+                back = fqlab.OfflineDataset.load_csv(path)
+            except ValueError:
+                return
+            assert back.state_dim == data.state_dim
+
+        check()
 
     def test_invariants(self):
         with pytest.raises(ValueError):
@@ -153,6 +220,16 @@ class TestConfigLoading:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             fqlab.mdp_from_config({"kind": "nope"})
+
+    @pytest.mark.parametrize("cfg,key", [({"kind": "chain5", "gama": 0.5}, "gama"),
+                                         ({"kind": "gaussian", "sigma": 0.5}, "sigma")])
+    def test_unknown_key_rejected(self, tmp_path, cfg, key):
+        # a misspelt key must not leave the preset default in place unannounced
+        path = tmp_path / "mdp.json"
+        path.write_text(json.dumps(cfg))
+        for source in (cfg, path):
+            with pytest.raises(ValueError, match=f"'{key}'.*accepted.*kernel_sigma"):
+                fqlab.mdp_from_config(source)
 
     def test_unknown_name_that_is_no_file(self, tmp_path):
         with pytest.raises(ValueError, match="unknown mdp kind"):

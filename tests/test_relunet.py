@@ -520,14 +520,18 @@ class TestSerialization:
         net.save(path)
         raw = path.read_bytes()
         # drop the 4x2 first-layer weights that follow the 16-byte magic and
-        # the 4-value size header
-        path.write_bytes(raw[:16 + 4 * 8] + raw[16 + 12 * 8:])
+        # the 5-value size header
+        path.write_bytes(raw[:16 + 5 * 8] + raw[16 + 13 * 8:])
         with pytest.raises(ValueError):
             ReluNetwork.load(path)
 
+    # slots: input_dim, height, width, sparsity, weight_bound; a shape size
+    # larger than the record is rejected before anything is sized by it
     @pytest.mark.parametrize("slot,value", [(0, 0.0), (0, 2.5), (0, np.nan), (1, 0.0),
                                             (1, np.inf), (2, -1.0), (2, np.inf),
-                                            (3, -1.0), (3, 0.0), (3, np.nan)])
+                                            (3, -1.0), (3, 0.0), (3, np.nan), (4, -1.0),
+                                            (4, 0.0), (4, np.nan), (0, 1e300), (1, 1e15),
+                                            (2, 1e15), (0, 3.0)])
     def test_rejects_bad_header_sizes(self, tmp_path, slot, value):
         rng = np.random.default_rng(6)
         path = tmp_path / "net.bin"
@@ -544,12 +548,32 @@ class TestSerialization:
         with pytest.raises(ValueError):
             ReluNetwork.load(path)
 
+    def test_record_layout(self, tmp_path):
+        # version 2 in byte 8, the output clamp in byte 9, then the sizes
+        net = random_net(np.random.default_rng(7), input_dim=3, height=2, width=4, clamp=True)
+        path = tmp_path / "net.bin"
+        net.save(path)
+        raw = path.read_bytes()
+        assert raw[:10] == b"FQLNET01" + bytes([2, 1])
+        head = np.frombuffer(raw[16:56], dtype="<f8")
+        np.testing.assert_array_equal(head, [3, 2, 4, net.sparsity, net.weight_bound])
+        assert len(raw) == 56 + 8 * net.n_params()
+
+    def test_rejects_version_1_record(self, tmp_path):
+        # version 1 had no input_dim; a v1 record must not load by guessing it
+        net = random_net(np.random.default_rng(9), input_dim=2, height=2, width=3)
+        path = tmp_path / "net.bin"
+        net.save(path)
+        raw = bytearray(path.read_bytes())
+        raw[8] = 1
+        path.write_bytes(bytes(raw[:16] + raw[24:]))  # the v1 layout: input_dim dropped
+        with pytest.raises(ValueError):
+            ReluNetwork.load(path)
+
     def test_damaged_record_raises_value_error_or_loads_a_valid_net(self, tmp_path,
                                                                     damaged_records):
-        # FQLNET01 does not store the input dimension, so a record cut or
-        # padded by whole first-layer rows can load as a net of another shape;
-        # the property asks only that what loads meets the constructor's rules
-        # (layer shapes that chain hold by construction)
+        # a damaged record either fails to load or keeps the saved
+        # (input_dim, height, width); what loads meets the constructor's rules
         path = tmp_path / "net.bin"
         random_net(np.random.default_rng(8), input_dim=2, height=2, width=3).save(path)
         raw = path.read_bytes()
@@ -562,6 +586,7 @@ class TestSerialization:
                 back = ReluNetwork.load(path)
             except ValueError:
                 return
+            assert (back.input_dim, back.height, back.width) == (2, 2, 3)
             assert back.sparsity >= 1 and back.weight_bound > 0
             assert np.all(np.isfinite(back.params))
 
