@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import comb
+from pathlib import Path
 
 import numpy as np
 
@@ -60,11 +61,26 @@ class FunctionOnGrid:
 
     @classmethod
     def load_csv(cls, path):
-        table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        d = table.shape[1] - 1
-        axes = tuple(np.unique(table[:, k]) for k in range(d))
+        """Read what save_csv writes, in any row order: each row is placed by
+        its coordinates.  Any header but x0..,value, a row of another width or
+        a table that does not hold every node of a grid over [0,1]^d once
+        raises ValueError."""
+        lines = Path(path).read_text().strip().splitlines()
+        header = lines[0].split(",") if lines else []
+        d = len(header) - 1
+        if d < 1 or header != [f"x{i}" for i in range(d)] + ["value"] or len(lines) < 2:
+            raise ValueError(f"grid CSV needs the header x0..,value and rows of values, got {header}")
+        table = np.loadtxt(lines[1:], delimiter=",", ndmin=2)
+        if table.shape[1] != d + 1:
+            raise ValueError("grid CSV rows must be as wide as its header")
+        coords = table[:, :d].T
+        axes = tuple(np.unique(col) for col in coords)
         shape = tuple(len(a) for a in axes)
-        return cls(axes, table[:, -1].reshape(shape))
+        cells = np.ravel_multi_index([np.searchsorted(a, col) for a, col in zip(axes, coords)], shape)
+        spans = all(a[0] == 0.0 and a[-1] == 1.0 for a in axes)
+        if not spans or len(cells) != np.prod(shape) or len(np.unique(cells)) != len(cells):
+            raise ValueError("grid CSV must hold every node of a grid over [0,1]^d exactly once")
+        return cls(axes, table[np.argsort(cells), -1].reshape(shape))
 
 
 @dataclass(frozen=True)

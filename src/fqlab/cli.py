@@ -14,10 +14,6 @@ def _load_json(path):
     return json.loads(Path(path).read_text())
 
 
-def _float(text):
-    return float("inf") if text in ("inf", "infinity") else float(text)
-
-
 def _train_kwargs(args):
     """TrainConfig fields given on the command line."""
     names = ("epochs", "restarts", "learning_rate")
@@ -76,7 +72,7 @@ def cmd_run_fqi(args):
     cfg = _experiment_config({
         "mdp": args.mdp, "n_values": [args.n], "k_values": [args.K], "seeds": [args.seed],
         "modes": [args.mode], "data_modes": [args.data_mode], "alpha": args.alpha,
-        "p": _float(args.p), "train": _train_kwargs(args)})
+        "p": args.p, "train": _train_kwargs(args)})
     setup = sweep_setup(cfg)
     (cell,) = cfg.cells()
     rec = CellRecord(*cell, kappa_hat=setup.kappa_hat)
@@ -106,7 +102,7 @@ def cmd_measure_rates(args):
         "mdp": args.mdp, "n_values": args.n_values, "k_values": [args.K],
         "seeds": range(args.seeds), "modes": [args.mode], "data_modes": ["reuse"],
         "arch": _load_json(args.arch) if args.arch is not None else None,
-        "alpha": args.alpha, "p": _float(args.p), "train": _train_kwargs(args),
+        "alpha": args.alpha, "p": args.p, "train": _train_kwargs(args),
         "jobs": args.jobs}, args.out)
     for fit in report.rate_fits:
         print(f"{fit.mode}/{fit.data_mode}/K={fit.K}: slope={fit.slope:.3f} "
@@ -123,8 +119,8 @@ def cmd_analyze_smoothness(args):
         f = FunctionOnGrid.load_csv(args.input)
     else:
         f = synth_function(args.kind, args.alpha, d=args.d, seed=args.seed)
-    est = estimate_smoothness_exponent(f, args.r, _float(args.p))
-    params = BesovParams(alpha=args.alpha, p=_float(args.p), q=_float(args.q))
+    est = estimate_smoothness_exponent(f, args.r, args.p)
+    params = BesovParams(alpha=args.alpha, p=args.p, q=args.q)
     semi = besov_seminorm(f, params)
     payload = {
         "kind": args.kind if not args.input else "file",
@@ -188,7 +184,7 @@ def _add_cell_flags(p):
     p.add_argument("--mdp", default="chain5", help="preset name or JSON config path")
     p.add_argument("--mode", choices=("ope", "opl"), default="ope")
     p.add_argument("--alpha", type=float, default=2.0)
-    p.add_argument("--p", default="inf")
+    p.add_argument("--p", type=float, default=np.inf)
     p.add_argument("--epochs", type=int)
     p.add_argument("--restarts", type=int)
     p.add_argument("--learning-rate", type=float)
@@ -231,8 +227,8 @@ def build_parser():
     p.add_argument("--alpha", type=float, default=0.5)
     p.add_argument("--d", type=int, default=1)
     p.add_argument("--r", type=int, default=1)
-    p.add_argument("--p", default="inf")
-    p.add_argument("--q", default="inf")
+    p.add_argument("--p", type=float, default=np.inf)
+    p.add_argument("--q", type=float, default=np.inf)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(func=cmd_analyze_smoothness)

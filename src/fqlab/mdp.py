@@ -7,7 +7,7 @@ the full input space is the unit cube of dimension state_dim + 1.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -15,12 +15,6 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from .besov import _weierstrass_axis
-
-_SQRT_2PI = np.sqrt(2.0 * np.pi)
-
-
-def _norm_pdf(z):
-    return np.exp(-0.5 * z * z) / _SQRT_2PI
 
 
 def pair_with_actions(states: np.ndarray, action_grid: np.ndarray):
@@ -68,45 +62,34 @@ class DenseNextOp:
 
 
 class SeparableNextOp:
-    """Axis-factorized next-state operator for product kernels on [0,1]^2.
+    """Axis-factorized next-state operator for product kernels on [0,1]^2
+    whose axis-k mean depends only on s_k and the action.
 
-    When each axis's mean depends only on that axis's coordinate and the
-    action, m0 is (G0, A, G0) and m1 (G1, A, G1), and push/expect contract one
-    state axis at a time; otherwise both hold one row per (node, action),
-    (G0*G1*A, G_axis), and each call is one joint GEMM.
+    m0[i0, a, j0] and m1[i1, a, j1] are the per-axis transition rows, (G0, A,
+    G0) and (G1, A, G1); push and expect contract one state axis at a time.
     """
 
-    def __init__(self, m0: np.ndarray, m1: np.ndarray, grid_shape, n_actions: int):
-        self.m0 = m0
-        self.m1 = m1
-        self.grid_shape = tuple(grid_shape)
-        self.n_actions = n_actions
+    def __init__(self, m0: np.ndarray, m1: np.ndarray):
+        self.m0, self.m1 = m0, m1
+        self.grid_shape = (len(m0), len(m1))
+        self.n_actions = m0.shape[1]
 
     def expect(self, g: np.ndarray) -> np.ndarray:
+        # u[i0, a, j1] = sum_j0 m0[i0, a, j0] g[j0, j1], then per action
+        # vals[a, i0, i1] = sum_j1 u[i0, a, j1] m1[i1, a, j1]
         (g0, g1), n_act = self.grid_shape, self.n_actions
         g2 = np.asarray(g, dtype=float).reshape(self.grid_shape)
-        if self.m0.ndim == 3:
-            # u[i0, a, j1] = sum_j0 m0[i0, a, j0] g[j0, j1], then per action
-            # vals[a, i0, i1] = sum_j1 u[i0, a, j1] m1[i1, a, j1]
-            u = (self.m0.reshape(-1, g0) @ g2).reshape(g0, n_act, g1)
-            vals = np.matmul(u.transpose(1, 0, 2), self.m1.transpose(1, 2, 0))
-            return vals.transpose(1, 2, 0).reshape(g0 * g1, n_act)
-        u = self.m1 @ g2.T  # (X, G0)
-        vals = np.einsum("xk,xk->x", self.m0, u)
-        return vals.reshape(g0 * g1, n_act)
+        u = (self.m0.reshape(-1, g0) @ g2).reshape(g0, n_act, g1)
+        vals = np.matmul(u.transpose(1, 0, 2), self.m1.transpose(1, 2, 0))
+        return vals.transpose(1, 2, 0).reshape(g0 * g1, n_act)
 
     def push(self, occupancy: np.ndarray) -> np.ndarray:
-        if self.m0.ndim == 3:
-            # per action t[a, i0, j1] = sum_i1 occ[i0, i1, a] m1[i1, a, j1],
-            # then out[j0, j1] = sum_(i0, a) m0[i0, a, j0] t[a, i0, j1]
-            g0, g1 = self.grid_shape
-            occ = occupancy.reshape(g0, g1, self.n_actions).transpose(2, 0, 1)
-            t = np.matmul(occ, self.m1.transpose(1, 0, 2)).transpose(1, 0, 2)
-            return (self.m0.reshape(-1, g0).T @ t.reshape(-1, g1)).ravel()
-        # out[i, j] = sum_x occ[x] m0[x, i] m1[x, j] as one GEMM; m0.T is a
-        # view, so the only temporary is the occupancy-scaled (G0, X) factor
-        occ = occupancy.ravel()
-        return ((self.m0.T * occ) @ self.m1).ravel()
+        # per action t[a, i0, j1] = sum_i1 occ[i0, i1, a] m1[i1, a, j1],
+        # then out[j0, j1] = sum_(i0, a) m0[i0, a, j0] t[a, i0, j1]
+        g0, g1 = self.grid_shape
+        occ = occupancy.reshape(g0, g1, self.n_actions).transpose(2, 0, 1)
+        t = np.matmul(occ, self.m1.transpose(1, 0, 2)).transpose(1, 0, 2)
+        return (self.m0.reshape(-1, g0).T @ t.reshape(-1, g1)).ravel()
 
 
 class FiniteChainKernel:
@@ -136,8 +119,7 @@ class FiniteChainKernel:
         return (1.0 - a)[..., None, None] * self.m_left + a[..., None, None] * self.m_right
 
     def node_index(self, states: np.ndarray) -> np.ndarray:
-        idx = np.argmin(np.abs(states[:, 0][:, None] - self.nodes[None, :]), axis=1)
-        return idx
+        return np.argmin(np.abs(states[:, 0][:, None] - self.nodes[None, :]), axis=1)
 
     def sample(self, rng: np.random.Generator, states: np.ndarray, action_values: np.ndarray) -> np.ndarray:
         mats = self.matrix(action_values)  # (B, S, S)
@@ -168,11 +150,12 @@ class SingleStateKernel:
 
 
 class TruncatedGaussianKernel:
-    """Truncated-Gaussian transition density on [0,1]^state_dim.
+    """Truncated-Gaussian transition kernel on [0,1]^state_dim.
 
-    Per axis, s' ~ N(mean_fn(s,a), sigma^2) renormalized to [0,1]; the
-    density is evaluated with the Gaussian pdf and node-cell masses with the
-    Gaussian cdf, so tabulated transition rows sum to one exactly.
+    Per axis, s' ~ N(mean_fn(s,a), sigma^2) renormalized to [0,1]; node-cell
+    masses come from the Gaussian cdf, so tabulated transition rows sum to one
+    exactly.  On a 2-d grid the axis-k mean may depend only on s_k and the
+    action; node_transition rejects means that couple the axes.
     """
 
     is_finite = False
@@ -224,28 +207,16 @@ class TruncatedGaussianKernel:
             ax0, ax1 = state_axes
             shape = (len(ax0), len(ax1), len(action_grid))
             nodes = np.stack(np.meshgrid(ax0, ax1, indexing="ij"), axis=-1).reshape(-1, 2)
-            m = self._means(*pair_with_actions(nodes, action_grid))
-            c = m.reshape(*shape, 2)
-            if (c[..., 0] == c[:, :1, :, 0]).all() and (c[..., 1] == c[:1, :, :, 1]).all():
-                # axis-local means: tabulate only the G0*A and G1*A distinct rows
-                m0 = self._axis_masses(c[:, 0, :, 0].ravel(), self.sigma[0], ax0)
-                m1 = self._axis_masses(c[0, :, :, 1].ravel(), self.sigma[1], ax1)
-                m0, m1 = m0.reshape(shape[0], shape[2], -1), m1.reshape(shape[1], shape[2], -1)
-            else:
-                m0 = self._axis_masses(m[:, 0], self.sigma[0], ax0)
-                m1 = self._axis_masses(m[:, 1], self.sigma[1], ax1)
-            return SeparableNextOp(m0, m1, shape[:2], shape[2])
+            c = self._means(*pair_with_actions(nodes, action_grid)).reshape(*shape, 2)
+            if not ((c[..., 0] == c[:, :1, :, 0]).all() and (c[..., 1] == c[:1, :, :, 1]).all()):
+                raise ValueError("2-d means must be axis-local: the axis-k mean may "
+                                 "depend only on s_k and the action")
+            # tabulate only the G0*A and G1*A distinct rows
+            m0 = self._axis_masses(c[:, 0, :, 0].ravel(), self.sigma[0], ax0)
+            m1 = self._axis_masses(c[0, :, :, 1].ravel(), self.sigma[1], ax1)
+            return SeparableNextOp(m0.reshape(shape[0], shape[2], -1),
+                                   m1.reshape(shape[1], shape[2], -1))
         raise ValueError("tabulated transitions support state_dim <= 2 only")
-
-    def density(self, states, action_values, next_states):
-        m = self._means(states, action_values)
-        out = np.ones(len(m))
-        for k in range(self.state_dim):
-            lo = ndtr((0.0 - m[:, k]) / self.sigma[k])
-            hi = ndtr((1.0 - m[:, k]) / self.sigma[k])
-            z = (next_states[:, k] - m[:, k]) / self.sigma[k]
-            out *= _norm_pdf(z) / (self.sigma[k] * (hi - lo))
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -263,18 +234,14 @@ class PointInit:
 
 
 class FiniteInit:
-    """Distribution over a finite node set; uniform unless probs are given."""
+    """Uniform distribution over a finite node set."""
 
-    def __init__(self, nodes, probs=None):
+    def __init__(self, nodes):
         self.nodes = np.asarray(nodes, dtype=float)
-        if probs is None:
-            probs = np.full(len(self.nodes), 1.0 / len(self.nodes))
-        self.probs = np.asarray(probs, dtype=float)
-        if np.any(self.probs < 0) or not np.isclose(self.probs.sum(), 1.0):
-            raise ValueError("probs must be a probability vector")
+        self.probs = np.full(len(self.nodes), 1.0 / len(self.nodes))
 
     def sample(self, rng, n):
-        idx = rng.choice(len(self.nodes), size=n, p=self.probs)
+        idx = rng.choice(len(self.nodes), size=n, p=self.probs)  # p= fixes the seeded draws
         return self.nodes[idx][:, None]
 
     def mass_on_nodes(self, nodes, node_weights):
@@ -358,7 +325,7 @@ class GreedyPolicy(Policy):
 
 @dataclass
 class SyntheticMdp:
-    """Continuous-state MDP with analytically evaluable transition density.
+    """Continuous-state MDP with an analytically tabulated transition kernel.
 
     reward_mean maps (states, action_values) to means in [0,1].  With
     noise_kind "uniform", realized rewards add uniform noise of half-width
@@ -374,7 +341,6 @@ class SyntheticMdp:
     kernel: object
     init_dist: object
     action_grid: np.ndarray
-    name: str = "mdp"
     noise_kind: str = "uniform"
 
     def __post_init__(self):
@@ -530,17 +496,16 @@ def make_single_state_mdp(gamma=0.5, reward=0.5, n_actions=2, noise=0.0) -> Synt
         state_dim=0, gamma=gamma,
         reward_mean=lambda s, a: np.full(len(a), r),
         reward_noise=noise, kernel=SingleStateKernel(), init_dist=PointInit(),
-        action_grid=np.linspace(0.0, 1.0, n_actions), name="single_state",
+        action_grid=np.linspace(0.0, 1.0, n_actions),
     )
 
 
-def make_finite_mdp(matrix, node_rewards, gamma, n_actions=2, noise=0.0,
-                    m_right=None) -> SyntheticMdp:
-    """Finite chain with action-independent rewards given per node."""
+def make_finite_mdp(matrix, node_rewards, gamma, n_actions=2, noise=0.0) -> SyntheticMdp:
+    """Finite chain with action-independent transitions and rewards given per node."""
     matrix = np.asarray(matrix, dtype=float)
     node_rewards = np.asarray(node_rewards, dtype=float)
     nodes = np.linspace(0.0, 1.0, len(node_rewards)) if len(node_rewards) > 1 else np.array([0.5])
-    kernel = FiniteChainKernel(nodes, matrix, m_right)
+    kernel = FiniteChainKernel(nodes, matrix)
 
     def reward(states, actions):
         return node_rewards[kernel.node_index(states)]
@@ -548,7 +513,7 @@ def make_finite_mdp(matrix, node_rewards, gamma, n_actions=2, noise=0.0,
     return SyntheticMdp(
         state_dim=1, gamma=gamma, reward_mean=reward, reward_noise=noise,
         kernel=kernel, init_dist=FiniteInit(nodes),
-        action_grid=np.linspace(0.0, 1.0, n_actions), name="finite",
+        action_grid=np.linspace(0.0, 1.0, n_actions),
     )
 
 
@@ -565,40 +530,38 @@ def _drift_matrices(n_states):
     return build(0.6, 0.3, 0.1), build(0.1, 0.3, 0.6)
 
 
-def make_chain_mdp(n_states=5, gamma=0.9, n_actions=11, noise=0.1, normalize=True,
+def make_chain_mdp(n_states=5, gamma=0.9, n_actions=11, noise=0.1,
                    noise_kind="uniform") -> SyntheticMdp:
     """Chain of node states with action-controlled drift.
 
-    With normalize=True the mean reward is scaled by (1 - gamma) so value
-    functions land in [0,1] and the unit-ball network class is a valid
-    hypothesis space.
+    The mean reward is scaled by (1 - gamma) so value functions land in [0,1],
+    where the clamped network class can represent them.
     """
     nodes = np.linspace(0.0, 1.0, n_states)
     m_left, m_right = _drift_matrices(n_states)
     kernel = FiniteChainKernel(nodes, m_left, m_right)
-    scale = (1.0 - gamma) if normalize else 1.0
 
     def reward(states, actions):
         base = 0.25 + 0.5 * states[:, 0] + 0.25 * np.sin(np.pi * np.asarray(actions))
-        return scale * base
+        return (1.0 - gamma) * base
 
     return SyntheticMdp(
         state_dim=1, gamma=gamma, reward_mean=reward, reward_noise=noise,
         kernel=kernel, init_dist=FiniteInit(nodes),
-        action_grid=np.linspace(0.0, 1.0, n_actions), name=f"chain{n_states}",
-        noise_kind=noise_kind,
+        action_grid=np.linspace(0.0, 1.0, n_actions), noise_kind=noise_kind,
     )
 
 
-def make_gaussian_mdp(gamma=0.9, sigma=0.15, n_actions=11, noise=0.05, normalize=True,
+def make_gaussian_mdp(gamma=0.9, sigma=0.15, n_actions=11, noise=0.05,
                       state_dim=1) -> SyntheticMdp:
     """Smooth MDP: truncated-Gaussian transitions, analytic reward surface.
 
+    The mean reward is scaled by (1 - gamma) so value functions land in [0,1].
     With state_dim = 2 the kernel is an axis-separable product of truncated
     Gaussians: the action drifts the first axis and the second contracts on
     its own.  Each axis's mean depends only on that axis's coordinate and the
-    action, so the grid oracle's SeparableNextOp contracts one axis at a time;
-    a mean that coupled the axes would fall back to the joint GEMM.
+    action, as TruncatedGaussianKernel requires on a 2-d grid, so the grid
+    oracle's SeparableNextOp contracts one axis at a time.
     """
     if state_dim == 1:
         def mean_fn(s, a):
@@ -610,32 +573,31 @@ def make_gaussian_mdp(gamma=0.9, sigma=0.15, n_actions=11, noise=0.05, normalize
     else:
         raise ValueError("gaussian MDPs support state_dim in {1, 2}")
     kernel = TruncatedGaussianKernel(mean_fn=mean_fn, sigma=sigma, state_dim=state_dim)
-    scale = (1.0 - gamma) if normalize else 1.0
 
     def reward(states, actions):
         base = 0.5 + 0.4 * np.sin(np.pi * states[:, 0]) * np.cos(0.5 * np.pi * np.asarray(actions))
         if state_dim == 2:
             base = 0.5 + (base - 0.5) * np.cos(0.5 * np.pi * states[:, 1])
-        return scale * base
+        return (1.0 - gamma) * base
 
     return SyntheticMdp(
         state_dim=state_dim, gamma=gamma, reward_mean=reward, reward_noise=noise,
         kernel=kernel, init_dist=UniformInit(state_dim),
-        action_grid=np.linspace(0.0, 1.0, n_actions), name=f"gaussian{state_dim}d",
+        action_grid=np.linspace(0.0, 1.0, n_actions),
     )
 
 
-def make_rough_reward_mdp(alpha=0.5, gamma=0.0, n_actions=11, sigma=0.15, terms=26) -> SyntheticMdp:
+def make_rough_reward_mdp(alpha=0.5, gamma=0.0, n_actions=11, sigma=0.15) -> SyntheticMdp:
     """MDP whose mean reward is a lacunar cosine series of prescribed roughness.
 
     Used to probe how much smoothness the Bellman image inherits from the
     reward; at gamma = 0 the Bellman image IS the reward.
     """
-    w = _weierstrass_axis(np.linspace(0.0, 1.0, 4097), alpha, terms)
+    w = _weierstrass_axis(np.linspace(0.0, 1.0, 4097), alpha)
     w_lo, w_hi = w.min(), w.max()
 
     def reward(states, actions):
-        v = _weierstrass_axis(states[:, 0], alpha, terms)
+        v = _weierstrass_axis(states[:, 0], alpha)
         # range normalized on a finite grid; clip the off-grid overshoot
         return np.clip((v - w_lo) / (w_hi - w_lo), 0.0, 1.0)
 
@@ -643,44 +605,32 @@ def make_rough_reward_mdp(alpha=0.5, gamma=0.0, n_actions=11, sigma=0.15, terms=
     return SyntheticMdp(
         state_dim=1, gamma=gamma, reward_mean=reward, reward_noise=0.0,
         kernel=kernel, init_dist=UniformInit(1),
-        action_grid=np.linspace(0.0, 1.0, n_actions), name="rough_reward",
+        action_grid=np.linspace(0.0, 1.0, n_actions),
     )
 
 
+# kind: (factory, the config keys it takes, fixed arguments).  Defaults live
+# in the factory signatures; kernel_sigma is passed as sigma.
 _PRESETS = {
-    "chain5": lambda cfg: make_chain_mdp(
-        n_states=int(cfg.get("n_states", 5)), gamma=float(cfg.get("gamma", 0.9)),
-        n_actions=int(cfg.get("n_actions", 11)), noise=float(cfg.get("noise", 0.1)),
-        normalize=bool(cfg.get("normalize", True)),
-        noise_kind=str(cfg.get("noise_kind", "uniform"))),
-    # Bernoulli rewards have no noise width, so a "noise" key is ignored
-    "chain5_bernoulli": lambda cfg: _PRESETS["chain5"](
-        {**cfg, "noise": 0.1, "noise_kind": "bernoulli"}),
-    "gaussian": lambda cfg: make_gaussian_mdp(
-        gamma=float(cfg.get("gamma", 0.9)), sigma=float(cfg.get("kernel_sigma", 0.15)),
-        n_actions=int(cfg.get("n_actions", 11)), noise=float(cfg.get("noise", 0.05)),
-        normalize=bool(cfg.get("normalize", True)),
-        state_dim=int(cfg.get("state_dim", 1))),
-    "single_state": lambda cfg: make_single_state_mdp(
-        gamma=float(cfg.get("gamma", 0.5)), reward=float(cfg.get("reward", 0.5)),
-        n_actions=int(cfg.get("n_actions", 2)), noise=float(cfg.get("noise", 0.0))),
-    "rough_reward": lambda cfg: make_rough_reward_mdp(
-        alpha=float(cfg.get("alpha", 0.5)), gamma=float(cfg.get("gamma", 0.0)),
-        n_actions=int(cfg.get("n_actions", 11)), sigma=float(cfg.get("kernel_sigma", 0.15))),
+    "chain5": (make_chain_mdp, ("gamma", "n_states", "n_actions", "noise"), {}),
+    # Bernoulli rewards have no noise width, so the kind takes no noise key
+    "chain5_bernoulli": (make_chain_mdp, ("gamma", "n_states", "n_actions"),
+                         {"noise_kind": "bernoulli"}),
+    "gaussian": (make_gaussian_mdp, ("gamma", "kernel_sigma", "n_actions", "noise", "state_dim"), {}),
+    "single_state": (make_single_state_mdp, ("gamma", "reward", "n_actions", "noise"), {}),
+    "rough_reward": (make_rough_reward_mdp, ("alpha", "gamma", "n_actions", "kernel_sigma"), {}),
 }
 _PRESETS["chain"] = _PRESETS["chain5"]
-_CONFIG_KEYS = {"kind", "gamma", "n_states", "n_actions", "noise", "noise_kind", "kernel_sigma",
-                "state_dim", "reward", "alpha", "normalize", "seed"}
+_INT_KEYS = {"n_states", "n_actions", "state_dim"}
 
 
 def mdp_from_config(cfg) -> SyntheticMdp:
     """Build an MDP from a config dict, JSON file path, or preset name; a
     string that is neither raises ValueError as an unknown kind.
 
-    Documented keys: kind (preset name; "chain" is an alias of "chain5"),
-    gamma, n_states, n_actions, noise, noise_kind, kernel_sigma, state_dim,
-    reward, alpha, normalize, seed (accepted, unused: MDP construction is
-    deterministic).  Any other key raises ValueError.
+    A config holds kind (preset name, default chain5; "chain" is an alias of
+    "chain5") and any of the keys _PRESETS lists for that kind, each defaulting
+    to its factory's default; any other key raises ValueError.
     """
     if isinstance(cfg, (str, Path)):
         text = str(cfg)
@@ -691,7 +641,11 @@ def mdp_from_config(cfg) -> SyntheticMdp:
     kind = cfg.get("kind", "chain5")
     if kind not in _PRESETS:
         raise ValueError(f"unknown mdp kind {kind!r}; choose from {sorted(_PRESETS)}")
-    unknown = set(cfg) - _CONFIG_KEYS
+    factory, keys, fixed = _PRESETS[kind]
+    unknown = set(cfg) - {"kind", *keys}
     if unknown:
-        raise ValueError(f"unknown mdp config keys {sorted(unknown)}; accepted: {sorted(_CONFIG_KEYS)}")
-    return _PRESETS[kind](cfg)
+        raise ValueError(f"unknown {kind} config keys {sorted(unknown)}; "
+                         f"accepted: {sorted(['kind', *keys])}")
+    kwargs = {("sigma" if key == "kernel_sigma" else key): (int if key in _INT_KEYS else float)(cfg[key])
+              for key in keys if key in cfg}
+    return factory(**kwargs, **fixed)

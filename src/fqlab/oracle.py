@@ -12,6 +12,7 @@ from .mdp import Policy, SyntheticMdp, pair_with_actions, state_action_inputs
 
 DEFAULT_RESOLUTION = {1: 201, 2: 51}
 F_VALUE_CAP = 10.0  # reject candidate functions outside [-10, 10] before quadrature
+VISITATION_TAIL = 1e-14  # tabulate_visitation stops once gamma^t falls below this
 
 
 class OracleError(RuntimeError):
@@ -22,7 +23,7 @@ def _state_axes(mdp: SyntheticMdp, resolution):
     kernel = mdp.kernel
     if mdp.state_dim == 0:
         return ()
-    if getattr(kernel, "is_finite", False):
+    if kernel.is_finite:
         return (kernel.nodes.copy(),)
     if mdp.state_dim not in DEFAULT_RESOLUTION:
         raise OracleError("grid oracles support state_dim <= 2 only")
@@ -124,7 +125,7 @@ def build_oracle(mdp: SyntheticMdp, resolution: int | None = None, tol: float = 
         nodes = np.stack([m.ravel() for m in mesh], axis=-1)
         # counting measure on a finite chain, else the product of the per-axis
         # trapezoid weights, row-major like nodes
-        weights = (np.ones(len(nodes)) if getattr(mdp.kernel, "is_finite", False)
+        weights = (np.ones(len(nodes)) if mdp.kernel.is_finite
                    else reduce(np.multiply.outer, map(_axis_weights, axes)).ravel())
 
     next_op = mdp.kernel.node_transition(axes, mdp.action_grid)
@@ -154,30 +155,28 @@ def max_sweeps(gamma: float, tol: float, margin: int = 50) -> int:
     return int(np.ceil(np.log(target) / np.log(gamma))) + margin
 
 
-def ground_truth(oracle: GridOracle, policy: Policy | None = None,
-                 tol: float | None = None) -> GridOracle:
+def ground_truth(oracle: GridOracle, policy: Policy | None = None) -> GridOracle:
     """Copy of the oracle populated with the Bellman fixed point of its MDP
-    for policy (None: the optimality backup), by value iteration.
+    for policy (None: the optimality backup), by value iteration to oracle.tol.
 
     Raises OracleError if the sweep count exceeds the contraction bound plus a
     safety margin, which signals a mis-specified kernel.
     """
-    tol = oracle.tol if tol is None else tol
     q = np.zeros_like(oracle.rewards)
-    cap = max_sweeps(oracle.mdp.gamma, tol)
+    cap = max_sweeps(oracle.mdp.gamma, oracle.tol)
     deltas = []
     for _ in range(cap):
         q_new = apply_bellman(oracle, q, policy)
         delta = float(np.abs(q_new - q).max())
         deltas.append(delta)
         q = q_new
-        if delta <= tol:
+        if delta <= oracle.tol:
             break
     else:
         raise OracleError("value iteration failed to contract within the sweep budget")
     if q.min() < -1e-9 or q.max() > 1.0 / (1.0 - oracle.mdp.gamma) + 1e-9:
         raise OracleError("tabulated values escaped [0, 1/(1-gamma)]")
-    return replace(oracle, q=q, target=policy, sweep_deltas=deltas, tol=tol)
+    return replace(oracle, q=q, target=policy, sweep_deltas=deltas)
 
 
 def oracle_value(oracle: GridOracle) -> float:
@@ -229,7 +228,7 @@ class ConcentrationReport:
                  "policies and horizons were tabulated")
 
 
-def tabulate_visitation(oracle: GridOracle, eta: Policy, tail_tol: float = 1e-14) -> np.ndarray:
+def tabulate_visitation(oracle: GridOracle, eta: Policy) -> np.ndarray:
     """Discounted visitation mass on the grid by explicit geometric-series summation."""
     mdp = oracle.mdp
     rho = oracle.init_mass()
@@ -237,7 +236,7 @@ def tabulate_visitation(oracle: GridOracle, eta: Policy, tail_tol: float = 1e-14
     occ = rho[:, None] * eta_probs
     mu = (1.0 - mdp.gamma) * occ.copy()
     if mdp.gamma > 0.0:
-        t_max = int(np.ceil(np.log(tail_tol) / np.log(mdp.gamma)))
+        t_max = int(np.ceil(np.log(VISITATION_TAIL) / np.log(mdp.gamma)))
         coef = 1.0 - mdp.gamma
         for _ in range(t_max):
             coef *= mdp.gamma

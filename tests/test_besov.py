@@ -4,6 +4,8 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import fqlab
 from fqlab import besov
@@ -367,6 +369,65 @@ class TestGridIO:
             assert len(back.axes) == f.ndim
             for a, b in zip(back.axes, f.axes):
                 np.testing.assert_array_equal(a, b)
+
+    def test_rows_in_any_order_load_the_saved_grid(self, tmp_path):
+        # x1-major rows must not load as the transpose of the saved grid
+        f = random_grid((5, 5), seed=4)
+        path = tmp_path / "f.csv"
+        f.save_csv(path)
+        header, *rows = path.read_text().splitlines()
+        for order in (np.arange(25).reshape(5, 5).T.ravel(),
+                      np.random.default_rng(0).permutation(25)):
+            path.write_text("\n".join([header] + [rows[i] for i in order]) + "\n")
+            np.testing.assert_array_equal(FunctionOnGrid.load_csv(path).values, f.values)
+
+    @pytest.mark.parametrize("damage", ["empty", "header_only", "foreign_header", "node_missing"])
+    def test_csv_rejects_a_file_that_is_no_grid(self, tmp_path, damage):
+        # ValueError with no warning first: numpy's no-data warning fails this suite
+        path = tmp_path / "f.csv"
+        random_grid((4, 4)).save_csv(path)
+        header, *rows = path.read_text().splitlines()
+        lines = {"empty": [], "header_only": [header], "foreign_header": ["a,b,c"] + rows,
+                 "node_missing": [header] + rows[1:]}[damage]
+        path.write_text("".join(line + "\n" for line in lines))
+        with pytest.raises(ValueError):
+            FunctionOnGrid.load_csv(path)
+
+    @pytest.mark.parametrize("shape", [(6,), (4, 5)])
+    def test_damaged_csv_raises_value_error_or_loads_the_grid(self, tmp_path, shape):
+        f = random_grid(shape, seed=5)
+        path = tmp_path / "f.csv"
+        f.save_csv(path)
+        text = path.read_text()
+        header, *rows = [line.split(",") for line in text.splitlines()]
+
+        def join(table):
+            return "\n".join(",".join(row) for row in table) + "\n"
+
+        # (record, truncated): rows permuted, a column dropped or renamed, or the
+        # file truncated at any byte
+        damaged = st.one_of(
+            st.permutations(rows).map(lambda p: (join([header] + p), False)),
+            st.integers(0, len(header) - 1).map(
+                lambda j: (join([row[:j] + row[j + 1:] for row in [header] + rows]), False)),
+            st.builds(lambda j, name: (join([header[:j] + [name] + header[j + 1:]] + rows), False),
+                      st.integers(0, len(header) - 1), st.sampled_from(["x0", "x1", "x2", "v", ""])),
+            st.integers(0, len(text) - 1).map(lambda k: (text[:k], True)))
+
+        @given(damaged)
+        def check(case):
+            record, truncated = case
+            path.write_text(record)
+            try:
+                back = FunctionOnGrid.load_csv(path)
+            except ValueError:
+                return
+            for a, b in zip(back.axes, f.axes, strict=True):
+                np.testing.assert_array_equal(a, b)
+            # a cut inside the last value leaves a shorter number at one node
+            assert np.sum(back.values != f.values) <= int(truncated)
+
+        check()
 
 
 class TestDynamicClosure:

@@ -61,6 +61,16 @@ class TestAnalyzeSmoothness:
               "--out", str(out)])
         assert json.loads(out.read_text())["kind"] == "file"
 
+    @pytest.mark.parametrize("argv", [
+        ["analyze-smoothness", "--p", "two"], ["analyze-smoothness", "--q", "inf1"],
+        ["run-fqi", "--n", "8", "--K", "1", "--out", "run", "--p", "abc"],
+        ["measure-rates", "--n-values", "8", "--out", "rates", "--p", ""]])
+    def test_a_bad_norm_exponent_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "invalid float value" in capsys.readouterr().err
+
 
 class TestRademacherCli:
     def test_finite_class(self, tmp_path):

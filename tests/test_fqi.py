@@ -248,7 +248,7 @@ def exact_ope_error_and_bound(mdp, pi, eta, residual_draw):
     Also returns the accuracy of the error itself: value iteration stops
     within gamma tol / (1 - gamma) of Q^pi, plus float rounding.
     """
-    oracle = ground_truth(build_oracle(mdp), pi, tol=1e-12)
+    oracle = ground_truth(build_oracle(mdp, tol=1e-12), pi)
     residuals = residual_draw(oracle.rewards.shape)
     q = np.zeros_like(oracle.rewards)
     for eps in residuals:

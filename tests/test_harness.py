@@ -128,9 +128,9 @@ class TestRunSweep:
     def test_ope_sweep_solves_only_the_policy_target(self, monkeypatch):
         targets = []
 
-        def recording_ground_truth(oracle, policy=None, tol=None):
+        def recording_ground_truth(oracle, policy=None):
             targets.append(policy)
-            return fqlab.ground_truth(oracle, policy, tol)
+            return fqlab.ground_truth(oracle, policy)
 
         monkeypatch.setattr(harness, "ground_truth", recording_ground_truth)
         run_sweep(tiny_config(n_values=(256,), k_values=(2,), seeds=(0,)))

@@ -1,14 +1,16 @@
 import json
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy.stats import chi2
+from scipy.stats import chi2, truncnorm
 
 import fqlab
 from fqlab.mdp import (FiniteChainKernel, FiniteInit, UniformPolicy, pair_with_actions,
                        state_action_inputs)
+from fqlab.oracle import build_oracle
 
 
 def brute_force_visitation(mdp, eta_probs, t_max=200):
@@ -87,6 +89,17 @@ class TestRewards:
         mean = chain_mdp.reward_mean(states, actions)
         assert r.min() >= 0.0 and r.max() <= 1.0
         assert abs((r - mean).mean()) < 3 * r.std() / np.sqrt(len(r))
+
+    def test_bernoulli_rewards_are_binary_with_the_chain_mean(self, chain_mdp):
+        bern = fqlab.mdp_from_config("chain5_bernoulli")
+        rng = np.random.default_rng(1)
+        states = chain_mdp.kernel.nodes[rng.integers(0, 5, 20000)][:, None]
+        actions = chain_mdp.action_grid[rng.integers(0, 11, 20000)]
+        mean = chain_mdp.reward_mean(states, actions)
+        np.testing.assert_array_equal(bern.reward_mean(states, actions), mean)
+        r = bern.sample_rewards(rng, states, actions)
+        assert set(np.unique(r)) <= {0.0, 1.0}
+        assert abs((r - mean).mean()) < 4 * np.sqrt(np.mean(mean * (1 - mean)) / len(r))
 
 
 _HEADER_NAMES = ["s0", "s1", "s2", "a", "sp0", "sp1", "sp2", "r", "x", ""]
@@ -194,16 +207,25 @@ class TestKernels:
         actions = np.full(50_000, 0.5)
         draws = mdp.kernel.sample(rng, states, actions)[:, 0]
         assert draws.min() >= 0.0 and draws.max() <= 1.0
-        # compare empirical mean with quadrature of the analytic density
-        grid = np.linspace(0, 1, 2001)
-        dens = mdp.kernel.density(np.full((2001, 1), 0.3), np.full(2001, 0.5),
-                                  grid[:, None])
-        m_quad = np.trapezoid(grid * dens, grid)
-        assert abs(draws.mean() - m_quad) < 4 * draws.std() / np.sqrt(len(draws))
+        # at action 0.5 the mean is the state itself: N(0.3, 0.2^2) truncated to [0,1]
+        exact = truncnorm.mean((0.0 - 0.3) / 0.2, (1.0 - 0.3) / 0.2, loc=0.3, scale=0.2)
+        assert abs(draws.mean() - exact) < 4 * draws.std() / np.sqrt(len(draws))
 
     def test_rejects_nonstochastic_matrix(self):
         with pytest.raises(ValueError):
             FiniteChainKernel(np.array([0.0, 1.0]), np.array([[0.5, 0.4], [0.2, 0.8]]))
+
+
+# every key each kind takes, at its factory's default
+_DEFAULTS = {
+    "chain5": {"gamma": 0.9, "n_states": 5, "n_actions": 11, "noise": 0.1},
+    "chain": {"gamma": 0.9, "n_states": 5, "n_actions": 11, "noise": 0.1},
+    "chain5_bernoulli": {"gamma": 0.9, "n_states": 5, "n_actions": 11},
+    "gaussian": {"gamma": 0.9, "kernel_sigma": 0.15, "n_actions": 11, "noise": 0.05,
+                 "state_dim": 1},
+    "single_state": {"gamma": 0.5, "reward": 0.5, "n_actions": 2, "noise": 0.0},
+    "rough_reward": {"alpha": 0.5, "gamma": 0.0, "n_actions": 11, "kernel_sigma": 0.15},
+}
 
 
 class TestConfigLoading:
@@ -227,9 +249,33 @@ class TestConfigLoading:
         # a misspelt key must not leave the preset default in place unannounced
         path = tmp_path / "mdp.json"
         path.write_text(json.dumps(cfg))
+        accepted = sorted(["kind", *_DEFAULTS[cfg["kind"]]])
         for source in (cfg, path):
-            with pytest.raises(ValueError, match=f"'{key}'.*accepted.*kernel_sigma"):
+            with pytest.raises(ValueError, match=re.escape(f"['{key}']; accepted: {accepted}")):
                 fqlab.mdp_from_config(source)
+
+    @pytest.mark.parametrize("cfg", [
+        {"kind": "chain5", "state_dim": 2}, {"kind": "chain", "kernel_sigma": 0.2},
+        {"kind": "chain5_bernoulli", "noise": 0.3}, {"kind": "gaussian", "n_states": 3},
+        {"kind": "single_state", "alpha": 0.5}, {"kind": "rough_reward", "noise": 0.1},
+        {"kind": "chain5", "seed": 0}, {"kind": "gaussian", "normalize": False},
+        {"kind": "chain5", "noise_kind": "bernoulli"}])
+    def test_a_key_the_kind_does_not_take_is_rejected(self, cfg):
+        # another kind's key, or a key no kind takes, must not be dropped silently
+        key = next(k for k in cfg if k != "kind")
+        with pytest.raises(ValueError, match=f"unknown {cfg['kind']} config keys \\['{key}'\\]"):
+            fqlab.mdp_from_config(cfg)
+
+    @pytest.mark.parametrize("kind", sorted(_DEFAULTS))
+    def test_spelling_out_the_defaults_builds_the_bare_preset(self, kind):
+        bare, full = (build_oracle(fqlab.mdp_from_config(cfg), resolution=11)
+                      for cfg in (kind, {"kind": kind, **_DEFAULTS[kind]}))
+        assert np.array_equal(full.rewards, bare.rewards)
+        for table in ("probs", "m0", "m1"):
+            if hasattr(bare.next_op, table):
+                assert np.array_equal(getattr(full.next_op, table), getattr(bare.next_op, table))
+        assert full.mdp.reward_noise == bare.mdp.reward_noise
+        assert full.mdp.noise_kind == bare.mdp.noise_kind
 
     def test_unknown_name_that_is_no_file(self, tmp_path):
         with pytest.raises(ValueError, match="unknown mdp kind"):

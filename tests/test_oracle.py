@@ -270,7 +270,7 @@ class TestTwoDimensionalStates:
         np.testing.assert_allclose(row_sums, 1.0, atol=1e-9)
 
     def test_default_preset_contracts_one_axis_at_a_time(self):
-        # a preset whose axes coupled would fall back to the 25x slower joint GEMM
+        # the 2-d gaussian preset's means are axis-local, so it builds per-axis tables
         op = build_oracle(fqlab.make_gaussian_mdp(state_dim=2)).next_op
         assert op.grid_shape == (51, 51)
         assert op.m0.shape == (51, 11, 51) and op.m1.shape == (51, 11, 51)
@@ -317,7 +317,7 @@ class TestTwoDimensionalStates:
            coupling=st.sampled_from([0.0, 0.05, 0.3]), seed=st.integers(0, 2**16))
     def test_both_contraction_paths_match_the_joint_kernel(
             self, g0, g1, n_actions, sigma0, sigma1, drift, contraction, coupling, seed):
-        # coupling > 0 makes the axis-0 mean depend on s1: the joint path
+        # coupling > 0 makes the axis-0 mean depend on s1, which the kernel rejects
         def mean_fn(s, a):
             return np.stack([s[:, 0] + drift * (a - 0.5) + coupling * s[:, 1],
                              contraction * s[:, 1] + 0.5 * (1.0 - contraction)], axis=1)
@@ -325,22 +325,23 @@ class TestTwoDimensionalStates:
         kernel = TruncatedGaussianKernel(mean_fn, [sigma0, sigma1], state_dim=2)
         axes = (np.linspace(0.0, 1.0, g0), np.linspace(0.0, 1.0, g1))
         actions = np.linspace(0.0, 1.0, n_actions)
+        if coupling:
+            with pytest.raises(ValueError, match="axis-local"):
+                kernel.node_transition(axes, actions)
+            return
         op = kernel.node_transition(axes, actions)
         # reference: one (node, action) row per axis straight from the means
         nodes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2)
         m = mean_fn(*pair_with_actions(nodes, actions))
         rows0 = kernel._axis_masses(m[:, 0], sigma0, axes[0])
         rows1 = kernel._axis_masses(m[:, 1], sigma1, axes[1])
-        if coupling:
-            assert op.m0.shape == (len(m), g0) and op.m1.shape == (len(m), g1)
-        else:
-            assert op.m0.shape == (g0, n_actions, g0) and op.m1.shape == (g1, n_actions, g1)
-            # the factored rows are the joint rows, bit for bit
-            shape = (g0, g1, n_actions)
-            assert np.array_equal(np.broadcast_to(op.m0[:, None], shape + (g0,)),
-                                  rows0.reshape(shape + (g0,)))
-            assert np.array_equal(np.broadcast_to(op.m1[None], shape + (g1,)),
-                                  rows1.reshape(shape + (g1,)))
+        assert op.m0.shape == (g0, n_actions, g0) and op.m1.shape == (g1, n_actions, g1)
+        # the factored rows are the joint rows, bit for bit
+        shape = (g0, g1, n_actions)
+        assert np.array_equal(np.broadcast_to(op.m0[:, None], shape + (g0,)),
+                              rows0.reshape(shape + (g0,)))
+        assert np.array_equal(np.broadcast_to(op.m1[None], shape + (g1,)),
+                              rows1.reshape(shape + (g1,)))
         joint = (rows0[:, :, None] * rows1[:, None, :]).reshape(len(m), g0 * g1)
         rng = np.random.default_rng(seed)
         occ = rng.random((g0 * g1, n_actions))
