@@ -90,9 +90,10 @@ class BesovParams:
     q: float = np.inf
 
     def __post_init__(self):
-        if self.alpha <= 0:
+        # negated comparisons, so that NaN fails them too
+        if not self.alpha > 0:
             raise ValueError("alpha must be positive")
-        if self.p < 1 or self.q < 1:
+        if not (self.p >= 1 and self.q >= 1):
             raise ValueError("p and q must be >= 1")
 
     @property
@@ -193,23 +194,15 @@ def _step_norm_table(f: FunctionOnGrid, order: int, p: float):
     return f._tables[order, p]
 
 
-def _log_t_grid(f: FunctionOnGrid, points: int, descending: bool = False) -> np.ndarray:
-    """points log-spaced t values between the smallest grid step and 1; the
-    two directions are not reverses of each other bit for bit."""
-    return np.geomspace(*((1.0, f.min_step) if descending else (f.min_step, 1.0)), points)
-
-
-def modulus_of_smoothness(f: FunctionOnGrid, order: int, p: float,
-                          t_grid=None) -> ModulusCurve:
+def modulus_of_smoothness(f: FunctionOnGrid, order: int, p: float, t_grid) -> ModulusCurve:
     """sup over axis-aligned steps h <= t of the discrete p-norm of the
-    r-th difference, for each t in a decreasing log-spaced grid.
+    r-th difference, for each t in t_grid, returned in decreasing t.
 
     The p-norm is taken against the uniform probability measure on the valid
     subgrid.  Restricting the sup to axis directions makes the curve a lower
     estimate of the isotropic modulus.
     """
-    t_grid = np.asarray(_log_t_grid(f, 25, descending=True) if t_grid is None else t_grid,
-                        dtype=float)
+    t_grid = np.asarray(t_grid, dtype=float)
     if np.any(t_grid < f.min_step * (1 - 1e-12)):
         raise ValueError("t values below the grid step are unresolvable")
     hs, sup_norms = _step_norm_table(f, order, p)
@@ -218,12 +211,12 @@ def modulus_of_smoothness(f: FunctionOnGrid, order: int, p: float,
     return ModulusCurve(t_grid[order_desc], omega[order_desc], order, p)
 
 
-def besov_seminorm(f: FunctionOnGrid, params: BesovParams, t_points: int = 41) -> float:
+def besov_seminorm(f: FunctionOnGrid, params: BesovParams) -> float:
     """Scale-aggregated modulus: the q-integral of omega_r(t)/t^alpha over
-    log-spaced t from the grid step up to 1 (max over t when q is infinite)."""
+    41 log-spaced t from the grid step up to 1 (max over t when q is infinite)."""
     if params.alpha >= params.order:
         raise ValueError("difference order too small for alpha")
-    curve = modulus_of_smoothness(f, params.order, params.p, _log_t_grid(f, t_points))
+    curve = modulus_of_smoothness(f, params.order, params.p, np.geomspace(f.min_step, 1.0, 41))
     t = curve.t_values[::-1]
     ratio = curve.omega_values[::-1] / t ** params.alpha
     if np.isinf(params.q):
@@ -255,14 +248,14 @@ class SmoothnessEstimate:
         return f"exponent ~= {self.exponent:.3f}"
 
 
-def estimate_smoothness_exponent(f: FunctionOnGrid, order: int, p: float,
-                                 t_points: int = 25) -> SmoothnessEstimate:
-    """Fit log omega against log t over the interior of the step range.
+def estimate_smoothness_exponent(f: FunctionOnGrid, order: int, p: float) -> SmoothnessEstimate:
+    """Fit log omega against log t over the interior of 25 log-spaced t from
+    the grid step up to 1.
 
     The two largest and two smallest t values are dropped: the small end
     suffers discretization bias and the large end saturates.
     """
-    curve = modulus_of_smoothness(f, order, p, _log_t_grid(f, t_points))
+    curve = modulus_of_smoothness(f, order, p, np.geomspace(f.min_step, 1.0, 25))
     # ascending t without the two smallest and two largest values
     t, om = curve.t_values[::-1][2:-2], curve.omega_values[::-1][2:-2]
     usable = om > 1e-12
@@ -370,9 +363,10 @@ class ClosureReport:
 
 def diagnose_dynamic_closure(mdp, oracle, nets, policies, params: BesovParams,
                              order: int = 1) -> ClosureReport:
-    """Apply each policy's Bellman operator to each network and measure the
-    image's smoothness exponent and Besov seminorm on the oracle grid; mdp
-    must be the MDP the oracle was built from (ValueError otherwise)."""
+    """Apply each policy's Bellman operator to each network (a callable or an
+    (S, A) table) and measure the image's smoothness exponent and Besov
+    seminorm on the oracle grid; mdp must be the MDP the oracle was built from
+    (ValueError otherwise)."""
     from .oracle import apply_bellman
 
     if oracle.mdp is not mdp:
@@ -381,9 +375,8 @@ def diagnose_dynamic_closure(mdp, oracle, nets, policies, params: BesovParams,
     axes = oracle.state_axes + (oracle.action_grid,)
     shape = tuple(len(a) for a in axes)
     for ni, net in enumerate(nets):
-        fn = net.forward if callable(net) else net
         for pi, policy in enumerate(policies):
-            image = apply_bellman(oracle, fn, policy)
+            image = apply_bellman(oracle, net, policy)
             fog = FunctionOnGrid(axes, image.reshape(shape))
             est = estimate_smoothness_exponent(fog, order, params.p)
             semi = besov_seminorm(fog, params)

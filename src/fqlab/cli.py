@@ -115,12 +115,12 @@ def cmd_analyze_smoothness(args):
     from .besov import (BesovParams, FunctionOnGrid, besov_seminorm,
                         estimate_smoothness_exponent, synth_function)
 
+    params = BesovParams(alpha=args.alpha, p=args.p, q=args.q)  # bad values fail before any output
     if args.input:
         f = FunctionOnGrid.load_csv(args.input)
     else:
         f = synth_function(args.kind, args.alpha, d=args.d, seed=args.seed)
     est = estimate_smoothness_exponent(f, args.r, args.p)
-    params = BesovParams(alpha=args.alpha, p=args.p, q=args.q)
     semi = besov_seminorm(f, params)
     payload = {
         "kind": args.kind if not args.input else "file",

@@ -167,28 +167,25 @@ def decomposition_bound(mode: str, kappa: float, gamma: float, iterations: int,
     raise ValueError("mode must be 'ope' or 'opl'")
 
 
-def run_exact_lsvi(oracle: GridOracle, iterations: int, policy: Policy | None = None,
-                   reference: np.ndarray | None = None):
+def run_exact_lsvi(oracle: GridOracle, iterations: int, policy: Policy | None = None):
     """Value iteration with exact grid regression in place of the network fit.
 
     Each iterate is the exact Bellman image of its predecessor tabulated on
-    the grid, so the sup-distance to the fixed point must contract by gamma
-    at every step; that contraction is asserted.  Without a reference the
-    fixed point is the populated oracle's, and policy must be its target.
+    the grid, so the sup-distance to the populated oracle's fixed point must
+    contract by gamma at every step; that contraction is asserted.  policy
+    must be the target the oracle was populated for.
     """
+    if not oracle.populated:
+        raise ValueError("need a populated oracle")
+    if policy is not oracle.target:
+        raise ValueError("policy is not the target the oracle was populated for")
     q = np.zeros_like(oracle.rewards)
     iterates = [q]
-    if reference is None:
-        if not oracle.populated:
-            raise ValueError("need a populated oracle or an explicit reference table")
-        if policy is not oracle.target:
-            raise ValueError("policy is not the target the oracle was populated for")
-        reference = oracle.q
-    err = float(np.abs(q - reference).max())
+    err = float(np.abs(q - oracle.q).max())
     for _ in range(iterations):
         q = apply_bellman(oracle, q, policy)
-        new_err = float(np.abs(q - reference).max())
-        # the reference table is itself only tol-accurate at the fixed point
+        new_err = float(np.abs(q - oracle.q).max())
+        # the fixed-point table is itself only tol-accurate
         if new_err > oracle.mdp.gamma * err + oracle.tol:
             raise AssertionError("exact-regression iterates failed to contract")
         err = new_err

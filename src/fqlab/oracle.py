@@ -13,6 +13,7 @@ from .mdp import Policy, SyntheticMdp, pair_with_actions, state_action_inputs
 DEFAULT_RESOLUTION = {1: 201, 2: 51}
 F_VALUE_CAP = 10.0  # reject candidate functions outside [-10, 10] before quadrature
 VISITATION_TAIL = 1e-14  # tabulate_visitation stops once gamma^t falls below this
+SWEEP_MARGIN = 50  # value iteration may run this many sweeps past the contraction bound
 
 
 class OracleError(RuntimeError):
@@ -146,13 +147,13 @@ def apply_bellman(oracle: GridOracle, f, policy: Policy | None = None) -> np.nda
     return oracle.rewards + oracle.mdp.gamma * oracle.next_op.expect(g)
 
 
-def max_sweeps(gamma: float, tol: float, margin: int = 50) -> int:
+def max_sweeps(gamma: float, tol: float) -> int:
     if gamma == 0.0:
-        return 2 + margin
+        return 2 + SWEEP_MARGIN
     target = tol * (1.0 - gamma)
     if target >= 1.0:
-        return 1 + margin
-    return int(np.ceil(np.log(target) / np.log(gamma))) + margin
+        return 1 + SWEEP_MARGIN
+    return int(np.ceil(np.log(target) / np.log(gamma))) + SWEEP_MARGIN
 
 
 def ground_truth(oracle: GridOracle, policy: Policy | None = None) -> GridOracle:

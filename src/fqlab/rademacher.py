@@ -109,18 +109,21 @@ def empirical_rademacher(function_class, xs, sigma_draws: int, seed: int) -> Rad
 # the ascent stacks whole sign draws until candidates x max(n, m) x width
 # reaches this many elements, which bounds the activation memory
 _STACK_ELEMENTS = 1 << 22
+ASCENT_LR = 0.1        # step size of the localized ascent
+ASCENT_PENALTY = 10.0  # weight of the hinge penalty outside the ball
+ASCENT_RESTARTS = 2    # perturbed starts per sign draw
 
 
 def localized_rademacher(spec: ArchitectureSpec, anchor: ReluNetwork, radius: float,
                          xs, mu_samples, sigma_draws: int, seed: int,
-                         ascent_steps: int = 120, ascent_lr: float = 0.1,
-                         penalty: float = 10.0, restarts: int = 2) -> RademacherEstimate:
+                         ascent_steps: int = 120) -> RademacherEstimate:
     """Rademacher average of {f - anchor : f feasible, ||f - anchor||^2 <= radius}.
 
-    The squared norm is Monte-Carlo estimated on mu_samples.  Ascent maximizes
-    the signed correlation with a hinge penalty outside the ball; candidates
-    are accepted only if the evaluated norm is inside the ball, and the zero
-    difference (f = anchor) is always feasible, so the estimate is >= 0.
+    The squared norm is Monte-Carlo estimated on mu_samples.  Ascent (step
+    ASCENT_LR, ASCENT_RESTARTS perturbed starts per draw) maximizes the signed
+    correlation with a hinge penalty of weight ASCENT_PENALTY outside the ball;
+    candidates are accepted only if the evaluated norm is inside the ball, and
+    the zero difference (f = anchor) is always feasible, so the estimate is >= 0.
 
     Every restart of every sign draw is one candidate network; the candidates
     ascend in lockstep as one stacked network, in chunks of whole draws, and
@@ -136,8 +139,6 @@ def localized_rademacher(spec: ArchitectureSpec, anchor: ReluNetwork, radius: fl
         raise ValueError("radius must be positive")
     if sigma_draws < 1:
         raise ValueError("need at least one sign draw")
-    if restarts < 1:
-        raise ValueError("need at least one restart")
     xs = np.asarray(xs, dtype=float)
     mu_samples = np.asarray(mu_samples, dtype=float)
     if xs.ndim != 2 or mu_samples.ndim != 2 or len(xs) < 1 or len(mu_samples) < 1:
@@ -146,7 +147,7 @@ def localized_rademacher(spec: ArchitectureSpec, anchor: ReluNetwork, radius: fl
     z_xs, z_mu = np.maximum(xs, 0.0), np.maximum(mu_samples, 0.0)  # the input ReLU
     anchor_xs = anchor.forward(xs)
     anchor_mu = anchor.forward(mu_samples)
-    chunk = max(1, _STACK_ELEMENTS // (restarts * max(n, m) * anchor.width))
+    chunk = max(1, _STACK_ELEMENTS // (ASCENT_RESTARTS * max(n, m) * anchor.width))
     n_weights = sum(w.size for w in anchor.weights)  # the weights lead the parameter vector
     rng = np.random.default_rng(seed)
     sups = np.empty(sigma_draws)
@@ -154,15 +155,15 @@ def localized_rademacher(spec: ArchitectureSpec, anchor: ReluNetwork, radius: fl
     for start in range(0, sigma_draws, chunk):
         # one row of params per candidate: every sign and perturbation of the
         # chunk, in one-draw-at-a-time order, then the projection of the row
-        sigmas, count = [], min(chunk, sigma_draws - start) * restarts
+        sigmas, count = [], min(chunk, sigma_draws - start) * ASCENT_RESTARTS
         params = np.repeat(anchor.params[None], count, axis=0)
         for c, row in enumerate(params):
-            if c % restarts == 0:
+            if c % ASCENT_RESTARTS == 0:
                 sigmas.append(rng.choice([-1.0, 1.0], size=n))
             row[:n_weights] += 0.01 * rng.standard_normal(n_weights)
             _clip_and_prune(row, anchor.weight_bound, anchor.sparsity)
         weights, biases = _split(params, anchor._dims)
-        w_xs = np.repeat(np.stack(sigmas) / n, restarts, axis=0)
+        w_xs = np.repeat(np.stack(sigmas) / n, ASCENT_RESTARTS, axis=0)
         best = [0.0] * len(sigmas)  # the anchor itself: zero difference, inside the ball
         # one workspace per point set, so the gradient and the penalty have their own arrays
         work_xs = _Workspace(anchor._dims, n, (count,))
@@ -175,10 +176,10 @@ def localized_rademacher(spec: ArchitectureSpec, anchor: ReluNetwork, radius: fl
             grad = _output_gradient(weights, cache_xs[1], cache_xs[2], w_xs, work_xs)
             if over.any():
                 pen = _output_gradient(weights, cache_mu[1], cache_mu[2],
-                                       -penalty * 2.0 * diff_mu / m, work_mu)
+                                       -ASCENT_PENALTY * 2.0 * diff_mu / m, work_mu)
                 # add only where over, not a 0/1 mask: a masked add can flip a zero's sign
                 np.add(grad, pen, out=grad, where=over[:, None])
-            grad *= ascent_lr
+            grad *= ASCENT_LR
             params += grad
             checkpoint = (step + 1) % 20 == 0 or step + 1 == ascent_steps
             if checkpoint:
@@ -195,7 +196,7 @@ def localized_rademacher(spec: ArchitectureSpec, anchor: ReluNetwork, radius: fl
             for c in range(count):
                 if float(np.mean((f_mu[c] - anchor_mu) ** 2)) <= radius:
                     rejected_all = False
-                    i = c // restarts
+                    i = c // ASCENT_RESTARTS
                     corr = float(sigmas[i] @ (f_xs[c] - anchor_xs) / n)
                     best[i] = max(best[i], corr)
         sups[start:start + len(sigmas)] = best
@@ -212,8 +213,8 @@ class SubRootSpec:
     """Nonnegative, nondecreasing psi with psi(r)/sqrt(r) nonincreasing.
 
     forms: "affine" gives psi(r) = a*sqrt(r) + b; "tabulated" interpolates
-    monotone samples; "theoretical" evaluates the statistical-error envelope
-    with unit constants (see theoretical_psi).
+    monotone samples.  An unknown form, or a form without finite fields, raises
+    ValueError at construction.
     """
 
     form: str
@@ -221,21 +222,19 @@ class SubRootSpec:
     b: float | None = None
     r_values: np.ndarray | None = None
     psi_values: np.ndarray | None = None
-    resolution: int | None = None
-    n: int | None = None
-    alpha: float | None = None
-    d: int | None = None
-    beta: float | None = None
+
+    def __post_init__(self):
+        needs = {"affine": ("a", "b"), "tabulated": ("r_values", "psi_values")}.get(self.form)
+        values = [getattr(self, k) for k in needs or ()]
+        if needs is None or any(v is None or not np.all(np.isfinite(v)) for v in values):
+            raise ValueError(f"need form 'affine' with finite a and b, or 'tabulated' with finite "
+                             f"r_values and psi_values; got form {self.form!r}")
 
     def __call__(self, r):
         r = np.asarray(r, dtype=float)
         if self.form == "affine":
             return self.a * np.sqrt(r) + self.b
-        if self.form == "tabulated":
-            return np.interp(r, self.r_values, self.psi_values)
-        if self.form == "theoretical":
-            return theoretical_psi(self.resolution, self.n, self.alpha, self.d, self.beta, r)
-        raise ValueError(f"unknown form {self.form!r}")
+        return np.interp(r, self.r_values, self.psi_values)
 
     def closed_form_fixed_point(self) -> float:
         """Quadratic-formula fixed point, affine form only: sqrt(r*) = (a + sqrt(a^2+4b))/2."""
@@ -244,8 +243,8 @@ class SubRootSpec:
         s = 0.5 * (self.a + math.sqrt(self.a * self.a + 4.0 * self.b))
         return s * s
 
-    def check_sub_root(self, r_lo, r_hi, points=64):
-        grid = np.geomspace(max(r_lo, 1e-300), r_hi, points)
+    def check_sub_root(self, r_lo, r_hi):
+        grid = np.geomspace(max(r_lo, 1e-300), r_hi, 64)
         vals = self(grid)
         if np.any(vals < -1e-12):
             raise ValueError("psi must be nonnegative")

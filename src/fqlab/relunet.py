@@ -308,9 +308,6 @@ class ReluNetwork:
     def width(self):
         return self._dims[1] if self.height > 1 else 1
 
-    def n_params(self):
-        return self.params.size
-
     def nnz(self):
         return int(np.count_nonzero(self.params))
 

@@ -20,6 +20,11 @@ def grid_1d(fn, g=101):
     return FunctionOnGrid((xs,), fn(xs))
 
 
+def log_grid(f, points=25):
+    """points log-spaced t values from the grid step up to 1."""
+    return np.geomspace(f.min_step, 1.0, points)
+
+
 def random_grid(shape, seed=0):
     rng = np.random.default_rng(seed)
     return FunctionOnGrid(tuple(np.linspace(0.0, 1.0, g) for g in shape), rng.random(shape))
@@ -113,7 +118,7 @@ class TestModulus:
         f = grid_1d(lambda x: np.full_like(x, 2.0))
         for order in (1, 2):
             for p in (1.0, 2.0, np.inf):
-                curve = modulus_of_smoothness(f, order, p)
+                curve = modulus_of_smoothness(f, order, p, log_grid(f))
                 np.testing.assert_array_equal(curve.omega_values, 0.0)
 
     def test_identity_sup_norm_is_largest_step(self):
@@ -125,21 +130,21 @@ class TestModulus:
 
     def test_linear_second_order_zero(self):
         f = grid_1d(lambda x: 5.0 * x)
-        curve = modulus_of_smoothness(f, 2, 2.0)
+        curve = modulus_of_smoothness(f, 2, 2.0, log_grid(f))
         np.testing.assert_allclose(curve.omega_values, 0.0, atol=1e-12)
 
     def test_monotone_in_t(self):
         f = synth_function("weierstrass", 0.5, resolution=513)
         for p in (1.0, np.inf):
-            curve = modulus_of_smoothness(f, 1, p)
+            curve = modulus_of_smoothness(f, 1, p, log_grid(f))
             # t descending: omega must be nonincreasing
             assert np.all(np.diff(curve.omega_values) <= 1e-12)
 
     def test_translation_invariance(self):
         f = synth_function("weierstrass", 0.7, resolution=257)
         g = FunctionOnGrid(f.axes, f.values + 3.3)
-        cf = modulus_of_smoothness(f, 1, 2.0)
-        cg = modulus_of_smoothness(g, 1, 2.0)
+        cf = modulus_of_smoothness(f, 1, 2.0, log_grid(f))
+        cg = modulus_of_smoothness(g, 1, 2.0, log_grid(g))
         np.testing.assert_allclose(cf.omega_values, cg.omega_values, atol=1e-12)
 
 
@@ -162,9 +167,9 @@ class TestMemoizedTables:
         f = synth_function("weierstrass", 0.5, resolution=257)
         estimate_smoothness_exponent(f, 1, np.inf)
         besov_seminorm(f, BesovParams(alpha=0.5))  # order 1, p = inf
-        modulus_of_smoothness(f, 1, np.inf)
+        modulus_of_smoothness(f, 1, np.inf, log_grid(f))
         modulus_of_smoothness(f, 1, np.inf, np.array([0.5, 0.1, 0.02]))
-        modulus_of_smoothness(f, 2, 2.0)
+        modulus_of_smoothness(f, 2, 2.0, log_grid(f))
         besov_seminorm(f, BesovParams(alpha=1.5, p=2.0, q=2.0))  # order 2, p = 2
         assert table_builds == {(1, np.inf): 1, (2, 2.0): 1}
 
@@ -185,12 +190,27 @@ class TestMemoizedTables:
         t_grid = np.array([0.8, 0.3, 0.1, 0.05])
         params = BesovParams(alpha=0.5, p=p, q=2.0)
         estimate_smoothness_exponent(f, 1, p)  # fills the (1, p) table
-        for call in (lambda g: modulus_of_smoothness(g, 1, p).omega_values,
+        for call in (lambda g: modulus_of_smoothness(g, 1, p, log_grid(g)).omega_values,
                      lambda g: modulus_of_smoothness(g, 1, p, t_grid).omega_values,
                      lambda g: estimate_smoothness_exponent(g, 1, p).exponent,
                      lambda g: besov_seminorm(g, params)):
             hit, fresh = call(f), call(FunctionOnGrid(f.axes, f.values))
             assert np.asarray(hit).tobytes() == np.asarray(fresh).tobytes()
+
+
+class TestBesovParams:
+    @pytest.mark.parametrize("kwargs", [
+        {"alpha": np.nan}, {"alpha": 0.5, "p": np.nan}, {"alpha": 0.5, "q": np.nan},
+        {"alpha": 0.5, "p": np.nan, "q": np.nan}])
+    def test_rejects_nan(self, kwargs):
+        with pytest.raises(ValueError, match="alpha|p and q"):
+            BesovParams(**kwargs)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"alpha": 0.0}, {"alpha": -1.0}, {"alpha": 0.5, "p": 0.5}, {"alpha": 0.5, "q": 0.5}])
+    def test_rejects_out_of_range_values(self, kwargs):
+        with pytest.raises(ValueError, match="alpha|p and q"):
+            BesovParams(**kwargs)
 
 
 class TestSeminorm:
@@ -258,9 +278,9 @@ class TestSeminorm:
         # the q = infinity seminorm is bounded by the q = 1 quadrature value
         # times the discrete quadrature constant 2 (npoints - 1) / log-length
         f = synth_function("weierstrass", 0.5, resolution=513)
-        alpha, p, npts = 0.5, np.inf, 41
-        semi_inf = besov_seminorm(f, BesovParams(alpha=alpha, p=p, q=np.inf), t_points=npts)
-        semi_one = besov_seminorm(f, BesovParams(alpha=alpha, p=p, q=1.0), t_points=npts)
+        alpha, p, npts = 0.5, np.inf, 41  # besov_seminorm's grid has 41 points
+        semi_inf = besov_seminorm(f, BesovParams(alpha=alpha, p=p, q=np.inf))
+        semi_one = besov_seminorm(f, BesovParams(alpha=alpha, p=p, q=1.0))
         log_len = np.log(1.0 / f.step())
         assert semi_inf <= semi_one * 2 * (npts - 1) / log_len + 1e-12
 
@@ -331,10 +351,11 @@ class TestImmutability:
         xs = np.linspace(0.0, 1.0, 101)
         vals = np.abs(xs - 0.3) ** 0.5
         f = FunctionOnGrid((xs,), vals)
-        expected = modulus_of_smoothness(FunctionOnGrid((xs.copy(),), vals.copy()), 1, 2.0)
+        expected = modulus_of_smoothness(FunctionOnGrid((xs.copy(),), vals.copy()), 1, 2.0,
+                                         log_grid(f))
         vals[::2] = 7.0
         xs *= 0.5
-        got = modulus_of_smoothness(f, 1, 2.0)
+        got = modulus_of_smoothness(f, 1, 2.0, log_grid(f))
         np.testing.assert_array_equal(got.t_values, expected.t_values)
         np.testing.assert_array_equal(got.omega_values, expected.omega_values)
 
@@ -454,6 +475,26 @@ class TestDynamicClosure:
         with pytest.raises(ValueError, match="different MDP"):
             fqlab.diagnose_dynamic_closure(twin, oracle, [zero], [None],
                                            BesovParams(alpha=0.5))
+
+    def test_network_callable_and_table_give_identical_entries(self):
+        mdp = fqlab.make_rough_reward_mdp(alpha=0.5, gamma=0.5)
+        oracle = fqlab.build_oracle(mdp, resolution=129)
+        zero = fqlab.ReluNetwork.zeros(2, fqlab.ArchitectureSpec(
+            height=2, width=4, sparsity=100, weight_bound=5.0))
+        table = np.zeros((oracle.n_nodes, len(oracle.action_grid)))
+        report = fqlab.diagnose_dynamic_closure(
+            mdp, oracle, [zero, lambda x: np.zeros(len(x)), table],
+            [fqlab.UniformPolicy(mdp.n_actions), None], BesovParams(alpha=0.5))
+        by_policy = [[e for e in report.entries if e.policy_index == pi] for pi in (0, 1)]
+        for entries in by_policy:
+            assert [e.net_index for e in entries] == [0, 1, 2]
+            first = entries[0]
+            for e in entries[1:]:
+                assert e.seminorm == first.seminorm
+                assert e.estimate.exponent == first.estimate.exponent
+                assert e.estimate.saturated == first.estimate.saturated
+                assert e.estimate.curve.omega_values.tobytes() == \
+                    first.estimate.curve.omega_values.tobytes()
 
     def test_gaussian_kernel_regularizes(self):
         mdp = fqlab.make_gaussian_mdp(gamma=0.9)

@@ -72,6 +72,14 @@ class TestAnalyzeSmoothness:
         assert "invalid float value" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("flag", ["--p", "--q"])
+    def test_a_nan_norm_exponent_fails_before_any_output(self, tmp_path, flag):
+        out = tmp_path / "smooth.json"
+        with pytest.raises(ValueError, match="p and q"):
+            main(["analyze-smoothness", flag, "nan", "--out", str(out)])
+        assert not out.exists()
+
+
 class TestRademacherCli:
     def test_finite_class(self, tmp_path):
         vals = np.vstack([np.ones(50), -np.ones(50)])

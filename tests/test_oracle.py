@@ -9,7 +9,7 @@ from hypothesis.extra import numpy as hnp
 import fqlab
 from fqlab.mdp import (FixedActionPolicy, TruncatedGaussianKernel, UniformPolicy,
                        pair_with_actions)
-from fqlab.oracle import (OracleError, apply_bellman, build_oracle,
+from fqlab.oracle import (SWEEP_MARGIN, OracleError, apply_bellman, build_oracle,
                           estimate_concentration, ground_truth, max_sweeps,
                           oracle_value, subopt, tabulate_visitation)
 
@@ -121,10 +121,11 @@ class TestGroundTruth:
             ground_truth(oracle, UniformPolicy(2))
 
     def test_max_sweeps_formula(self):
-        assert max_sweeps(0.0, 1e-8, margin=0) == 2
+        assert max_sweeps(0.0, 1e-8) == 2 + SWEEP_MARGIN
+        assert max_sweeps(0.5, 10.0) == 1 + SWEEP_MARGIN
         g, tol = 0.9, 1e-6
         expected = int(np.ceil(np.log(tol * (1 - g)) / np.log(g)))
-        assert max_sweeps(g, tol, margin=0) == expected
+        assert max_sweeps(g, tol) == expected + SWEEP_MARGIN
 
 
 class TestFrozenOracle:

@@ -107,11 +107,6 @@ class TestLocalizedRademacher:
         with pytest.raises(ValueError, match="sign draw"):
             localized_rademacher(spec, anchor, 0.1, xs, mu, sigma_draws=0, seed=0)
 
-    def test_rejects_no_restart(self, setup):
-        spec, anchor, xs, mu = setup
-        with pytest.raises(ValueError, match="restart"):
-            localized_rademacher(spec, anchor, 0.1, xs, mu, 2, 0, restarts=0)
-
     def test_rejects_empty_xs(self, setup):
         spec, anchor, xs, mu = setup
         with pytest.raises(ValueError, match="nonempty"):
@@ -224,7 +219,7 @@ class TestStackedAscentMatchesReference:
         rng = np.random.default_rng(32)
         spec = ArchitectureSpec(height=3, width=5, sparsity=20, weight_bound=2.0)
         anchor = headed_anchor(spec, rng)
-        assert anchor.n_params() > spec.sparsity
+        assert anchor.params.size > spec.sparsity
         stacked_and_reference(spec, anchor, 0.05, rng.random((40, 2)),
                               rng.random((80, 2)), 3, 8)
 
@@ -301,6 +296,15 @@ class TestSubRootFixedPoint:
         with pytest.raises(ValueError):
             sub_root_fixed_point(SubRootSpec(form="affine", a=1.0, b=1.0), 0.5, 1e-3)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"form": "affine"}, {"form": "affine", "a": 1.0}, {"form": "tabulated"},
+        {"form": "tabulated", "r_values": np.ones(3)}, {"form": "bogus", "a": 1.0, "b": 1.0},
+        {"form": "theoretical", "a": 1.0, "b": 1.0}, {"form": "affine", "a": np.nan, "b": 1.0},
+        {"form": "tabulated", "r_values": np.array([0.0, np.nan]), "psi_values": np.ones(2)}])
+    def test_rejects_a_form_without_its_fields_at_construction(self, kwargs):
+        with pytest.raises(ValueError, match="form"):
+            SubRootSpec(**kwargs)
+
     def test_rejects_non_sub_root(self):
         r = np.geomspace(1e-8, 10.0, 50)
         psi = SubRootSpec(form="tabulated", r_values=r, psi_values=r ** 2 + 0.1)
@@ -338,8 +342,8 @@ class TestTheoreticalPsi:
         assert np.all(np.diff(ratio) <= 1e-15)
 
     def test_fixed_point_exists(self):
-        psi = SubRootSpec(form="theoretical", resolution=16, n=10**4,
-                          alpha=1.0, d=1, beta=0.4)
+        def psi(r):
+            return theoretical_psi(16, 10**4, 1.0, 1, 0.4, r)
         r_star = sub_root_fixed_point(psi, r_max=10.0, tol=1e-10)
         assert abs(float(psi(r_star)) - r_star) <= 1e-8
 

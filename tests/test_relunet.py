@@ -183,7 +183,7 @@ class TestProjection:
     def test_feasible_unchanged(self):
         rng = np.random.default_rng(3)
         net = random_net(rng)
-        net.sparsity = net.n_params()
+        net.sparsity = net.params.size
         net.weight_bound = 100.0
         np.testing.assert_array_equal(net.projected().params, net.params)
 
@@ -206,7 +206,7 @@ class TestProjection:
         for trial in range(30):
             net = random_net(rng, height=int(rng.integers(1, 4)),
                              width=int(rng.integers(2, 9)))
-            net.sparsity = int(rng.integers(1, net.n_params() + 1))
+            net.sparsity = int(rng.integers(1, net.params.size + 1))
             net.weight_bound = float(rng.uniform(0.05, 2.0))
             once = net.projected()
             assert same_bits(once.projected().params, once.params)
@@ -220,7 +220,7 @@ def constrained_nets(draw, copies=1):
     width = draw(st.integers(1, 5))
     input_dim = draw(st.integers(1, 3))
     zero = ReluNetwork.zeros(input_dim, small_spec(height=height, width=width))
-    size = zero.n_params()
+    size = zero.params.size
     entry = st.one_of(st.floats(-10.0, 10.0), st.sampled_from([0.0, -0.0, 1.0, -1.0]))
     sparsity = draw(st.integers(1, size + 2))
     bound = draw(st.floats(0.05, 5.0))
@@ -557,7 +557,7 @@ class TestSerialization:
         assert raw[:10] == b"FQLNET01" + bytes([2, 1])
         head = np.frombuffer(raw[16:56], dtype="<f8")
         np.testing.assert_array_equal(head, [3, 2, 4, net.sparsity, net.weight_bound])
-        assert len(raw) == 56 + 8 * net.n_params()
+        assert len(raw) == 56 + 8 * net.params.size
 
     def test_rejects_version_1_record(self, tmp_path):
         # version 1 had no input_dim; a v1 record must not load by guessing it
