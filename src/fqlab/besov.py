@@ -200,8 +200,13 @@ def modulus_of_smoothness(f: FunctionOnGrid, order: int, p: float, t_grid) -> Mo
 
     The p-norm is taken against the uniform probability measure on the valid
     subgrid.  Restricting the sup to axis directions makes the curve a lower
-    estimate of the isotropic modulus.
+    estimate of the isotropic modulus.  An order below 1, or one that leaves
+    no step on any axis (order >= the node count), raises ValueError.
     """
+    if order < 1:
+        raise ValueError("order must be >= 1")
+    if order >= max(f.values.shape):
+        raise ValueError(f"order {order} leaves no step on a grid of {f.values.shape} nodes")
     t_grid = np.asarray(t_grid, dtype=float)
     if np.any(t_grid < f.min_step * (1 - 1e-12)):
         raise ValueError("t values below the grid step are unresolvable")

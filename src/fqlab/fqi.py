@@ -8,7 +8,7 @@ import numpy as np
 
 from .mdp import GreedyPolicy, OfflineDataset, Policy, pair_with_actions, state_action_inputs
 from .oracle import GridOracle, apply_bellman
-from .relunet import (ArchitectureSpec, ReluNetwork, TrainConfig, TrainingDiverged,
+from .relunet import (ArchitectureSpec, ReluNetwork, TrainConfig, TrainingDiverged, _forward,
                       fit_least_squares)
 
 
@@ -99,15 +99,21 @@ def run_lsvi(data: OfflineDataset, cfg: FqiConfig, oracle: GridOracle):
     grid = mdp.action_grid
     n, n_a = data.n, len(grid)
     xs_all = data.x
-    next_pts = state_action_inputs(*pair_with_actions(data.next_states, grid))
+    # the input ReLU of the n * |A| next-state inputs, once per run
+    z_next = np.maximum(state_action_inputs(*pair_with_actions(data.next_states, grid)), 0.0)
     if policy is not None:
         pi_probs = policy.probs(data.next_states)
 
     q = ReluNetwork.zeros(mdp.dim, cfg.arch).projected()
     iterates = [q]
     losses = np.empty(k_iter)
+    cache = None  # every Q_{k-1} is evaluated into the arrays of the first pass
     for k in range(1, k_iter + 1):
-        q_next = iterates[-1].forward(next_pts).reshape(n, n_a)
+        prev = iterates[-1]
+        cache = _forward(prev.weights, prev.biases, z_next, cache)
+        if prev.output_clamp:
+            np.clip(cache[0], 0.0, 1.0, out=cache[0])
+        q_next = cache[0].reshape(n, n_a)
         if policy is not None:
             cont = np.sum(pi_probs * q_next, axis=1)
         else:

@@ -2,11 +2,11 @@
 and concentration-coefficient estimation."""
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field, replace
 from functools import reduce
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 
 from .mdp import Policy, SyntheticMdp, pair_with_actions, state_action_inputs
 
@@ -111,8 +111,32 @@ class GridOracle:
         if not self.state_axes:
             return lambda pts: np.interp(np.asarray(pts)[:, -1], self.action_grid, vals)
         axes = self.state_axes + (self.action_grid,)
-        rgi = RegularGridInterpolator(axes, vals, method="linear", bounds_error=False, fill_value=None)
-        return lambda pts: rgi(np.asarray(pts, dtype=float))
+        return lambda pts: _multilinear(axes, vals, np.asarray(pts, dtype=float))
+
+
+def _multilinear(axes, vals, pts):
+    """Multilinear interpolant of vals on the grid axes at the rows of pts,
+    extrapolated linearly, with the bits of scipy's RegularGridInterpolator
+    (method="linear", fill_value=None); a one-node axis adds its node alone."""
+    idx, frac = [], []
+    for ax, p in zip(axes, pts.T):
+        i = np.clip(np.searchsorted(ax, p, side="right") - 1, 0, len(ax) - 2)
+        idx.append(i)  # -1 on a one-node axis, whose i + 1 is then node 0 as well
+        frac.append((p - ax[i]) / (ax[i + 1] - ax[i]) if len(ax) > 1 else np.zeros_like(p))
+    if len(axes) == 2:
+        # scipy's compiled loop and order, taken for a writeable float64 table:
+        # every table here is a fresh array (apply_bellman's output, oracle.q)
+        (i0, i1), (y0, y1) = idx, frac
+        return (vals[i0, i1] * (1 - y0) * (1 - y1) + vals[i0, i1 + 1] * (1 - y0) * y1
+                + vals[i0 + 1, i1] * y0 * (1 - y1) + vals[i0 + 1, i1 + 1] * y0 * y1)
+    # scipy's generic loop over the corners of the enclosing cell
+    out = np.array([0.0])
+    for corner in itertools.product((0, 1), repeat=len(axes)):
+        weight = np.array([1.0])
+        for c, y in zip(corner, frac):
+            weight = weight * (y if c else 1 - y)
+        out = out + vals[tuple(i + c for i, c in zip(idx, corner))] * weight
+    return out
 
 
 def build_oracle(mdp: SyntheticMdp, resolution: int | None = None, tol: float = 1e-8) -> GridOracle:

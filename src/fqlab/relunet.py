@@ -107,8 +107,8 @@ class TrainConfig:
     batch_size: int | None = None  # None = full batch
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not (self.learning_rate > 0 and 0 < self.lr_decay <= 1):  # also rejects NaN
+            raise ValueError("learning_rate must be positive and lr_decay in (0, 1]")
         if self.epochs < 0:
             raise ValueError("epochs must be nonnegative")
         if self.restarts < 1:
@@ -215,12 +215,16 @@ def _output_gradient(weights, pre, acts, w, work=None):
     return work.grad
 
 
+def _mse_loss(out, y, work):
+    """np.mean((out - y) ** 2), as ReluNetwork.mse, bit for bit in work's buffers."""
+    resid = np.subtract(out, y, out=work.resid)
+    return float(np.add.reduce(np.square(resid, out=work.sq)) / len(y))
+
+
 def _mse_gradient(weights, cache, y, work):
     """(loss, grad) of the batch mean squared error, no clamp, from a _forward
-    cache; grad is work.grad, or None when the loss is not finite.  The loss
-    is np.add.reduce(sq) / m, which has np.mean's bits."""
-    resid = np.subtract(cache[0], y, out=work.resid)
-    loss = float(np.add.reduce(np.square(resid, out=work.sq)) / len(y))
+    cache; grad is work.grad, or None when the loss is not finite."""
+    loss, resid = _mse_loss(cache[0], y, work), work.resid
     if not math.isfinite(loss):
         return loss, None
     resid *= 2.0
@@ -430,8 +434,11 @@ def fit_least_squares(net: ReluNetwork, xs, ys, cfg: TrainConfig) -> ReluNetwork
 
     n = len(xs)
     batch = min(cfg.batch_size or n, n)
-    works = {rows: _Workspace(net._dims, rows) for rows in {batch, n % batch or batch}}
+    works = {rows: _Workspace(net._dims, rows) for rows in {batch, n % batch or batch, n}}
     z = np.maximum(xs, 0.0)  # the input ReLU, once per fit
+
+    def full_loss(c):  # the initial and checkpoint losses, on all n points
+        return _mse_loss(_forward(c.weights, c.biases, z, works[n].cache)[0], ys, works[n])
     z_ord, y_ord = z.copy(), ys.copy()  # each epoch's order; batches are slices of it
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x5eed]))
     spec = ArchitectureSpec(net.height, net.width, net.sparsity, net.weight_bound)
@@ -441,7 +448,7 @@ def fit_least_squares(net: ReluNetwork, xs, ys, cfg: TrainConfig) -> ReluNetwork
     for restart in range(cfg.restarts):
         cand = net.projected() if restart == 0 else ReluNetwork.random(
             net.input_dim, spec, rng, net.output_clamp)
-        init_loss = cand.mse(xs, ys)
+        init_loss = full_loss(cand)
         local_net, local_loss = cand.copy(), init_loss
         head_acts = cand._forward_cached(xs[:batch])[2][-1]
         curvature = 2.0 * (float(np.mean(np.sum(head_acts ** 2, axis=1))) + 1.0)
@@ -463,7 +470,7 @@ def fit_least_squares(net: ReluNetwork, xs, ys, cfg: TrainConfig) -> ReluNetwork
             cand.params -= grad
             if (step + 1) % cfg.projection_period == 0 or step + 1 == total_steps:
                 cand._project_inplace()
-                loss_now = cand.mse(xs, ys)
+                loss_now = full_loss(cand)
                 if loss_now < local_loss:
                     local_net, local_loss = cand.copy(), loss_now
                 if not loss_now <= 10.0 * init_loss + 1e-12:  # also catches NaN

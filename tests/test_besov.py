@@ -147,6 +147,26 @@ class TestModulus:
         cg = modulus_of_smoothness(g, 1, 2.0, log_grid(g))
         np.testing.assert_allclose(cf.omega_values, cg.omega_values, atol=1e-12)
 
+    @pytest.mark.parametrize("order", [0, -1])
+    def test_rejects_an_order_below_one(self, order):
+        f = grid_1d(lambda x: x)
+        with pytest.raises(ValueError, match="order must be >= 1"):
+            modulus_of_smoothness(f, order, 2.0, log_grid(f))
+
+    def test_rejects_an_order_that_leaves_no_step_on_any_axis(self):
+        f = random_grid((19, 14))
+        assert modulus_of_smoothness(f, 18, 2.0, log_grid(f)).omega_values[0] > 0  # one step
+        with pytest.raises(ValueError, match="no step"):
+            modulus_of_smoothness(f, 19, 2.0, log_grid(f))
+
+    @pytest.mark.parametrize("estimate", [
+        lambda f: estimate_smoothness_exponent(f, 0, np.inf),
+        lambda f: estimate_smoothness_exponent(f, 65, np.inf),
+        lambda f: besov_seminorm(f, BesovParams(alpha=5000.0))])
+    def test_the_estimators_inherit_the_order_checks(self, estimate):
+        with pytest.raises(ValueError, match="order"):
+            estimate(grid_1d(lambda x: x, g=65))
+
 
 @pytest.fixture
 def table_builds(monkeypatch):

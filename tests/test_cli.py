@@ -79,6 +79,14 @@ class TestAnalyzeSmoothness:
             main(["analyze-smoothness", flag, "nan", "--out", str(out)])
         assert not out.exists()
 
+    @pytest.mark.parametrize("order", ["0", "-1", "5000"])
+    def test_a_difference_order_the_grid_cannot_take_fails_before_any_output(
+            self, tmp_path, order):
+        out = tmp_path / "smooth.json"
+        with pytest.raises(ValueError, match="order"):
+            main(["analyze-smoothness", "--r", order, "--out", str(out)])
+        assert not out.exists()
+
 
 class TestRademacherCli:
     def test_finite_class(self, tmp_path):
@@ -139,6 +147,18 @@ class TestReportCommand:
         cfg_path = tmp_path / "sweep.json"
         cfg_path.write_text(json.dumps(cfg))
         with pytest.raises(ValueError, match=f"unknown .*'{key}'.*accepted"):
+            main(["report", "--config", str(cfg_path), "--out", str(tmp_path / "rep")])
+        assert not (tmp_path / "rep").exists()
+
+    @pytest.mark.parametrize("train", [{"lr_decay": -0.5}, {"lr_decay": 2.0},
+                                       {"learning_rate": float("nan")}])
+    def test_an_untrainable_step_fails_before_any_output(self, tmp_path, train):
+        cfg = {"mdp": "chain5", "n_values": [256], "k_values": [2], "seeds": [0],
+               "arch": {"height": 2, "width": 8, "sparsity": 1000000, "weight_bound": 8.0},
+               "train": dict(train, epochs=2)}
+        cfg_path = tmp_path / "sweep.json"
+        cfg_path.write_text(json.dumps(cfg))
+        with pytest.raises(ValueError, match="learning_rate must be positive and lr_decay"):
             main(["report", "--config", str(cfg_path), "--out", str(tmp_path / "rep")])
         assert not (tmp_path / "rep").exists()
 

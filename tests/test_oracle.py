@@ -1,16 +1,20 @@
 import dataclasses
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.interpolate import RegularGridInterpolator
 
 import fqlab
 from fqlab.mdp import (FixedActionPolicy, TruncatedGaussianKernel, UniformPolicy,
                        pair_with_actions)
-from fqlab.oracle import (SWEEP_MARGIN, OracleError, apply_bellman, build_oracle,
-                          estimate_concentration, ground_truth, max_sweeps,
+from fqlab.oracle import (SWEEP_MARGIN, OracleError, _multilinear, apply_bellman,
+                          build_oracle, estimate_concentration, ground_truth, max_sweeps,
                           oracle_value, subopt, tabulate_visitation)
 
 
@@ -166,6 +170,55 @@ class TestSubopt:
     def test_requires_population(self, chain_mdp):
         with pytest.raises(OracleError):
             subopt(build_oracle(chain_mdp), 0.3)
+
+
+def scipy_multilinear(axes, table, pts):
+    """The reference: scipy's multilinear interpolant, extrapolating outside the grid."""
+    return RegularGridInterpolator(axes, table, method="linear", bounds_error=False,
+                                   fill_value=None)(pts)
+
+
+@st.composite
+def grids_and_points(draw):
+    """(axes, table, points): 2 or 3 uneven ascending axes of 1-5 nodes, a
+    writeable float64 table on them, and finite points whose coordinates lie
+    on a node, between nodes or outside the grid."""
+    axes = tuple(np.array(sorted(nodes)) / 8.0 for nodes in draw(st.lists(
+        st.lists(st.integers(-16, 16), min_size=1, max_size=5, unique=True),
+        min_size=2, max_size=3)))
+    table = draw(hnp.arrays(np.float64, tuple(map(len, axes)), elements=st.floats(-10.0, 10.0)))
+    coords = [st.one_of(st.sampled_from(ax.tolist()), st.floats(ax[0], ax[-1]),
+                        st.floats(-4.0, 4.0)) for ax in axes]
+    points = draw(st.lists(st.tuples(*coords), min_size=1, max_size=12))
+    return axes, table, np.array(points, dtype=float)
+
+
+class TestMultilinearInterpolant:
+    @given(grids_and_points())
+    def test_matches_scipy_byte_for_byte(self, case):
+        axes, table, pts = case
+        assert table.flags.writeable  # scipy's 2-axis order is the compiled loop's
+        ref = scipy_multilinear(axes, table, pts)
+        out = _multilinear(axes, table, pts)
+        assert out.shape == ref.shape and out.tobytes() == ref.tobytes()
+
+    def test_oracle_tables_match_scipy_byte_for_byte(self, chain_oracle_star, mdp2):
+        rng = np.random.default_rng(5)
+        oracle2 = ground_truth(build_oracle(mdp2, resolution=9), UniformPolicy(5))
+        for oracle in (chain_oracle_star, oracle2):  # 2 and 3 axes
+            axes = oracle.state_axes + (oracle.action_grid,)
+            pts = rng.uniform(-0.2, 1.2, (300, len(axes)))
+            ref = scipy_multilinear(axes, oracle.q.reshape(tuple(map(len, axes))), pts)
+            assert oracle.interpolator(oracle.q)(pts).tobytes() == ref.tobytes()
+
+    def test_importing_the_cli_leaves_scipy_interpolate_unloaded(self):
+        src = os.path.dirname(os.path.dirname(fqlab.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = "import sys, fqlab.cli; print('scipy.interpolate' in sys.modules)"
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=60, check=True)
+        assert run.stdout.strip() == "False"
 
 
 class TestConcentration:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import fqlab
 from fqlab.relunet import (ArchitectureSpec, NonFiniteLoss, ReluNetwork, TrainConfig,
-                           TrainingDiverged, _clip_and_prune, _forward,
+                           TrainingDiverged, _Workspace, _clip_and_prune, _forward, _mse_loss,
                            _output_gradient, _split, architecture_for, fit_least_squares)
 
 
@@ -342,6 +342,13 @@ class TestFit:
             assert fit.nnz() <= spec.sparsity
             assert fit.feasible(atol=1e-12)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"learning_rate": np.nan}, {"learning_rate": 0.0}, {"lr_decay": -0.5},
+        {"lr_decay": 0.0}, {"lr_decay": 1.5}, {"lr_decay": np.nan}])
+    def test_config_rejects_a_step_it_cannot_train_with(self, kwargs):
+        with pytest.raises(ValueError, match="learning_rate must be positive and lr_decay"):
+            TrainConfig(**kwargs)
+
 
 def reference_mse_gradient(net, x, y):
     """(loss, grad) of the batch mean squared error by plain backprop: numpy
@@ -424,6 +431,10 @@ class TestFusedStepBitIdentity:
         loss, grad = net.mse_gradient(x, y)
         ref_loss, ref_grad = reference_mse_gradient(net, x, y)
         assert same_bits(loss, ref_loss) and same_bits(grad, ref_grad)
+        # the loss helper behind the step and the full-data losses is ReluNetwork.mse
+        work = _Workspace(net._dims, rows)
+        out = _forward(net.weights, net.biases, np.maximum(x, 0.0), work.cache)[0]
+        assert same_bits(_mse_loss(out, y, work), net.mse(x, y))
 
     @pytest.mark.parametrize("height", [1, 2, 3])
     @pytest.mark.parametrize("n, batch_size", [(48, 16), (50, 16), (40, None)])
