@@ -7,9 +7,9 @@ import json
 import multiprocessing
 import time
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, dataclass, field, replace
-from functools import partial
+from functools import cache, partial
 from itertools import product
 from pathlib import Path
 
@@ -177,34 +177,26 @@ def default_probes(n_actions: int):
             FixedActionPolicy(n_actions - 1, n_actions)]
 
 
-# OpenBLAS thread setters by symbol, in the order they are tried per library
-_BLAS_THREAD_SETTERS = ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
-                        "openblas_set_num_threads", "scipy_openblas_set_num_threads")
+# OpenBLAS thread-count symbols ("get" or "set" filled in), in the order
+# they are tried per library
+_BLAS_THREAD_SYMBOLS = ("scipy_openblas_%s_num_threads64_", "openblas_%s_num_threads64_",
+                        "openblas_%s_num_threads", "scipy_openblas_%s_num_threads")
 
 # in a forked worker, the cell function of the sweep that started the pool
 _WORKER_CELL = None
 
 
+@cache
 def _openblas_libraries():
-    """Every OpenBLAS library mapped into this process (numpy and scipy each
-    ship their own), or none where /proc/self/maps does not exist."""
+    """Every OpenBLAS library mapped into this process at the first call
+    (numpy ships one; fqlab loads no scipy, but a caller that does maps
+    scipy's too), or none where /proc/self/maps does not exist."""
     try:
         with open("/proc/self/maps") as maps:
             paths = {line.split()[-1] for line in maps if "openblas" in line}
     except OSError:
-        return []
-    return [ctypes.CDLL(path) for path in sorted(paths)]
-
-
-def _pin_blas_threads():
-    """One BLAS thread per worker, so that jobs workers do not oversubscribe
-    the cores with jobs x BLAS threads."""
-    for lib in _openblas_libraries():
-        setter = next((getattr(lib, name) for name in _BLAS_THREAD_SETTERS
-                       if hasattr(lib, name)), None)
-        if setter is not None:
-            setter.argtypes, setter.restype = [ctypes.c_int], None
-            setter(1)
+        return ()
+    return tuple(ctypes.CDLL(path) for path in sorted(paths))
 
 
 def _init_worker(run_cell):
@@ -212,16 +204,41 @@ def _init_worker(run_cell):
     # to, so a worker rebuilds none of the MDP, the oracles or the samples
     global _WORKER_CELL
     _WORKER_CELL = run_cell
-    _pin_blas_threads()
 
 
 def _run_worker_cell(cell):
     return _WORKER_CELL(cell)
 
 
-def _worker_pool(workers: int, run_cell) -> ProcessPoolExecutor:
-    return ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("fork"),
-                               initializer=_init_worker, initargs=(run_cell,))
+@contextmanager
+def _one_blas_thread():
+    """Hold every OpenBLAS library at one thread, and restore each one's
+    count on exit."""
+    restore = []
+    for lib in _openblas_libraries():
+        symbol = next((s for s in _BLAS_THREAD_SYMBOLS if hasattr(lib, s % "set")), None)
+        if symbol is not None:
+            get, put = getattr(lib, symbol % "get"), getattr(lib, symbol % "set")
+            get.argtypes, get.restype, put.argtypes, put.restype = [], ctypes.c_int, [ctypes.c_int], None
+            restore.append((put, get()))
+            put(1)
+    try:
+        yield
+    finally:
+        for put, count in restore:
+            put(count)
+
+
+@contextmanager
+def _worker_pool(workers: int, run_cell):
+    """A pool of forked workers that inherit one BLAS thread each, so that
+    jobs workers do not oversubscribe the cores with jobs x BLAS threads.
+    The parent holds one thread for the pool's life; a setter called in a
+    worker would restart OpenBLAS's thread server there."""
+    with _one_blas_thread(), ProcessPoolExecutor(
+            max_workers=workers, mp_context=multiprocessing.get_context("fork"),
+            initializer=_init_worker, initargs=(run_cell,)) as pool:
+        yield pool
 
 
 @contextmanager
@@ -331,19 +348,25 @@ def run_sweep(cfg: ExperimentConfig) -> ExperimentReport:
     the action grid.  Cell failures are retried once with a shifted seed and
     then recorded, never aborting the sweep.  When cfg.jobs > 1 and the sweep
     has more than one cell, cells run in up to cfg.jobs forked worker
-    processes with one BLAS thread each (in-process where the platform cannot
-    fork); aggregation is order-independent.  A worker that dies raises
-    concurrent.futures.process.BrokenProcessPool.
+    processes with one BLAS thread each, after a setup built at one BLAS
+    thread (in-process where the platform cannot fork), and the parent's
+    thread counts are restored at the end; aggregation is order-independent.
+    A worker that dies raises concurrent.futures.process.BrokenProcessPool.
     """
-    setup = sweep_setup(cfg)
-    cell_fn = partial(run_cell, cfg, setup)
     cells = list(cfg.cells())
     workers = min(cfg.jobs, len(cells))
-    if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
-        with _worker_pool(workers, cell_fn) as pool:
-            ordered = list(pool.map(_run_worker_cell, cells))
-    else:
-        ordered = [cell_fn(cell) for cell in cells]
+    fork = workers > 1 and "fork" in multiprocessing.get_all_start_methods()
+    # a sweep that forks holds one BLAS thread from its setup on: the setup's
+    # matmuls are small, and an idle OpenBLAS helper spins on a core the
+    # workers need
+    with _one_blas_thread() if fork else nullcontext():
+        setup = sweep_setup(cfg)
+        cell_fn = partial(run_cell, cfg, setup)
+        if fork:
+            with _worker_pool(workers, cell_fn) as pool:
+                ordered = list(pool.map(_run_worker_cell, cells))
+        else:
+            ordered = [cell_fn(cell) for cell in cells]
 
     rate_fits = []
     for mode, data_mode, k_iter in product(cfg.modes, cfg.data_modes, cfg.k_values):

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -33,6 +36,16 @@ class TestRunFqi:
         assert {"subopt", "kappa_hat", "bound_rhs", "value"} <= set(result)
         net = fqlab.ReluNetwork.load(out / "q_final.net")
         assert net.input_dim == 2
+
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
+    def test_a_non_finite_kernel_sigma_fails_before_any_output(self, tmp_path, sigma):
+        mdp = tmp_path / "mdp.json"
+        mdp.write_text(json.dumps({"kind": "gaussian", "kernel_sigma": sigma}))
+        out = tmp_path / "run"
+        with pytest.raises(ValueError, match="sigma must be positive and finite"):
+            main(["run-fqi", "--mdp", str(mdp), "--n", "256", "--K", "2", "--out", str(out),
+                  "--epochs", "2", "--restarts", "1"])
+        assert not out.exists()
 
     def test_opl_mode(self, tmp_path):
         out = tmp_path / "run-opl"
@@ -209,3 +222,44 @@ def _write_arch(tmp_path):
     path.write_text(json.dumps({"height": 2, "width": 8, "sparsity": 1000000,
                                 "weight_bound": 8.0}))
     return path
+
+
+def _run_python(code, *args):
+    src = os.path.dirname(os.path.dirname(fqlab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                          text=True, timeout=300, check=True)
+
+
+class TestNumpyOnlyRuntime:
+    def test_importing_the_cli_loads_no_scipy_and_numpy_random(self):
+        code = ("import sys, fqlab.cli; print(sorted(m for m in sys.modules if m == 'scipy' "
+                "or m.startswith('scipy.')), 'numpy.random' in sys.modules)")
+        assert _run_python(code).stdout.strip() == "[] True"
+
+    def test_a_gaussian_report_in_workers_runs_where_scipy_cannot_be_imported(self, tmp_path):
+        cfg = {"mdp": {"kind": "gaussian"}, "n_values": [256, 512], "k_values": [2],
+               "seeds": [0], "modes": ["ope"], "data_modes": ["reuse"],
+               "arch": {"height": 2, "width": 8, "sparsity": 1000000, "weight_bound": 8.0},
+               "train": {"epochs": 4, "restarts": 1, "learning_rate": 1.2, "batch_size": 256},
+               "residual_samples": 256, "probe_horizons": [0, 1], "jobs": 2}
+        cfg_path = tmp_path / "sweep.json"
+        cfg_path.write_text(json.dumps(cfg))
+        code = """
+import sys
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"{name} cannot be imported here")
+
+sys.meta_path.insert(0, NoScipy())
+from fqlab.cli import main
+main(["report", "--config", sys.argv[1], "--out", sys.argv[2]])
+"""
+        _run_python(code, str(cfg_path), str(tmp_path / "no_scipy"))
+        main(["report", "--config", str(cfg_path), "--out", str(tmp_path / "here")])
+        csv = (tmp_path / "here" / "report.csv").read_bytes()
+        assert csv.count(b"\n") == 3
+        assert (tmp_path / "no_scipy" / "report.csv").read_bytes() == csv

@@ -68,6 +68,20 @@ def blas_thread_counts():
     return counts
 
 
+def _os_threads():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("Threads:"))
+
+
+def threads_around_a_matmul():
+    """This process's thread count before and after a matmul big enough for
+    a multi-threaded OpenBLAS to use its thread server."""
+    before = _os_threads()
+    a = np.ones((256, 256))
+    a @ a
+    return before, _os_threads()
+
+
 @pytest.fixture(scope="module")
 def tiny_report():
     return run_sweep(tiny_config())
@@ -352,8 +366,34 @@ class TestParallel:
 
         # patched before the fork, so the workers inherit it
         monkeypatch.setattr(harness, "run_lsvi", die)
+        before = blas_thread_counts()
         with pytest.raises(BrokenProcessPool):
             run_sweep(tiny_config(n_values=(256,), seeds=(0, 1), jobs=2))
+        assert blas_thread_counts() == before  # the parent's counts are restored
+
+    def test_a_forking_sweep_builds_its_setup_at_one_blas_thread(self, monkeypatch):
+        before = blas_thread_counts()
+        if not before:
+            pytest.skip("no OpenBLAS library reports its thread count")
+        seen, build = [], harness.sweep_setup
+
+        def sweep_setup(cfg):
+            seen.append(blas_thread_counts())
+            return build(cfg)
+
+        monkeypatch.setattr(harness, "sweep_setup", sweep_setup)
+        for jobs in (1, 2):  # in-process, the setup keeps the caller's counts
+            run_sweep(tiny_config(n_values=(256,), seeds=(0, 1), k_values=(2,), jobs=jobs))
+        assert seen == [before, [1] * len(before)]
+        assert blas_thread_counts() == before
+
+    def test_workers_start_no_blas_thread(self):
+        # a worker inherits OpenBLAS at one thread and calls no setter, which
+        # would restart the thread server in the child
+        if not os.path.exists("/proc/self/status"):
+            pytest.skip("no /proc/self/status")
+        with harness._worker_pool(2, run_cell=None) as pool:
+            assert pool.submit(threads_around_a_matmul).result() == (1, 1)
 
     def test_workers_run_one_blas_thread(self):
         before = blas_thread_counts()

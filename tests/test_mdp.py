@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.special import ndtr, ndtri
 from scipy.stats import chi2, truncnorm
 
 import fqlab
+import fqlab.mdp as mdp_module
 from fqlab.mdp import (FiniteChainKernel, FiniteInit, UniformPolicy, pair_with_actions,
                        state_action_inputs)
 from fqlab.oracle import build_oracle
@@ -195,10 +197,31 @@ class TestKernels:
         mats = chain_mdp.kernel.matrix(chain_mdp.action_grid)
         np.testing.assert_allclose(mats.sum(axis=-1), 1.0, atol=1e-12)
 
-    def test_gaussian_masses_sum_to_one(self):
-        mdp = fqlab.make_gaussian_mdp()
-        op = mdp.kernel.node_transition((np.linspace(0, 1, 101),), mdp.action_grid)
-        np.testing.assert_allclose(op.probs.sum(axis=-1), 1.0, atol=1e-6)
+    @pytest.mark.parametrize("kind", ["gaussian", "rough_reward"])
+    @pytest.mark.parametrize("nodes", [101, 201])
+    def test_gaussian_masses_sum_to_one(self, kind, nodes):
+        mdp = fqlab.mdp_from_config(kind)
+        op = mdp.kernel.node_transition((np.linspace(0, 1, nodes),), mdp.action_grid)
+        assert np.abs(op.probs.sum(axis=-1) - 1.0).max() <= 4 * np.finfo(float).eps
+
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
+    def test_rejects_a_non_finite_sigma(self, sigma):
+        with pytest.raises(ValueError, match="sigma must be positive and finite"):
+            fqlab.mdp_from_config({"kind": "gaussian", "kernel_sigma": sigma})
+
+    def test_sampler_draws_the_per_axis_reference_bits(self):
+        # the reference: scipy's ndtr/ndtri, one axis at a time, one draw per axis
+        mdp = fqlab.make_gaussian_mdp(sigma=0.1, state_dim=2)
+        states = np.random.default_rng(1).random((5000, 2))
+        actions = np.random.default_rng(2).choice(mdp.action_grid, 5000)
+        m, sigma, rng = mdp.kernel._means(states, actions), mdp.kernel.sigma, np.random.default_rng(3)
+        ref = np.empty_like(m)
+        for k in range(2):
+            lo, hi = ndtr((0.0 - m[:, k]) / sigma[k]), ndtr((1.0 - m[:, k]) / sigma[k])
+            u = rng.random(len(m))
+            ref[:, k] = m[:, k] + sigma[k] * ndtri(lo + u * (hi - lo))
+        out = mdp.kernel.sample(np.random.default_rng(3), states, actions)
+        assert out.tobytes() == np.clip(ref, 0.0, 1.0).tobytes()
 
     def test_gaussian_sampler_tracks_masses(self):
         mdp = fqlab.make_gaussian_mdp(sigma=0.2)
@@ -214,6 +237,47 @@ class TestKernels:
     def test_rejects_nonstochastic_matrix(self):
         with pytest.raises(ValueError):
             FiniteChainKernel(np.array([0.0, 1.0]), np.array([[0.5, 0.4], [0.2, 0.8]]))
+
+
+def _neighbours(*points):
+    return [v for p in points for v in (np.nextafter(p, -np.inf), p, np.nextafter(p, np.inf))]
+
+
+_SQRT1_2, _EXPM2 = mdp_module._SQRT1_2, mdp_module._EXPM2
+# where ndtr's branches meet (|a| SQRT1_2 reaches SQRT1_2, 1 and 8) and
+# exp(-a^2/2) underflows; where ndtri's branches meet (EXPM2, 1 - EXPM2, and
+# exp(-32), where sqrt(-2 log y) = 8) and its domain ends; signed zeros and
+# infinities, NaNs with and without a payload, subnormals
+_NDTR_EDGES = _neighbours(*(s * v for s in (1.0, -1.0) for v in (
+    np.sqrt(2) * _SQRT1_2, np.sqrt(2), 8 * np.sqrt(2), np.sqrt(2 * mdp_module._MAXLOG))))
+_NDTRI_EDGES = _neighbours(0.0, 1.0, _EXPM2, 1.0 - _EXPM2, np.exp(-32.0), 1.0 - np.exp(-32.0))
+_SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324, 2.2250738585072014e-308,
+            *np.array([0x7FF8000000000001, 0xFFFA66EAF6117E64], np.uint64).view(float).tolist()]
+
+
+def _arguments(edges, finite):
+    value = st.one_of(st.floats(), finite, st.sampled_from(edges + _SPECIAL),
+                      st.floats(0.0, 1e-300))  # subnormals and tiny tails
+    return st.lists(value, min_size=1, max_size=64).map(np.array)
+
+
+class TestNormalCdfPort:
+    """The kernel's numpy Cephes ndtr/ndtri against scipy.special, byte for byte."""
+
+    @given(_arguments(_NDTR_EDGES, st.floats(-40.0, 40.0)))
+    def test_ndtr_matches_scipy(self, a):
+        assert mdp_module._ndtr(a).tobytes() == ndtr(a).tobytes()
+
+    @given(_arguments(_NDTRI_EDGES, st.floats(0.0, 1.0)))
+    def test_ndtri_matches_scipy(self, y):
+        assert mdp_module._ndtri(y).tobytes() == ndtri(y).tobytes()
+
+    def test_many_blocks_and_any_shape(self):
+        rng = np.random.default_rng(0)
+        a = rng.normal(0.0, 3.0, (3, 50_000))
+        y = np.concatenate([rng.random(100_000), rng.random(100_000) ** 8]).reshape(2, -1)
+        assert mdp_module._ndtr(a).tobytes() == ndtr(a).tobytes()
+        assert mdp_module._ndtri(y).tobytes() == ndtri(y).tobytes()
 
 
 # every key each kind takes, at its factory's default

@@ -315,13 +315,13 @@ def mdp2():
 
 class TestTwoDimensionalStates:
 
-    def test_separable_rows_sum_to_one(self, mdp2):
-        oracle = build_oracle(mdp2, resolution=21)
-        op = oracle.next_op
+    @pytest.mark.parametrize("resolution", [21, 51])
+    def test_separable_rows_sum_to_one(self, mdp2, resolution):
+        op = build_oracle(mdp2, resolution=resolution).next_op
         # factored layout: m0[i0, a, :] and m1[i1, a, :] are the per-axis rows
-        row_sums = op.m0.sum(axis=-1)[:, None, :] * op.m1.sum(axis=-1)[None, :, :]
-        assert row_sums.shape == (21, 21, 5)
-        np.testing.assert_allclose(row_sums, 1.0, atol=1e-9)
+        assert op.m0.shape == op.m1.shape == (resolution, 5, resolution)
+        for table in (op.m0, op.m1):
+            assert np.abs(table.sum(axis=-1) - 1.0).max() <= 4 * np.finfo(float).eps
 
     def test_default_preset_contracts_one_axis_at_a_time(self):
         # the 2-d gaussian preset's means are axis-local, so it builds per-axis tables
