@@ -194,24 +194,49 @@ def _step_norm_table(f: FunctionOnGrid, order: int, p: float):
     return f._tables[order, p]
 
 
+def _sup_oscillation(f: FunctionOnGrid, t_grid: np.ndarray) -> np.ndarray:
+    """The order-1, p = inf modulus at each t of t_grid without the table: with J
+    the largest lag J*h <= t on an axis, the largest first difference at lags <= J
+    is the largest max - min over windows of J + 1 nodes, the same double, as rounded
+    subtraction is monotone (abs: +0.0 even if max and min split a tie of zeros)."""
+    omega = np.zeros(t_grid.shape)
+    for axis in range(f.ndim):
+        hi = lo = np.moveaxis(f.values, axis, 0)
+        lags = np.searchsorted(np.arange(1, len(hi)) * f.step(axis), t_grid * (1 + 1e-12),
+                               side="right")
+        nodes = 1  # hi and lo hold the max and min over windows of this many nodes
+        for lag in np.unique(lags):
+            while nodes <= lag:
+                s = min(nodes, lag + 1 - nodes)
+                hi, lo = np.maximum(hi[:-s], hi[s:]), np.minimum(lo[:-s], lo[s:])
+                nodes += s
+            np.maximum(omega, abs((hi - lo).max()), out=omega, where=lags == lag)
+    return omega
+
+
 def modulus_of_smoothness(f: FunctionOnGrid, order: int, p: float, t_grid) -> ModulusCurve:
     """sup over axis-aligned steps h <= t of the discrete p-norm of the
     r-th difference, for each t in t_grid, returned in decreasing t.
 
     The p-norm is taken against the uniform probability measure on the valid
     subgrid.  Restricting the sup to axis directions makes the curve a lower
-    estimate of the isotropic modulus.  An order below 1, or one that leaves
-    no step on any axis (order >= the node count), raises ValueError.
+    estimate of the isotropic modulus.  An order below 1, one that leaves
+    no step on any axis (order >= the node count), or p < 1 or NaN raises ValueError.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
     if order >= max(f.values.shape):
         raise ValueError(f"order {order} leaves no step on a grid of {f.values.shape} nodes")
+    if not p >= 1:  # negated, so that NaN fails too
+        raise ValueError(f"p must be >= 1, got {p}")
     t_grid = np.asarray(t_grid, dtype=float)
     if np.any(t_grid < f.min_step * (1 - 1e-12)):
         raise ValueError("t values below the grid step are unresolvable")
-    hs, sup_norms = _step_norm_table(f, order, p)
-    omega = sup_norms[np.searchsorted(hs, t_grid * (1 + 1e-12), side="right")]
+    if order == 1 and p == np.inf:
+        omega = _sup_oscillation(f, t_grid)
+    else:
+        hs, sup_norms = _step_norm_table(f, order, p)
+        omega = sup_norms[np.searchsorted(hs, t_grid * (1 + 1e-12), side="right")]
     order_desc = np.argsort(-t_grid, kind="stable")
     return ModulusCurve(t_grid[order_desc], omega[order_desc], order, p)
 

@@ -150,23 +150,24 @@ def _split(flat, dims):
 # Each kernel takes one network's parameters (weights[l] shaped (out, in),
 # biases[l] shaped (out,)) or a stack of networks with a leading batch axis
 # (weights[l] shaped (C, out, in)).  Per slice a stacked call runs the same
-# routines on the same operand layouts as the unstacked one, so its results
+# routines on operands of the same shapes as the unstacked one, so its results
 # are bit-identical to C separate calls.
 
 
 class _Workspace:
     """Arrays for one network, or a stack with leading shape lead, on rows
     points, allocated once: the cache for _forward's reuse, the residual, its
-    square, and _output_gradient's gradient (with _split views), deltas and mask."""
+    square, and _output_gradient's gradient (with _split views), deltas and
+    masks.  The hidden ones are rows-outermost, so numpy loops over whole rows."""
 
     def __init__(self, dims, rows, lead=()):
-        pre = [np.empty(lead + (rows, m)) for m in dims[1:-1]]
+        pre = [np.moveaxis(np.empty((rows,) + lead + (m,)), 0, len(lead)) for m in dims[1:-1]]
         self.cache = (np.empty(lead + (rows,)), pre, [None] + [np.empty_like(a) for a in pre])
         self.resid, self.sq = np.empty(lead + (rows,)), np.empty(lead + (rows,))
         self.grad = np.empty(lead + (sum(o * (i + 1) for i, o in zip(dims, dims[1:])),))
         self.gw, self.gb = _split(self.grad, dims)
         self.delta = [np.empty_like(a) for a in pre]
-        self.mask = np.empty(lead + (rows, dims[1]), dtype=bool)
+        self.mask = [np.empty_like(a, dtype=bool) for a in pre]
 
 
 def _forward(weights, biases, z, reuse=None):
@@ -176,12 +177,11 @@ def _forward(weights, biases, z, reuse=None):
     stack of networks shares it.  pre holds the hidden pre-activations, acts
     the inputs of every affine layer (acts[0] is z).  Passing the result of an
     earlier call on the same shapes, or a _Workspace's cache, as reuse
-    overwrites its arrays, the output included, instead of allocating new ones.
-    """
+    overwrites its arrays, the output included, instead of allocating new ones."""
     pre, acts = [], [z]
     for l, (w, b) in enumerate(zip(weights[:-1], biases[:-1])):
         a = np.matmul(z, np.swapaxes(w, -1, -2), out=None if reuse is None else reuse[1][l])
-        a += b[..., None, :]
+        a += np.ascontiguousarray(b)[..., None, :]  # a stack's rows of params are strided
         pre.append(a)
         z = np.maximum(a, 0.0, out=None if reuse is None else reuse[2][l + 1])
         acts.append(z)
@@ -209,7 +209,7 @@ def _output_gradient(weights, pre, acts, w, work=None):
                 delta = np.einsum("...ni,...ij->...nj", delta, weights[l + 1], out=work.delta[l])
             else:
                 delta = np.matmul(delta, weights[l + 1], out=work.delta[l])
-            delta *= np.greater(pre[l], 0.0, out=work.mask)
+            delta *= np.greater(pre[l], 0.0, out=work.mask[l])
         np.matmul(np.swapaxes(delta, -1, -2), acts[l], out=work.gw[l])
         np.add.reduce(delta, axis=-2, out=work.gb[l])
     return work.grad

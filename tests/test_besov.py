@@ -159,6 +159,15 @@ class TestModulus:
         with pytest.raises(ValueError, match="no step"):
             modulus_of_smoothness(f, 19, 2.0, log_grid(f))
 
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("p", [np.nan, 0.0, 0.5, -1.0])
+    def test_rejects_a_p_that_is_not_a_norm(self, order, p):
+        f = synth_function("weierstrass", 0.5, resolution=65)
+        with pytest.raises(ValueError, match="p must be >= 1"):
+            modulus_of_smoothness(f, order, p, log_grid(f))
+        with pytest.raises(ValueError, match="p must be >= 1"):
+            estimate_smoothness_exponent(f, order, p)
+
     @pytest.mark.parametrize("estimate", [
         lambda f: estimate_smoothness_exponent(f, 0, np.inf),
         lambda f: estimate_smoothness_exponent(f, 65, np.inf),
@@ -166,6 +175,50 @@ class TestModulus:
     def test_the_estimators_inherit_the_order_checks(self, estimate):
         with pytest.raises(ValueError, match="order"):
             estimate(grid_1d(lambda x: x, g=65))
+
+
+def landing_t(f, axis, lag):
+    """A resolvable t whose slackened t * (1 + 1e-12) is lag steps on axis
+    exactly, if one lies within 8 ulps, so that counting the steps <= it and
+    the steps < it differ; the grid step if that t is unresolvable."""
+    target = (np.arange(1, f.values.shape[axis]) * f.step(axis))[lag - 1]
+    t = target / (1 + 1e-12)
+    for _ in range(8):
+        if t * (1 + 1e-12) == target:
+            break
+        t = np.nextafter(t, np.inf if t * (1 + 1e-12) < target else -np.inf)
+    return t if t >= f.min_step * (1 - 1e-12) else f.min_step
+
+
+@st.composite
+def sup_norm_cases(draw):
+    """(f, t): a 1-d or 2-d grid, its values drawn from a pool (repeats, +-0.0
+    and, for a pool of one, constants), and t values >= the grid step: on step
+    multiples, random, above 1, and repeated."""
+    shape = tuple(draw(st.lists(st.integers(4, 30), min_size=1, max_size=2)))
+    pool = draw(st.lists(st.sampled_from([0.0, -0.0]) | st.floats(-1e3, 1e3),
+                         min_size=1, max_size=5))
+    values = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).choice(pool, size=shape)
+    f = FunctionOnGrid(tuple(np.linspace(0.0, 1.0, g) for g in shape), values)
+    axis = st.integers(0, len(shape) - 1)
+    t = draw(st.lists(st.one_of(
+        axis.flatmap(lambda a: st.integers(1, shape[a] - 1).map(lambda j: landing_t(f, a, j))),
+        st.floats(f.min_step, 3.0)), min_size=1, max_size=12))
+    return f, np.array(t + draw(st.lists(st.sampled_from(t), max_size=3)))
+
+
+class TestSupNormModulus:
+    @given(sup_norm_cases())
+    def test_window_extremes_match_the_step_norm_table(self, case):
+        f, t = case
+        hs, sup_norms = _step_norm_table(FunctionOnGrid(f.axes, f.values), 1, np.inf)
+
+        def table(t):
+            return sup_norms[np.searchsorted(hs, t * (1 + 1e-12), side="right")]
+        # in t's order, repeats included, then through the public, sorted path
+        assert besov._sup_oscillation(f, t).tobytes() == table(t).tobytes()
+        curve = modulus_of_smoothness(f, 1, np.inf, np.unique(t))
+        assert curve.omega_values.tobytes() == table(curve.t_values).tobytes()
 
 
 @pytest.fixture
@@ -186,12 +239,14 @@ class TestMemoizedTables:
     def test_one_table_per_order_and_p(self, table_builds):
         f = synth_function("weierstrass", 0.5, resolution=257)
         estimate_smoothness_exponent(f, 1, np.inf)
-        besov_seminorm(f, BesovParams(alpha=0.5))  # order 1, p = inf
+        besov_seminorm(f, BesovParams(alpha=0.5))  # order 1, p = inf: window extremes
         modulus_of_smoothness(f, 1, np.inf, log_grid(f))
-        modulus_of_smoothness(f, 1, np.inf, np.array([0.5, 0.1, 0.02]))
+        estimate_smoothness_exponent(f, 1, 2.0)
+        besov_seminorm(f, BesovParams(alpha=0.5, p=2.0))  # order 1, p = 2
+        modulus_of_smoothness(f, 1, 2.0, np.array([0.5, 0.1, 0.02]))
         modulus_of_smoothness(f, 2, 2.0, log_grid(f))
         besov_seminorm(f, BesovParams(alpha=1.5, p=2.0, q=2.0))  # order 2, p = 2
-        assert table_builds == {(1, np.inf): 1, (2, 2.0): 1}
+        assert table_builds == {(1, 2.0): 1, (2, 2.0): 1}
 
     def test_closure_builds_one_table_per_image(self, table_builds):
         mdp = fqlab.make_rough_reward_mdp(alpha=0.5, gamma=0.5)
@@ -200,9 +255,9 @@ class TestMemoizedTables:
         nets = [fqlab.ReluNetwork.zeros(2, spec) for _ in range(2)]
         report = diagnose_dynamic_closure(mdp, oracle, nets,
                                           [fqlab.UniformPolicy(mdp.n_actions), None],
-                                          BesovParams(alpha=0.5))
+                                          BesovParams(alpha=0.5, p=2.0))
         assert report.batch_size == 4
-        assert table_builds == {(1, np.inf): 4}
+        assert table_builds == {(1, 2.0): 4}
 
     @pytest.mark.parametrize("p", [2.0, np.inf])
     def test_cache_hits_match_a_fresh_instance_bit_for_bit(self, p):

@@ -178,6 +178,24 @@ class TestStackedKernels:
         for got, want in zip(reused[1] + reused[2], fresh[1] + fresh[2]):
             assert same_bits(got, want)
 
+    @pytest.mark.parametrize("height", [1, 2, 3])
+    def test_rows_outermost_workspace_matches_each_network_bit_for_bit(self, height):
+        rng = np.random.default_rng(200 + height)
+        nets = [random_net(rng, height=height, width=5) for _ in range(4)]
+        nets[2].weights[0][0] = 0.0  # a dead unit
+        x, w = rng.random((128, 2)), rng.standard_normal((len(nets), 128))
+        _, weights, biases = stack_params(nets)
+        work = _Workspace(nets[0]._dims, 128, (len(nets),))
+        # the stack's hidden arrays: (C, rows, width) views of (rows, C, width) memory
+        assert all(a.strides[0] < a.strides[1] for a in work.cache[1] + work.delta + work.mask)
+        out, pre, acts = _forward(weights, biases, x, reuse=work.cache)
+        grad = _output_gradient(weights, pre, acts, w, work)
+        for c, net in enumerate(nets):
+            ref_out, ref_pre, ref_acts = net._forward_cached(x)
+            assert same_bits(out[c], ref_out)
+            assert all(same_bits(a[c], b) for a, b in zip(pre + acts[1:], ref_pre + ref_acts[1:]))
+            assert same_bits(grad[c], net.weighted_output_gradient(x, w[c]))
+
 
 class TestProjection:
     def test_feasible_unchanged(self):
