@@ -2,9 +2,9 @@
 ReLU networks on synthetic continuous MDPs, plus the numerical machinery to
 exercise the surrounding convergence theory."""
 
-from .besov import (BesovParams, FunctionOnGrid, besov_norm, besov_seminorm,
-                    diagnose_dynamic_closure, estimate_smoothness_exponent,
-                    modulus_of_smoothness, synth_function, translation_difference)
+from .besov import (BesovParams, FunctionOnGrid, besov_seminorm, diagnose_dynamic_closure,
+                    estimate_smoothness_exponent, modulus_of_smoothness, synth_function,
+                    translation_difference)
 from .fqi import (FqiConfig, FqiTrace, greedy_policy, decomposition_bound,
                   measure_bellman_residuals, run_exact_lsvi, run_lsvi)
 from .harness import (CellRecord, ExperimentConfig, audit_decomposition, run_sweep,
@@ -18,7 +18,7 @@ from .oracle import (GridOracle, apply_bellman, build_oracle, estimate_concentra
                      ground_truth, oracle_value, subopt, tabulate_visitation)
 from .rademacher import (FiniteFunctionClass, NetworkFunctionClass, RateExponents,
                          SubRootSpec, empirical_rademacher, localized_rademacher,
-                         rate_exponent, sub_root_fixed_point, theoretical_psi)
+                         rate_exponent, sub_root_fixed_point)
 from .relunet import (ArchitectureSpec, ReluNetwork, TrainConfig, TrainingDiverged,
                       architecture_for, fit_least_squares)
 

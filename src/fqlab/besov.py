@@ -254,10 +254,6 @@ def besov_seminorm(f: FunctionOnGrid, params: BesovParams) -> float:
     return float(np.trapezoid(ratio ** params.q, np.log(t)) ** (1.0 / params.q))
 
 
-def besov_norm(f: FunctionOnGrid, params: BesovParams) -> float:
-    return _pnorm(f.values, params.p) + besov_seminorm(f, params)
-
-
 @dataclass
 class SmoothnessEstimate:
     """Log-log slope of the modulus curve, clipped to [0, order].

@@ -182,8 +182,8 @@ def default_probes(n_actions: int):
 _BLAS_THREAD_SYMBOLS = ("scipy_openblas_%s_num_threads64_", "openblas_%s_num_threads64_",
                         "openblas_%s_num_threads", "scipy_openblas_%s_num_threads")
 
-# in a forked worker, the cell function of the sweep that started the pool
-_WORKER_CELL = None
+# in a forked worker, the function of the _forked_map that started it
+_WORKER_FN = None
 
 
 @cache
@@ -199,15 +199,20 @@ def _openblas_libraries():
     return tuple(ctypes.CDLL(path) for path in sorted(paths))
 
 
-def _init_worker(run_cell):
-    # fork hands run_cell over unpickled, with the sweep setup it is bound
-    # to, so a worker rebuilds none of the MDP, the oracles or the samples
-    global _WORKER_CELL
-    _WORKER_CELL = run_cell
+def _init_worker(fn):
+    # fork hands fn over unpickled, with all it is bound to, so a worker rebuilds none of it
+    global _WORKER_FN
+    _WORKER_FN = fn
 
 
-def _run_worker_cell(cell):
-    return _WORKER_CELL(cell)
+def _run_worker_item(item):
+    return _WORKER_FN(item)
+
+
+def _fork_workers(wanted: int) -> int:
+    """wanted, or 1 (in-process) without fork or in a daemonic process."""
+    can_fork = "fork" in multiprocessing.get_all_start_methods()
+    return wanted if can_fork and not multiprocessing.current_process().daemon else 1
 
 
 @contextmanager
@@ -229,16 +234,19 @@ def _one_blas_thread():
             put(count)
 
 
-@contextmanager
-def _worker_pool(workers: int, run_cell):
-    """A pool of forked workers that inherit one BLAS thread each, so that
-    jobs workers do not oversubscribe the cores with jobs x BLAS threads.
-    The parent holds one thread for the pool's life; a setter called in a
-    worker would restart OpenBLAS's thread server there."""
+def _forked_map(fn, items, workers: int, here: int = 0) -> list:
+    """[fn(item) for item in items]: this process computes the first here
+    items while a pool of workers forked processes computes the rest.  This
+    process holds one BLAS thread until the pool ends and the workers inherit
+    it, so as not to oversubscribe the cores; a setter called in a worker
+    would restart OpenBLAS's thread server there.  fn's exceptions reach the
+    caller as themselves; a dead worker raises BrokenProcessPool.  On return
+    or raise every worker has ended and the thread counts are restored."""
     with _one_blas_thread(), ProcessPoolExecutor(
             max_workers=workers, mp_context=multiprocessing.get_context("fork"),
-            initializer=_init_worker, initargs=(run_cell,)) as pool:
-        yield pool
+            initializer=_init_worker, initargs=(fn,)) as pool:
+        rest = pool.map(_run_worker_item, items[here:])
+        return [fn(item) for item in items[:here]] + list(rest)
 
 
 @contextmanager
@@ -349,24 +357,21 @@ def run_sweep(cfg: ExperimentConfig) -> ExperimentReport:
     then recorded, never aborting the sweep.  When cfg.jobs > 1 and the sweep
     has more than one cell, cells run in up to cfg.jobs forked worker
     processes with one BLAS thread each, after a setup built at one BLAS
-    thread (in-process where the platform cannot fork), and the parent's
-    thread counts are restored at the end; aggregation is order-independent.
-    A worker that dies raises concurrent.futures.process.BrokenProcessPool.
+    thread (in-process without fork or in a daemonic process), and the
+    parent's thread counts are restored at the end; aggregation is
+    order-independent.  A worker that dies raises
+    concurrent.futures.process.BrokenProcessPool.
     """
     cells = list(cfg.cells())
-    workers = min(cfg.jobs, len(cells))
-    fork = workers > 1 and "fork" in multiprocessing.get_all_start_methods()
+    workers = _fork_workers(min(cfg.jobs, len(cells)))
     # a sweep that forks holds one BLAS thread from its setup on: the setup's
     # matmuls are small, and an idle OpenBLAS helper spins on a core the
     # workers need
-    with _one_blas_thread() if fork else nullcontext():
+    with _one_blas_thread() if workers > 1 else nullcontext():
         setup = sweep_setup(cfg)
         cell_fn = partial(run_cell, cfg, setup)
-        if fork:
-            with _worker_pool(workers, cell_fn) as pool:
-                ordered = list(pool.map(_run_worker_cell, cells))
-        else:
-            ordered = [cell_fn(cell) for cell in cells]
+        ordered = (_forked_map(cell_fn, cells, workers) if workers > 1
+                   else [cell_fn(cell) for cell in cells])
 
     rate_fits = []
     for mode, data_mode, k_iter in product(cfg.modes, cfg.data_modes, cfg.k_values):

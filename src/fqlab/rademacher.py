@@ -3,6 +3,7 @@ fixed-point solving, and the theoretical rate-exponent calculator."""
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -51,15 +52,6 @@ class FiniteFunctionClass:
         if not np.all(np.isfinite(self.values)):
             raise ValueError("non-finite function values")
 
-    @classmethod
-    def all_sign_patterns(cls, n_points: int):
-        """Every +-1 labeling of the points; 2^n functions."""
-        if n_points > 20:
-            raise ValueError("sign-pattern enumeration is exponential; keep n <= 20")
-        codes = np.arange(2 ** n_points)[:, None]
-        bits = (codes >> np.arange(n_points)) & 1
-        return cls(2.0 * bits - 1.0)
-
     def sup_correlation(self, sigma: np.ndarray) -> float:
         return float(np.max(self.values @ sigma) / len(sigma))
 
@@ -83,27 +75,46 @@ class NetworkFunctionClass:
         return max(base, 0.0)
 
 
+def _in_parts(part, draws: int) -> list:
+    """[part(lo, hi) for whole-draw parts [lo, hi) of range(draws)], one per
+    usable core; this process computes the first and forked workers the rest,
+    or all run here on one usable core, without fork, or in a daemonic process."""
+    from .harness import _fork_workers, _forked_map  # harness imports this module
+
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = _fork_workers(min(cores or 1, draws))
+    if workers == 1:
+        return [part(0, draws)]
+    bounds = [draws * k // workers for k in range(workers + 1)]
+    return _forked_map(lambda b: part(*b), list(zip(bounds, bounds[1:])), workers - 1, here=1)
+
+
 def empirical_rademacher(function_class, xs, sigma_draws: int, seed: int) -> RademacherEstimate:
     """Monte-Carlo Rademacher average: mean over sign draws of the supremum of
-    (1/n) sum_i sigma_i f(x_i)."""
+    (1/n) sum_i sigma_i f(x_i).
+
+    A network class draws every sign here, then fits whole-draw parts as
+    _in_parts runs them.  Fit i depends only on its signs and its seed
+    seed * 1000003 + i, so the split changes no number.  A fit's exception,
+    such as TrainingDiverged, reaches the caller as itself and a dead worker
+    raises concurrent.futures.process.BrokenProcessPool; either way no worker
+    is left running and the BLAS thread counts are restored."""
     if sigma_draws < 1:
         raise ValueError("need at least one sign draw")
-    if isinstance(function_class, FiniteFunctionClass):
-        n = function_class.values.shape[1]
-    else:
-        xs = np.asarray(xs, dtype=float)
-        n = len(xs)
+    finite = isinstance(function_class, FiniteFunctionClass)
+    xs = xs if finite else np.asarray(xs, dtype=float)
+    n = function_class.values.shape[1] if finite else len(xs)
     if n < 1:
         raise ValueError("need a nonempty point set")
     rng = np.random.default_rng(seed)
-    sups = np.empty(sigma_draws)
-    for i in range(sigma_draws):
-        sigma = rng.choice([-1.0, 1.0], size=n)
-        if isinstance(function_class, FiniteFunctionClass):
-            sups[i] = function_class.sup_correlation(sigma)
-        else:
-            sups[i] = function_class.sup_correlation(sigma, xs, seed=int(seed) * 1000003 + i)
-    return _estimate(sups, n, exhaustive=isinstance(function_class, FiniteFunctionClass))
+    sigmas = (rng.choice([-1.0, 1.0], size=n) for _ in range(sigma_draws))
+    if finite:
+        sups = [function_class.sup_correlation(sigma) for sigma in sigmas]
+        return _estimate(np.array(sups), n, exhaustive=True)
+    sigmas = list(sigmas)
+    parts = _in_parts(lambda lo, hi: [function_class.sup_correlation(
+        sigmas[i], xs, seed=int(seed) * 1000003 + i) for i in range(lo, hi)], sigma_draws)
+    return _estimate(np.array([s for part in parts for s in part]), n)
 
 
 # the ascent stacks whole sign draws until candidates x max(n, m) x width
@@ -127,8 +138,13 @@ def localized_rademacher(spec: ArchitectureSpec, anchor: ReluNetwork, radius: fl
 
     Every restart of every sign draw is one candidate network; the candidates
     ascend in lockstep as one stacked network, in chunks of whole draws, and
-    each gets exactly the numbers it would get ascending on its own.  The
-    feasible set is the anchor's architecture, so spec must describe it.
+    each gets exactly the numbers it would get ascending on its own.  Every
+    sign and start of a chunk is drawn here, and the chunk ascends in
+    whole-draw parts as _in_parts runs them, so the split changes no number.
+    An exception in a part reaches the caller as itself and a dead worker
+    raises concurrent.futures.process.BrokenProcessPool; either way no worker
+    is left running and the BLAS thread counts are restored.  The feasible
+    set is the anchor's architecture, so spec must describe it.
     """
     # a one-layer network has no hidden width to compare
     if (anchor.height != spec.height or (anchor.height > 1 and anchor.width != spec.width)
@@ -149,25 +165,16 @@ def localized_rademacher(spec: ArchitectureSpec, anchor: ReluNetwork, radius: fl
     anchor_mu = anchor.forward(mu_samples)
     chunk = max(1, _STACK_ELEMENTS // (ASCENT_RESTARTS * max(n, m) * anchor.width))
     n_weights = sum(w.size for w in anchor.weights)  # the weights lead the parameter vector
-    rng = np.random.default_rng(seed)
-    sups = np.empty(sigma_draws)
-    rejected_all = True
-    for start in range(0, sigma_draws, chunk):
-        # one row of params per candidate: every sign and perturbation of the
-        # chunk, in one-draw-at-a-time order, then the projection of the row
-        sigmas, count = [], min(chunk, sigma_draws - start) * ASCENT_RESTARTS
-        params = np.repeat(anchor.params[None], count, axis=0)
-        for c, row in enumerate(params):
-            if c % ASCENT_RESTARTS == 0:
-                sigmas.append(rng.choice([-1.0, 1.0], size=n))
-            row[:n_weights] += 0.01 * rng.standard_normal(n_weights)
-            _clip_and_prune(row, anchor.weight_bound, anchor.sparsity)
+
+    def ascend(params, sigmas):
+        # ascends params in place: (each draw's best correlation, any candidate inside)
         weights, biases = _split(params, anchor._dims)
         w_xs = np.repeat(np.stack(sigmas) / n, ASCENT_RESTARTS, axis=0)
         best = [0.0] * len(sigmas)  # the anchor itself: zero difference, inside the ball
+        accepted = False
         # one workspace per point set, so the gradient and the penalty have their own arrays
-        work_xs = _Workspace(anchor._dims, n, (count,))
-        work_mu = _Workspace(anchor._dims, m, (count,))
+        work_xs = _Workspace(anchor._dims, n, (len(params),))
+        work_mu = _Workspace(anchor._dims, m, (len(params),))
         cache_xs = _forward(weights, biases, z_xs, reuse=work_xs.cache)
         cache_mu = _forward(weights, biases, z_mu, reuse=work_mu.cache)
         for step in range(ascent_steps):
@@ -193,13 +200,31 @@ def localized_rademacher(spec: ArchitectureSpec, anchor: ReluNetwork, radius: fl
             f_xs, f_mu = cache_xs[0], cache_mu[0]
             if anchor.output_clamp:
                 f_xs, f_mu = np.clip(f_xs, 0.0, 1.0), np.clip(f_mu, 0.0, 1.0)
-            for c in range(count):
+            for c in range(len(params)):
                 if float(np.mean((f_mu[c] - anchor_mu) ** 2)) <= radius:
-                    rejected_all = False
+                    accepted = True
                     i = c // ASCENT_RESTARTS
                     corr = float(sigmas[i] @ (f_xs[c] - anchor_xs) / n)
                     best[i] = max(best[i], corr)
-        sups[start:start + len(sigmas)] = best
+        return best, accepted
+
+    rng = np.random.default_rng(seed)
+    sups = np.empty(sigma_draws)
+    rejected_all = True
+    for start in range(0, sigma_draws, chunk):
+        # one row of params per candidate: every sign and perturbation of the
+        # chunk, in one-draw-at-a-time order, then the projection of the row
+        sigmas, count = [], min(chunk, sigma_draws - start) * ASCENT_RESTARTS
+        params = np.repeat(anchor.params[None], count, axis=0)
+        for c, row in enumerate(params):
+            if c % ASCENT_RESTARTS == 0:
+                sigmas.append(rng.choice([-1.0, 1.0], size=n))
+            row[:n_weights] += 0.01 * rng.standard_normal(n_weights)
+            _clip_and_prune(row, anchor.weight_bound, anchor.sparsity)
+        parts = _in_parts(lambda lo, hi: ascend(
+            params[lo * ASCENT_RESTARTS:hi * ASCENT_RESTARTS], sigmas[lo:hi]), len(sigmas))
+        sups[start:start + len(sigmas)] = [b for best, _ in parts for b in best]
+        rejected_all = rejected_all and not any(accepted for _, accepted in parts)
     caveat = "; no ascent candidate stayed inside the radius (estimate is the anchor's 0)"
     return _estimate(sups, n, caveat=caveat if rejected_all else "")
 
@@ -280,29 +305,6 @@ def sub_root_fixed_point(psi, r_max: float, tol: float) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
-
-
-def theoretical_psi(resolution: int, n: int, alpha: float, d: int, beta: float, r) -> np.ndarray:
-    """Statistical-error envelope with unit constants.
-
-    psi(r) = n^(-beta-1/2) sqrt(N (log^2 N + log n)) + n^(-beta(1-d/(2 alpha))-1/2)
-           + sqrt(r/n) sqrt(N (log^2 N + log n)) + sqrt(r) n^(-(1-beta d/alpha)/2)
-           + 1/n,  with N the network resolution parameter.
-    """
-    if resolution < 1 or n < 2 or alpha <= 0 or d < 1:
-        raise ValueError("domain violation")
-    if not (0.0 < beta < alpha / d):
-        raise ValueError("need beta in (0, alpha/d)")
-    r = np.asarray(r, dtype=float)
-    if np.any(r < 0):
-        raise ValueError("r must be nonnegative")
-    log_n = math.log(n)
-    cap = math.sqrt(resolution * (math.log(resolution) ** 2 + log_n))
-    term1 = n ** (-beta - 0.5) * cap
-    term2 = n ** (-beta * (1.0 - d / (2.0 * alpha)) - 0.5)
-    term3 = np.sqrt(r / n) * cap
-    term4 = np.sqrt(r) * n ** (-0.5 * (1.0 - beta * d / alpha))
-    return term1 + term2 + term3 + term4 + 1.0 / n
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,12 @@
+import ctypes
+
 import numpy as np
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
 import fqlab
+from fqlab import harness
 from fqlab.mdp import Policy
 
 # property tests replay the same examples on every run (no example database,
@@ -28,6 +31,28 @@ class SoftmaxPolicy(Policy):
 def softmax_policy():
     """The SoftmaxPolicy class, for tests that draw random policies."""
     return SoftmaxPolicy
+
+
+_BLAS_THREAD_GETTERS = ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                        "openblas_get_num_threads", "scipy_openblas_get_num_threads")
+
+
+def _blas_thread_counts():
+    counts = []
+    for lib in harness._openblas_libraries():
+        getter = next((getattr(lib, name) for name in _BLAS_THREAD_GETTERS
+                       if hasattr(lib, name)), None)
+        if getter is not None:
+            getter.argtypes, getter.restype = [], ctypes.c_int
+            counts.append(getter())
+    return counts
+
+
+@pytest.fixture(scope="session")
+def blas_thread_counts():
+    """blas_thread_counts(): the thread count of every mapped OpenBLAS
+    library that reports one."""
+    return _blas_thread_counts
 
 
 def _flip(raw: bytes, bit: int) -> bytes:

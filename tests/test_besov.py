@@ -10,9 +10,14 @@ from hypothesis import strategies as st
 import fqlab
 from fqlab import besov
 from fqlab.besov import (BesovParams, FunctionOnGrid, _axis_step_norms, _pnorm,
-                         _step_norm_table, besov_norm, besov_seminorm,
-                         diagnose_dynamic_closure, estimate_smoothness_exponent,
-                         modulus_of_smoothness, synth_function, translation_difference)
+                         _step_norm_table, besov_seminorm, diagnose_dynamic_closure,
+                         estimate_smoothness_exponent, modulus_of_smoothness,
+                         synth_function, translation_difference)
+
+
+def besov_norm(f, params):
+    """The Besov norm, ||f||_p plus the seminorm."""
+    return _pnorm(f.values, params.p) + besov_seminorm(f, params)
 
 
 def grid_1d(fn, g=101):

@@ -1,5 +1,5 @@
-import ctypes
 import json
+import multiprocessing
 import os
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
@@ -50,22 +50,6 @@ def mixed_config(**kw):
     # one cell of every (mode, data_mode) pair
     return tiny_config(n_values=(256,), k_values=(2,), seeds=(0,), modes=("ope", "opl"),
                        data_modes=("reuse", "split"), probe_horizons=(0, 1, 2), **kw)
-
-
-_BLAS_THREAD_GETTERS = ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
-                        "openblas_get_num_threads", "scipy_openblas_get_num_threads")
-
-
-def blas_thread_counts():
-    """Thread count of every mapped OpenBLAS library that reports one."""
-    counts = []
-    for lib in harness._openblas_libraries():
-        getter = next((getattr(lib, name) for name in _BLAS_THREAD_GETTERS
-                       if hasattr(lib, name)), None)
-        if getter is not None:
-            getter.argtypes, getter.restype = [], ctypes.c_int
-            counts.append(getter())
-    return counts
 
 
 def _os_threads():
@@ -360,7 +344,7 @@ class TestParallel:
             assert rec.fail_reason.startswith("attempt 1:")
             assert "non-finite" in rec.fail_reason
 
-    def test_dead_worker_raises_broken_pool(self, monkeypatch):
+    def test_dead_worker_raises_broken_pool(self, monkeypatch, blas_thread_counts):
         def die(*args, **kwargs):
             os._exit(3)
 
@@ -370,8 +354,10 @@ class TestParallel:
         with pytest.raises(BrokenProcessPool):
             run_sweep(tiny_config(n_values=(256,), seeds=(0, 1), jobs=2))
         assert blas_thread_counts() == before  # the parent's counts are restored
+        assert multiprocessing.active_children() == []
 
-    def test_a_forking_sweep_builds_its_setup_at_one_blas_thread(self, monkeypatch):
+    def test_a_forking_sweep_builds_its_setup_at_one_blas_thread(self, monkeypatch,
+                                                                  blas_thread_counts):
         before = blas_thread_counts()
         if not before:
             pytest.skip("no OpenBLAS library reports its thread count")
@@ -392,15 +378,32 @@ class TestParallel:
         # would restart the thread server in the child
         if not os.path.exists("/proc/self/status"):
             pytest.skip("no /proc/self/status")
-        with harness._worker_pool(2, run_cell=None) as pool:
-            assert pool.submit(threads_around_a_matmul).result() == (1, 1)
+        assert harness._forked_map(lambda _: threads_around_a_matmul(), [0], 2) == [(1, 1)]
 
-    def test_workers_run_one_blas_thread(self):
+    def test_workers_run_one_blas_thread(self, blas_thread_counts):
         before = blas_thread_counts()
         if not before:
             pytest.skip("no OpenBLAS library reports its thread count")
         run_sweep(tiny_config(n_values=(256,), seeds=(0, 1), k_values=(2,), jobs=2))
-        with harness._worker_pool(2, run_cell=None) as pool:
-            in_worker = pool.submit(blas_thread_counts).result()
-        assert in_worker == [1] * len(before)
+        in_worker = harness._forked_map(lambda _: blas_thread_counts(), [0], 2)
+        assert in_worker == [[1] * len(before)]
         assert blas_thread_counts() == before
+
+    def test_a_daemonic_process_runs_the_cells_in_process(self, monkeypatch):
+        # a daemonic process may start no children: jobs=2 falls back in-process
+        cfg = tiny_config(n_values=(256,), seeds=(0, 1), k_values=(2,), jobs=2)
+        expected = [(r.subopt, r.max_residual) for r in run_sweep(cfg).records]
+        forks = []
+        monkeypatch.setattr(harness, "_forked_map", lambda *args: forks.append(args))
+        ctx = multiprocessing.get_context("fork")
+        receive, send = ctx.Pipe(duplex=False)
+
+        def sweep_and_send():
+            send.send(([(r.subopt, r.max_residual) for r in run_sweep(cfg).records], forks))
+
+        proc = ctx.Process(target=sweep_and_send, daemon=True)
+        proc.start()
+        send.close()  # a child that dies without sending ends recv with EOFError
+        assert receive.poll(120) and receive.recv() == (expected, [])
+        proc.join(60)
+        assert proc.exitcode == 0

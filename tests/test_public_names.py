@@ -14,7 +14,7 @@ FiniteFunctionClass FixedActionPolicy FqiConfig FqiTrace FunctionOnGrid
 GreedyPolicy GridOracle NetworkFunctionClass OfflineDataset Policy
 RateExponents ReluNetwork SubRootSpec SyntheticMdp TrainConfig
 TrainingDiverged TruncatedGaussianKernel UniformPolicy apply_bellman
-architecture_for audit_decomposition besov_norm besov_seminorm build_oracle
+architecture_for audit_decomposition besov_seminorm build_oracle
 decomposition_bound diagnose_dynamic_closure empirical_rademacher
 estimate_concentration estimate_smoothness_exponent fit_least_squares
 greedy_policy ground_truth localized_rademacher make_chain_mdp
@@ -22,7 +22,7 @@ make_finite_mdp make_gaussian_mdp make_rough_reward_mdp make_single_state_mdp
 mdp_from_config measure_bellman_residuals modulus_of_smoothness oracle_value
 rate_exponent run_exact_lsvi run_lsvi run_sweep sample_visitation
 sub_root_fixed_point subopt synth_function tabulate_visitation
-theoretical_psi translation_difference write_report
+translation_difference write_report
 """.split()
 
 

@@ -1,4 +1,7 @@
 import math
+import multiprocessing
+import os
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 
 import numpy as np
@@ -8,12 +11,17 @@ from hypothesis import strategies as st
 from scipy.special import gammaln
 
 import fqlab
-from fqlab import rademacher
+from fqlab import harness, rademacher
 from fqlab.rademacher import (FiniteFunctionClass, NetworkFunctionClass,
                               RateExponents, SubRootSpec, empirical_rademacher,
-                              localized_rademacher, rate_exponent,
-                              sub_root_fixed_point, theoretical_psi)
-from fqlab.relunet import ArchitectureSpec, ReluNetwork, TrainConfig
+                              localized_rademacher, rate_exponent, sub_root_fixed_point)
+from fqlab.relunet import ArchitectureSpec, ReluNetwork, TrainConfig, TrainingDiverged
+
+
+def all_sign_patterns(n_points):
+    """The class of every +-1 labeling of the points: 2^n functions."""
+    codes = np.arange(2 ** n_points)[:, None]
+    return FiniteFunctionClass(2.0 * ((codes >> np.arange(n_points)) & 1) - 1.0)
 
 
 def exact_mean_abs_sign_sum(n):
@@ -47,13 +55,9 @@ class TestEmpiricalRademacher:
         assert abs(est.value - oracle) <= 0.005
 
     def test_shattering_class_is_one(self):
-        cls = FiniteFunctionClass.all_sign_patterns(10)
+        cls = all_sign_patterns(10)
         est = empirical_rademacher(cls, None, sigma_draws=25, seed=3)
         assert est.value == 1.0
-
-    def test_enumeration_guard(self):
-        with pytest.raises(ValueError):
-            FiniteFunctionClass.all_sign_patterns(25)
 
     def test_network_class_is_labeled_lower_estimate(self):
         spec = ArchitectureSpec(height=2, width=8, sparsity=10**4, weight_bound=5.0)
@@ -250,6 +254,208 @@ class TestStackedAscentMatchesReference:
         stacked_and_reference(spec, anchor, 0.02, xs, mu, 5, 12, ascent_steps=40)
 
 
+FORKED_MAP = harness._forked_map
+
+
+def forks_with_cores(monkeypatch, cores):
+    """Let the estimators see cores usable cores; returns a list that gets
+    the worker count of every fork."""
+    forks = []
+
+    def spy(fn, items, workers, here=0):
+        forks.append(workers)
+        return FORKED_MAP(fn, items, workers, here)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+    monkeypatch.setattr(harness, "_forked_map", spy)
+    return forks
+
+
+def estimate_bytes(est):
+    return est.per_draw.tobytes(), est.value, est.stderr, est.bias_note
+
+
+class TestSplitDraws:
+    """Whole sign draws split across forked workers give the bytes of one process."""
+
+    @pytest.fixture(scope="class")
+    def small(self):
+        rng = np.random.default_rng(31)
+        spec = ArchitectureSpec(height=2, width=8, sparsity=10**4, weight_bound=5.0)
+        return spec, headed_anchor(spec, rng), rng.random((48, 2)), rng.random((96, 2))
+
+    @pytest.fixture(scope="class")
+    def net_class(self):
+        spec = ArchitectureSpec(height=2, width=8, sparsity=10**4, weight_bound=5.0)
+        cls = NetworkFunctionClass(spec, TrainConfig(epochs=10, restarts=1), input_dim=2)
+        return cls, np.random.default_rng(34).random((32, 2))
+
+    def split_matches_one_process(self, monkeypatch, estimate, workers):
+        forks = forks_with_cores(monkeypatch, 1)
+        alone = estimate()
+        assert forks == []
+        forks = forks_with_cores(monkeypatch, workers)
+        split = estimate()
+        assert estimate_bytes(split) == estimate_bytes(alone)
+        return forks, split
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("draws", [1, 2, 3, 10])
+    def test_localized(self, small, monkeypatch, draws, workers):
+        spec, anchor, xs, mu = small
+        forks, _ = self.split_matches_one_process(monkeypatch, lambda: localized_rademacher(
+            spec, anchor, 0.02, xs, mu, draws, 12, ascent_steps=40), workers)
+        # the parent computes one part, the workers the others
+        assert forks == ([min(workers, draws) - 1] if draws > 1 else [])
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("draws", [1, 2, 3, 10])
+    def test_empirical(self, net_class, monkeypatch, draws, workers):
+        cls, xs = net_class
+        forks, _ = self.split_matches_one_process(
+            monkeypatch, lambda: empirical_rademacher(cls, xs, draws, 13), workers)
+        assert forks == ([min(workers, draws) - 1] if draws > 1 else [])
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_several_chunks(self, small, monkeypatch, workers):
+        spec, anchor, xs, mu = small
+        # three draws of two restarts per chunk: seven draws take three chunks
+        monkeypatch.setattr(rademacher, "_STACK_ELEMENTS", 3 * 2 * len(mu) * spec.width)
+        forks, _ = self.split_matches_one_process(monkeypatch, lambda: localized_rademacher(
+            spec, anchor, 0.02, xs, mu, 7, 12, ascent_steps=40), workers)
+        assert forks == [workers - 1, workers - 1]  # the one-draw chunk runs here
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_all_candidates_rejected(self, small, monkeypatch, workers):
+        # the stacked-ascent case: every part rejects, so the caveat stays
+        spec, anchor, xs, mu = small
+        _, est = self.split_matches_one_process(monkeypatch, lambda: localized_rademacher(
+            spec, anchor, 1e-12, xs, mu, 3, 10, ascent_steps=40), workers)
+        assert "no ascent candidate" in est.bias_note
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_one_part_accepts(self, small, monkeypatch, workers):
+        # only draw 1, which a worker ascends, has a candidate inside the ball:
+        # the parent's part rejects, and the caveat must not appear
+        spec, anchor, xs, mu = small
+        _, est = self.split_matches_one_process(monkeypatch, lambda: localized_rademacher(
+            spec, anchor, 0.004, xs, mu, 3, 11, ascent_steps=40), workers)
+        assert est.bias_note == "trained supremum: lower estimate of the true sup"
+        assert est.per_draw[0] == est.per_draw[2] == 0.0 < est.per_draw[1]
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_penalty_binds_for_some_candidates_only(self, small, monkeypatch, workers):
+        spec, anchor, xs, mu = small
+        self.split_matches_one_process(monkeypatch, lambda: localized_rademacher(
+            spec, anchor, 2e-4, xs, mu, 3, 9, ascent_steps=60), workers)
+
+
+class TestSplitFailures:
+    """A failing or dying worker ends as a documented exception, never a hang,
+    and leaves no child running and the caller's BLAS thread counts as they were."""
+
+    @pytest.fixture(scope="class")
+    def small(self):
+        rng = np.random.default_rng(35)
+        spec = ArchitectureSpec(height=2, width=8, sparsity=10**4, weight_bound=5.0)
+        return spec, headed_anchor(spec, rng), rng.random((32, 2)), rng.random((64, 2))
+
+    def estimators(self, small):
+        spec, anchor, xs, mu = small
+        cls = NetworkFunctionClass(spec, TrainConfig(epochs=5, restarts=1), input_dim=2)
+        return {"localized": lambda: localized_rademacher(spec, anchor, 0.02, xs, mu, 4, 0,
+                                                          ascent_steps=20),
+                "empirical": lambda: empirical_rademacher(cls, xs, 4, 0)}
+
+    def fail_in_workers(self, monkeypatch, name, failure):
+        # patched before the fork, so the workers inherit it; the parent's
+        # own part runs the real kernel
+        parent, real = os.getpid(), getattr(rademacher, name)
+
+        def patched(*args, **kwargs):
+            if os.getpid() != parent:
+                failure()
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(rademacher, name, patched)
+
+    @pytest.mark.parametrize("which, kernel", [("localized", "_forward"),
+                                               ("empirical", "fit_least_squares")])
+    def test_a_worker_exception_reaches_the_caller(self, small, monkeypatch, blas_thread_counts,
+                                                   which, kernel):
+        def diverge():
+            raise TrainingDiverged("all 1 restart(s) exceeded 10x the initial loss")
+
+        forks_with_cores(monkeypatch, 2)
+        self.fail_in_workers(monkeypatch, kernel, diverge)
+        before = blas_thread_counts()
+        with pytest.raises(TrainingDiverged, match="all 1 restart"):
+            self.estimators(small)[which]()
+        assert multiprocessing.active_children() == []
+        assert blas_thread_counts() == before
+
+    @pytest.mark.parametrize("which, kernel", [("localized", "_forward"),
+                                               ("empirical", "fit_least_squares")])
+    def test_a_dead_worker_raises_broken_pool(self, small, monkeypatch, blas_thread_counts,
+                                              which, kernel):
+        forks_with_cores(monkeypatch, 3)
+        self.fail_in_workers(monkeypatch, kernel, lambda: os._exit(3))
+        before = blas_thread_counts()
+        with pytest.raises(BrokenProcessPool):
+            self.estimators(small)[which]()
+        assert multiprocessing.active_children() == []
+        assert blas_thread_counts() == before
+
+
+class TestSplitFallbacks:
+    """Where forking is not possible or not useful, the draws run here, with
+    the same bytes."""
+
+    @pytest.fixture(scope="class")
+    def estimators(self):
+        rng = np.random.default_rng(36)
+        spec = ArchitectureSpec(height=2, width=8, sparsity=10**4, weight_bound=5.0)
+        anchor, xs, mu = headed_anchor(spec, rng), rng.random((32, 2)), rng.random((64, 2))
+        cls = NetworkFunctionClass(spec, TrainConfig(epochs=5, restarts=1), input_dim=2)
+        return [lambda: localized_rademacher(spec, anchor, 0.02, xs, mu, 4, 1, ascent_steps=20),
+                lambda: empirical_rademacher(cls, xs, 4, 1)]
+
+    def split(self, estimators, monkeypatch):
+        forks = forks_with_cores(monkeypatch, 2)
+        out = [estimate_bytes(estimate()) for estimate in estimators]
+        assert forks == [1, 1]
+        return out
+
+    def test_one_usable_core(self, estimators, monkeypatch):
+        split = self.split(estimators, monkeypatch)
+        forks = forks_with_cores(monkeypatch, 1)
+        assert [estimate_bytes(estimate()) for estimate in estimators] == split
+        assert forks == []
+
+    def test_a_platform_without_fork(self, estimators, monkeypatch):
+        split = self.split(estimators, monkeypatch)
+        forks = forks_with_cores(monkeypatch, 2)
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        assert [estimate_bytes(estimate()) for estimate in estimators] == split
+        assert forks == []
+
+    def test_a_daemonic_process(self, estimators, monkeypatch):
+        split = self.split(estimators, monkeypatch)
+        forks = forks_with_cores(monkeypatch, 2)
+        ctx = multiprocessing.get_context("fork")
+        receive, send = ctx.Pipe(duplex=False)
+
+        def estimate_and_send():
+            send.send(([estimate_bytes(estimate()) for estimate in estimators], forks))
+
+        proc = ctx.Process(target=estimate_and_send, daemon=True)
+        proc.start()
+        send.close()  # a child that dies without sending ends recv with EOFError
+        assert receive.poll(120) and receive.recv() == (split, [])
+        proc.join(60)
+        assert proc.exitcode == 0
+
+
 class TestSubRootFixedPoint:
     def test_sqrt_fixed_point_is_one(self):
         psi = SubRootSpec(form="affine", a=1.0, b=0.0)
@@ -310,6 +516,29 @@ class TestSubRootFixedPoint:
         psi = SubRootSpec(form="tabulated", r_values=r, psi_values=r ** 2 + 0.1)
         with pytest.raises(ValueError):
             sub_root_fixed_point(psi, 10.0, 1e-6)
+
+
+def theoretical_psi(resolution: int, n: int, alpha: float, d: int, beta: float, r) -> np.ndarray:
+    """Statistical-error envelope with unit constants.
+
+    psi(r) = n^(-beta-1/2) sqrt(N (log^2 N + log n)) + n^(-beta(1-d/(2 alpha))-1/2)
+           + sqrt(r/n) sqrt(N (log^2 N + log n)) + sqrt(r) n^(-(1-beta d/alpha)/2)
+           + 1/n,  with N the network resolution parameter.
+    """
+    if resolution < 1 or n < 2 or alpha <= 0 or d < 1:
+        raise ValueError("domain violation")
+    if not (0.0 < beta < alpha / d):
+        raise ValueError("need beta in (0, alpha/d)")
+    r = np.asarray(r, dtype=float)
+    if np.any(r < 0):
+        raise ValueError("r must be nonnegative")
+    log_n = math.log(n)
+    cap = math.sqrt(resolution * (math.log(resolution) ** 2 + log_n))
+    term1 = n ** (-beta - 0.5) * cap
+    term2 = n ** (-beta * (1.0 - d / (2.0 * alpha)) - 0.5)
+    term3 = np.sqrt(r / n) * cap
+    term4 = np.sqrt(r) * n ** (-0.5 * (1.0 - beta * d / alpha))
+    return term1 + term2 + term3 + term4 + 1.0 / n
 
 
 class TestTheoreticalPsi:
