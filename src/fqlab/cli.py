@@ -20,10 +20,17 @@ def _train_kwargs(args):
     return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
 
 
+def _json_object(raw, what: str) -> dict:
+    """raw itself, or a ValueError if it is not a JSON object."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(raw).__name__}")
+    return raw
+
+
 def _build(cls, raw: dict, what: str):
-    """cls(**raw), or a ValueError naming the keys cls does not take."""
+    """cls(**raw), or a ValueError if raw is not a JSON object or has keys cls does not take."""
     accepted = {f.name for f in fields(cls)}
-    unknown = set(raw) - accepted
+    unknown = set(_json_object(raw, what)) - accepted
     if unknown:
         raise ValueError(f"unknown {what} keys {sorted(unknown)}; accepted: {sorted(accepted)}")
     return cls(**raw)
@@ -34,7 +41,7 @@ def _experiment_config(raw: dict):
     from .harness import ExperimentConfig
     from .relunet import ArchitectureSpec, TrainConfig
 
-    raw = dict(raw)
+    raw = dict(_json_object(raw, "sweep config"))
     if raw.get("arch") is not None:
         raw["arch"] = _build(ArchitectureSpec, raw["arch"], "arch")
     if "train" in raw:
@@ -148,8 +155,7 @@ def cmd_rademacher(args):
         est = empirical_rademacher(FiniteFunctionClass(values), None,
                                    args.draws, args.seed)
     elif kind == "net":
-        raw = _load_json(spec_arg)
-        spec = ArchitectureSpec(**raw)
+        spec = _build(ArchitectureSpec, _load_json(spec_arg), "arch")
         xs = rng.random((args.n_points, args.input_dim))
         train = TrainConfig(epochs=60, restarts=1, learning_rate=0.3)
         if args.radius is not None:
@@ -172,7 +178,7 @@ def cmd_rademacher(args):
 
 
 def cmd_report(args):
-    raw = _load_json(args.config)
+    raw = _json_object(_load_json(args.config), "sweep config")
     if args.jobs is not None:
         raw["jobs"] = args.jobs
     report = _sweep(raw, args.out)

@@ -48,8 +48,8 @@ class ExperimentConfig:
     JSON file path.  When arch is None, each cell picks its architecture from
     the rate-driven selector using (alpha, p) and the cell's sample count.
     epsilon/delta feed the reported sample-size hint only; nothing is gated
-    on it.  Degenerate axes and probe horizons raise ValueError here, before any
-    oracle is built.
+    on it.  Degenerate axes, horizons, rate and hint parameters and counts
+    raise ValueError here, before any oracle is built.
     """
 
     mdp: dict | str = field(default_factory=lambda: {"kind": "chain5"})
@@ -87,6 +87,12 @@ class ExperimentConfig:
             raise ValueError(f"data_modes must be 'reuse' or 'split', got {self.data_modes}")
         if min(self.n_values) < 1 or min(self.k_values) < 1:
             raise ValueError("every n and every K must be at least 1")
+        if not (0.0 < self.alpha < np.inf and 0.0 < self.epsilon < np.inf):  # NaN fails too
+            raise ValueError("alpha and epsilon must be finite and positive")
+        if not 0.0 < self.delta < 1.0:
+            raise ValueError("delta must lie in (0, 1)")
+        if not (self.jobs >= 1 and self.residual_samples >= 1):
+            raise ValueError("jobs and residual_samples must be at least 1")
         if len(self.probe_horizons) == 0 or min(self.probe_horizons) < 0:
             raise ValueError("probe_horizons must be nonempty, every horizon at least 0")
         if "split" in self.data_modes and min(self.n_values) < max(self.k_values):

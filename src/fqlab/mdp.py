@@ -138,19 +138,6 @@ class FiniteChainKernel:
         return DenseNextOp(probs)
 
 
-class SingleStateKernel:
-    """Degenerate kernel for a zero-dimensional state space."""
-
-    is_finite = True
-    nodes = None
-
-    def sample(self, rng, states, action_values):
-        return np.zeros((len(action_values), 0))
-
-    def node_transition(self, state_axes, action_grid) -> DenseNextOp:
-        return DenseNextOp(np.ones((1, len(action_grid), 1)))
-
-
 # Cephes' normal cdf and its inverse (Moshier 1989) with scipy.special's bits: its operation order,
 # and libm's exp and log, where numpy's SIMD ones differ in the last bit.  Polynomial coefficients,
 # highest degree first; a denominator's leading 1 (Cephes' p1evl) is written out, as 1.0 * x is exact.
@@ -318,16 +305,6 @@ class TruncatedGaussianKernel:
 # initial-state distributions
 
 
-class PointInit:
-    """Point mass on the empty state (zero-dimensional state space)."""
-
-    def sample(self, rng, n):
-        return np.zeros((n, 0))
-
-    def mass_on_nodes(self, nodes, node_weights):
-        return np.ones(1)
-
-
 class FiniteInit:
     """Uniform distribution over a finite node set."""
 
@@ -440,6 +417,8 @@ class SyntheticMdp:
 
     def __post_init__(self):
         self.action_grid = np.asarray(self.action_grid, dtype=float)
+        if self.state_dim < 1:
+            raise ValueError("state_dim must be at least 1")
         if not (0.0 <= self.gamma < 1.0):
             raise ValueError("discount must satisfy 0 <= gamma < 1")
         if not (0.0 <= self.reward_noise <= 0.5):
@@ -585,14 +564,8 @@ def sample_visitation(mdp: SyntheticMdp, eta: Policy, n: int, seed: int) -> Offl
 
 
 def make_single_state_mdp(gamma=0.5, reward=0.5, n_actions=2, noise=0.0) -> SyntheticMdp:
-    """One-point state space with a constant mean reward."""
-    r = float(reward)
-    return SyntheticMdp(
-        state_dim=0, gamma=gamma,
-        reward_mean=lambda s, a: np.full(len(a), r),
-        reward_noise=noise, kernel=SingleStateKernel(), init_dist=PointInit(),
-        action_grid=np.linspace(0.0, 1.0, n_actions),
-    )
+    """One-node chain at s = 0.5 with a constant mean reward."""
+    return make_finite_mdp([[1.0]], [reward], gamma, n_actions, noise)
 
 
 def make_finite_mdp(matrix, node_rewards, gamma, n_actions=2, noise=0.0) -> SyntheticMdp:
@@ -733,6 +706,8 @@ def mdp_from_config(cfg) -> SyntheticMdp:
             cfg = json.loads(Path(text).read_text())
         else:
             cfg = {"kind": text}
+    if not isinstance(cfg, dict):
+        raise ValueError(f"mdp config must be a JSON object, got {type(cfg).__name__}")
     kind = cfg.get("kind", "chain5")
     if kind not in _PRESETS:
         raise ValueError(f"unknown mdp kind {kind!r}; choose from {sorted(_PRESETS)}")

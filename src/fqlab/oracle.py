@@ -22,8 +22,6 @@ class OracleError(RuntimeError):
 
 def _state_axes(mdp: SyntheticMdp, resolution):
     kernel = mdp.kernel
-    if mdp.state_dim == 0:
-        return ()
     if kernel.is_finite:
         return (kernel.nodes.copy(),)
     if mdp.state_dim not in DEFAULT_RESOLUTION:
@@ -108,8 +106,6 @@ class GridOracle:
         """Multilinear interpolant of a (S, A) table over the full input cube."""
         shape = tuple(len(ax) for ax in self.state_axes) + (len(self.action_grid),)
         vals = np.asarray(table, dtype=float).reshape(shape)
-        if not self.state_axes:
-            return lambda pts: np.interp(np.asarray(pts)[:, -1], self.action_grid, vals)
         axes = self.state_axes + (self.action_grid,)
         return lambda pts: _multilinear(axes, vals, np.asarray(pts, dtype=float))
 
@@ -142,16 +138,12 @@ def _multilinear(axes, vals, pts):
 def build_oracle(mdp: SyntheticMdp, resolution: int | None = None, tol: float = 1e-8) -> GridOracle:
     """Assemble the grid, quadrature weights, transition table, and rewards."""
     axes = _state_axes(mdp, resolution)
-    if not axes:
-        nodes = np.zeros((1, 0))
-        weights = np.ones(1)
-    else:
-        mesh = np.meshgrid(*axes, indexing="ij")
-        nodes = np.stack([m.ravel() for m in mesh], axis=-1)
-        # counting measure on a finite chain, else the product of the per-axis
-        # trapezoid weights, row-major like nodes
-        weights = (np.ones(len(nodes)) if mdp.kernel.is_finite
-                   else reduce(np.multiply.outer, map(_axis_weights, axes)).ravel())
+    mesh = np.meshgrid(*axes, indexing="ij")
+    nodes = np.stack([m.ravel() for m in mesh], axis=-1)
+    # counting measure on a finite chain, else the product of the per-axis
+    # trapezoid weights, row-major like nodes
+    weights = (np.ones(len(nodes)) if mdp.kernel.is_finite
+               else reduce(np.multiply.outer, map(_axis_weights, axes)).ravel())
 
     next_op = mdp.kernel.node_transition(axes, mdp.action_grid)
     rewards = np.asarray(mdp.reward_mean(*pair_with_actions(nodes, mdp.action_grid)),

@@ -318,8 +318,8 @@ class RateExponents:
 
 
 def rate_exponent(alpha: float, d: int) -> RateExponents:
-    if alpha <= 0 or d < 1:
-        raise ValueError("need alpha > 0 and d >= 1")
+    if not (0 < alpha < np.inf and d >= 1):  # negated, so that NaN fails
+        raise ValueError("need a finite alpha > 0 and d >= 1")
     beta = 1.0 / (2.0 + d * d / (alpha * (alpha + d)))
     n_exp = (beta + 0.5) * d / (2.0 * alpha + d)
     stat = 0.5 / (2.0 * alpha / (2.0 * alpha + d) + d / alpha)

@@ -47,6 +47,14 @@ class TestRunFqi:
                   "--epochs", "2", "--restarts", "1"])
         assert not out.exists()
 
+    def test_an_mdp_file_that_is_not_a_json_object_fails_before_any_output(self, tmp_path):
+        mdp = tmp_path / "list.json"
+        mdp.write_text("[1, 2]")
+        out = tmp_path / "run"
+        with pytest.raises(ValueError, match="mdp config must be a JSON object, got list"):
+            main(["run-fqi", "--mdp", str(mdp), "--n", "256", "--K", "2", "--out", str(out)])
+        assert not out.exists()
+
     def test_opl_mode(self, tmp_path):
         out = tmp_path / "run-opl"
         main(["run-fqi", "--mdp", "chain5", "--n", "256", "--K", "2",
@@ -126,6 +134,15 @@ class TestRademacherCli:
         assert "lower estimate" in payload["bias_note"]
 
 
+    def test_net_class_spec_with_an_unknown_key_is_rejected(self, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"height": 2, "widht": 6}))
+        out = tmp_path / "rad.json"
+        with pytest.raises(ValueError, match=r"unknown arch keys \['widht'\]; accepted"):
+            main(["rademacher", "--class", f"net:{spec}", "--draws", "2", "--out", str(out)])
+        assert not out.exists()
+
+
 class TestReportCommand:
     def test_sweep_from_config(self, tmp_path):
         cfg = {
@@ -161,6 +178,14 @@ class TestReportCommand:
         cfg_path.write_text(json.dumps(cfg))
         with pytest.raises(ValueError, match=f"unknown .*'{key}'.*accepted"):
             main(["report", "--config", str(cfg_path), "--out", str(tmp_path / "rep")])
+        assert not (tmp_path / "rep").exists()
+
+    @pytest.mark.parametrize("jobs", [[], ["--jobs", "2"]], ids=["config", "jobs_flag"])
+    def test_a_config_that_is_not_a_json_object_fails_before_any_output(self, tmp_path, jobs):
+        cfg_path = tmp_path / "list.json"
+        cfg_path.write_text("[1, 2]")
+        with pytest.raises(ValueError, match="sweep config must be a JSON object, got list"):
+            main(["report", "--config", str(cfg_path), "--out", str(tmp_path / "rep"), *jobs])
         assert not (tmp_path / "rep").exists()
 
     @pytest.mark.parametrize("train", [{"lr_decay": -0.5}, {"lr_decay": 2.0},

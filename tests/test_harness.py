@@ -1,3 +1,4 @@
+import csv
 import json
 import multiprocessing
 import os
@@ -9,6 +10,7 @@ import pytest
 
 import fqlab
 import fqlab.harness as harness
+import fqlab.oracle as oracle_module
 from fqlab.fqi import FqiConfig, decomposition_bound, measure_bellman_residuals, run_lsvi
 from fqlab.harness import (RETRY_SEED_OFFSET, AuditSummary, CellRecord, ExperimentConfig,
                            ExperimentReport, audit_decomposition, run_sweep,
@@ -91,6 +93,31 @@ class TestRunSweep:
         result, trace = run_lsvi(data, fqi_cfg, oracle)
         direct = fqlab.subopt(oracle, result.estimate)
         assert rec.subopt == pytest.approx(direct, abs=1e-12)
+
+    def test_single_state_sweep_runs_on_its_one_node_chain(self, monkeypatch, tmp_path):
+        # every cell runs in a worker and measures its residuals through the
+        # multilinear interpolant, whose state axis is the chain's one node
+        calls = tmp_path / "multilinear_state_nodes"
+        multilinear = oracle_module._multilinear
+
+        def spy(axes, vals, pts):
+            with open(calls, "a") as log:
+                log.write(f"{len(axes[0])}\n")
+            return multilinear(axes, vals, pts)
+
+        monkeypatch.setattr(oracle_module, "_multilinear", spy)
+        cfg = tiny_config(mdp="single_state", n_values=(256, 512), seeds=(0,),
+                          modes=("ope", "opl"), jobs=2)
+        write_report(run_sweep(cfg), tmp_path / "rep")
+        with open(tmp_path / "rep" / "report.csv", newline="") as f:
+            rows = list(csv.DictReader(f))
+        assert [(int(r["n"]), r["mode"]) for r in rows] == [
+            (256, "ope"), (512, "ope"), (256, "opl"), (512, "opl")]
+        for row in rows:
+            assert row["failed"] == "0" and np.isfinite(float(row["max_residual"]))
+            # a fixed-action probe over the uniform eta on two actions: 2, up to summation noise
+            assert float(row["kappa_hat"]) == 2.000000000000007
+        assert set(calls.read_text().split()) == {"1"}
 
     def test_rate_fit_present(self, tiny_report):
         assert len(tiny_report.rate_fits) == 1
@@ -300,6 +327,24 @@ class TestConfigValidation:
     def test_degenerate_probe_horizons_rejected(self, horizons):
         with pytest.raises(ValueError, match="probe_horizons"):
             tiny_config(probe_horizons=horizons)
+
+    @pytest.mark.parametrize("overrides,message", [
+        ({"alpha": -1.0}, "alpha and epsilon"), ({"alpha": float("nan")}, "alpha and epsilon"),
+        ({"alpha": float("inf")}, "alpha and epsilon"), ({"epsilon": 0.0}, "alpha and epsilon"),
+        ({"epsilon": float("nan")}, "alpha and epsilon"), ({"delta": 0.0}, "delta"),
+        ({"delta": 1.5}, "delta"), ({"delta": float("nan")}, "delta"),
+        ({"jobs": 0}, "jobs and residual_samples"),
+        ({"residual_samples": 0}, "jobs and residual_samples"),
+    ])
+    def test_degenerate_rate_hint_and_count_settings_rejected_before_any_oracle(
+            self, monkeypatch, overrides, message):
+        # each of these used to fail after every cell had run, or not at all
+        def no_build(*args, **kwargs):
+            raise AssertionError("oracle built for a degenerate config")
+
+        monkeypatch.setattr(harness, "build_oracle", no_build)
+        with pytest.raises(ValueError, match=message):
+            run_sweep(tiny_config(n_values=(256,), seeds=(0,), **overrides))
 
     def test_split_shorter_than_k_rejected_before_any_oracle(self, monkeypatch):
         def no_build(*args, **kwargs):

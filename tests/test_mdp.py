@@ -1,5 +1,6 @@
 import json
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -49,12 +50,19 @@ class TestGeometricHorizonSampler:
         assert stat < chi2.ppf(0.99, counts.size - 1)
 
     def test_single_state_tuples(self):
+        # the single state is the one node of a chain, at s = 0.5
         mdp = fqlab.make_single_state_mdp(gamma=0.5, reward=0.5, n_actions=2)
         data = fqlab.sample_visitation(mdp, UniformPolicy(2), 64, seed=3)
-        assert data.states.shape == (64, 0)
-        assert data.next_states.shape == (64, 0)
+        for states in (data.states, data.next_states):
+            assert states.shape == (64, 1)
+            assert np.all(states == 0.5)
         np.testing.assert_allclose(data.rewards, 0.5)
         assert set(np.round(data.actions, 6)) <= {0.0, 1.0}
+
+    def test_a_zero_dimensional_state_space_is_rejected(self):
+        # no kernel and no grid oracle serves state_dim 0
+        with pytest.raises(ValueError, match="state_dim must be at least 1"):
+            replace(fqlab.make_single_state_mdp(), state_dim=0)
 
     def test_chain_frequencies_match_brute_force(self, chain_mdp, uniform_pi):
         n = 100_000
@@ -306,6 +314,12 @@ class TestConfigLoading:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             fqlab.mdp_from_config({"kind": "nope"})
+
+    def test_a_json_file_that_is_not_an_object_is_rejected(self, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(ValueError, match="must be a JSON object, got list"):
+            fqlab.mdp_from_config(path)
 
     @pytest.mark.parametrize("cfg,key", [({"kind": "chain5", "gama": 0.5}, "gama"),
                                          ({"kind": "gaussian", "sigma": 0.5}, "sigma")])

@@ -600,6 +600,11 @@ class TestRateExponents:
         assert out.stat_exponent == pytest.approx(0.5, abs=1e-6)
         assert out.sample_exponent == pytest.approx(1.0, abs=1e-6)
 
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_a_non_finite_or_non_positive_alpha_is_rejected(self, alpha):
+        with pytest.raises(ValueError, match="finite alpha > 0"):
+            rate_exponent(alpha, 2)
+
     def test_monotone_in_alpha_and_d(self):
         alphas = np.linspace(0.5, 6.0, 12)
         stats = [rate_exponent(a, 2).stat_exponent for a in alphas]
