@@ -339,8 +339,12 @@ def synth_function(kind: str, target_alpha: float, d: int = 1, seed: int = 0,
             for j in range(levels):
                 centers = (np.arange(2 ** j) + 0.5) / 2 ** j
                 coef = rng.standard_normal(len(centers)) * 2.0 ** (-j * decay)
-                for c, ck in zip(centers, coef):
-                    v += ck * _hat((ax - c) * 2 ** j * 2)
+                # hat k is nonzero only inside its dyadic cell (k, k+1) / 2^j,
+                # whose exact ends bound the rounded ax - c, so a node takes
+                # only its own cell's hat: every other hat is +-0.0, and adding
+                # it leaves v as it is (v starts at +0.0, so it never holds -0.0)
+                k = np.minimum((ax * 2 ** j).astype(np.intp), 2 ** j - 1)
+                v += coef[k] * _hat((ax - centers[k]) * 2 ** j * 2)
             axis_vals.append(v)
     elif kind == "piecewise_spiky":
         cusp_alpha = 0.5 * target_alpha

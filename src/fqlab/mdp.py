@@ -234,6 +234,13 @@ def _ndtri(y0):
     return out
 
 
+def _check_mass(m, lo, hi):
+    # a NaN or infinite mean fails too: its lo and hi are NaN or equal
+    if not (hi > lo).all():
+        raise ValueError(f"truncated Gaussian at mean {float(m[~(hi > lo)][0])} has no "
+                         "mass in [0, 1] in double precision")
+
+
 class TruncatedGaussianKernel:
     """Truncated-Gaussian transition kernel on [0,1]^state_dim.
 
@@ -242,6 +249,8 @@ class TruncatedGaussianKernel:
     tabulated transition rows sum to one up to rounding (within 4 ulp of 1 on
     the presets' grids).  On a 2-d grid the axis-k mean may depend only on
     s_k and the action; node_transition rejects means that couple the axes.
+    Both node_transition and sample reject a mean that is not finite or whose
+    Gaussian has no mass in [0,1] in double precision.
     """
 
     is_finite = False
@@ -262,16 +271,28 @@ class TruncatedGaussianKernel:
     def sample(self, rng, states, action_values):
         m = self._means(states, action_values)
         lo, hi = _ndtr(np.stack([(0.0 - m) / self.sigma, (1.0 - m) / self.sigma]))
+        _check_mass(m, lo, hi)
         u = rng.random((self.state_dim, len(m))).T  # axis by axis, one draw per row
         return np.clip(m + self.sigma * _ndtri(lo + u * (hi - lo)), 0.0, 1.0)
 
     def _axis_masses(self, means_k, sigma_k, axis_nodes):
+        # a row depends on its mean alone: one row per distinct mean (by bits, so
+        # +0.0 and -0.0 stay apart), gathered back once its temporaries are freed;
+        # a dict groups them, as a sort would page in memory nothing else uses
+        row_of = {}
+        bits = means_k.view(np.int64).tolist()
+        rows = np.fromiter((row_of.setdefault(b, len(row_of)) for b in bits), np.intp, len(bits))
+        distinct = np.array(list(row_of), dtype=np.int64).view(float)
+        return self._cell_masses(distinct, sigma_k, axis_nodes)[rows]
+
+    def _cell_masses(self, means_k, sigma_k, axis_nodes):
         # analytic cell masses: cells are the trapezoid cells of the node grid;
         # one cdf pass over the truncation points 0 and 1 and the cell edges
         mids = 0.5 * (axis_nodes[1:] + axis_nodes[:-1])
         points = np.concatenate(([0.0, axis_nodes[0]], mids, [axis_nodes[-1], 1.0]))
         cdf = _ndtr((points[None, :] - means_k[:, None]) / sigma_k)
         lo, hi, cdf = cdf[:, 0], cdf[:, -1], cdf[:, 1:-1]
+        _check_mass(means_k, lo, hi)
         masses = np.diff(cdf, axis=1) / (hi - lo)[:, None]
         # boundary cells absorb the truncated tails
         masses[:, 0] += (cdf[:, 0] - lo) / (hi - lo)
@@ -468,12 +489,16 @@ class OfflineDataset:
         self.actions = np.asarray(self.actions, dtype=float)
         self.next_states = np.asarray(self.next_states, dtype=float)
         self.rewards = np.asarray(self.rewards, dtype=float)
-        if self.n < 1:
-            raise ValueError("dataset must contain at least one transition")
+        if not (self.rewards.ndim == 1 and self.n >= 1 and self.actions.shape == self.rewards.shape):
+            raise ValueError("actions and rewards must be 1-d arrays of one length n >= 1")
+        if not (self.states.ndim == 2 and self.states.shape[1] >= 1
+                and self.states.shape == self.next_states.shape and len(self.states) == self.n):
+            raise ValueError("states and next_states must be (n, d) arrays with one d >= 1")
         for arr, name in ((self.states, "states"), (self.actions, "actions"),
                           (self.next_states, "next_states"), (self.rewards, "rewards")):
-            if arr.size and (arr.min() < -1e-12 or arr.max() > 1 + 1e-12):
-                raise ValueError(f"{name} escaped [0,1]")
+            # negated, so that a NaN fails it
+            if not (arr.min() >= -1e-12 and arr.max() <= 1 + 1e-12):
+                raise ValueError(f"{name} must be finite and lie in [0,1]")
 
     @property
     def n(self) -> int:

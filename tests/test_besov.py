@@ -410,6 +410,33 @@ class TestSynthFunctions:
         f = synth_function("weierstrass", 0.5, d=2, resolution=65)
         assert f.values.shape == (65, 65)
 
+    @staticmethod
+    def spline_series_reference(alpha, d, seed, g, p=2.0):
+        """Every hat added over the whole grid, one hat at a time."""
+        ax = np.linspace(0.0, 1.0, g)
+        rng = np.random.default_rng(seed)
+        levels, decay = max(2, int(np.log2(g - 1)) - 2), alpha + 0.5 - 1.0 / p
+        axis_vals = []
+        for _ in range(d):
+            v = np.zeros(g)
+            for j in range(levels):
+                centers = (np.arange(2 ** j) + 0.5) / 2 ** j
+                coef = rng.standard_normal(len(centers)) * 2.0 ** (-j * decay)
+                for c, ck in zip(centers, coef):
+                    v += ck * np.maximum(0.0, 1.0 - np.abs((ax - c) * 2 ** j * 2))
+            axis_vals.append(v)
+        vals = axis_vals[0] if d == 1 else axis_vals[0][:, None] + axis_vals[1][None, :]
+        return (vals - vals.min()) / (vals.max() - vals.min())
+
+    @pytest.mark.parametrize("d, resolutions", [(1, (5, 64, 257, 1000, 4097)), (2, (9, 33, 100))])
+    def test_spline_series_matches_the_full_grid_sum_bit_for_bit(self, d, resolutions):
+        for seed in range(4):
+            for alpha in (0.3, 0.5, 1.5):
+                for g in resolutions:
+                    got = synth_function("spline_series", alpha, d=d, seed=seed, resolution=g)
+                    ref = self.spline_series_reference(alpha, d, seed, g)
+                    assert got.values.tobytes() == ref.tobytes(), (seed, alpha, g)
+
     def test_rejects_bad_kind(self):
         with pytest.raises(ValueError):
             synth_function("nope", 0.5)

@@ -199,6 +199,54 @@ class TestDatasetIO:
             fqlab.OfflineDataset(np.array([[0.5]]), np.array([0.5]),
                                  np.array([[0.5]]), np.array([1.5]))
 
+    @pytest.mark.parametrize("field, value", [
+        ("rewards", np.array([0.5, np.nan, 0.5])),
+        ("states", np.array([[0.5], [np.nan], [0.5]])),
+        ("next_states", np.array([[0.5], [0.5], [np.inf]])),
+        ("actions", np.array([0.5, -np.inf, 0.5])),
+        ("actions", np.array([0.5, 0.5])),  # 3 states, 2 actions
+        ("next_states", np.full((5, 1), 0.5)),  # 5 next states for 3 rewards
+        ("rewards", np.full((3, 1), 0.5)),
+        ("states", np.full(3, 0.5)),  # a 1-d states array
+        ("next_states", np.full((3, 2), 0.5)),  # beside states of shape (3, 1)
+    ], ids=["nan_reward", "nan_state", "inf_next_state", "inf_action", "two_actions",
+            "five_next_states", "column_rewards", "flat_states", "wider_next_states"])
+    def test_rejects_what_would_fail_later_or_never(self, field, value):
+        columns = {"states": np.full((3, 1), 0.5), "actions": np.full(3, 0.5),
+                   "next_states": np.full((3, 1), 0.5), "rewards": np.full(3, 0.5)}
+        fqlab.OfflineDataset(**columns)
+        with pytest.raises(ValueError):
+            fqlab.OfflineDataset(**{**columns, field: value})
+
+    def test_rejects_zero_dimensional_states(self, tmp_path):
+        with pytest.raises(ValueError):
+            fqlab.OfflineDataset(np.empty((3, 0)), np.full(3, 0.5), np.empty((3, 0)), np.full(3, 0.5))
+        path = tmp_path / "d.csv"
+        path.write_text("a,r\n0.5,0.5\n")
+        with pytest.raises(ValueError):
+            fqlab.OfflineDataset.load_csv(path)
+
+
+@st.composite
+def _repeated_means(draw):
+    """Means drawn with repeats from a small pool that may hold +0.0 and -0.0."""
+    pool = draw(st.lists(st.one_of(st.floats(-0.2, 1.2), st.sampled_from([0.0, -0.0, 1.0])),
+                         min_size=1, max_size=12))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=40))
+    return np.array([pool[i] for i in picks])
+
+
+def _cell_masses_reference(means, sigma, axis_nodes):
+    """Trapezoid-cell masses of truncated Gaussians, one cdf row per mean given."""
+    mids = 0.5 * (axis_nodes[1:] + axis_nodes[:-1])
+    points = np.concatenate(([0.0, axis_nodes[0]], mids, [axis_nodes[-1], 1.0]))
+    cdf = ndtr((points[None, :] - means[:, None]) / sigma)
+    lo, hi, cdf = cdf[:, 0], cdf[:, -1], cdf[:, 1:-1]
+    masses = np.diff(cdf, axis=1) / (hi - lo)[:, None]
+    masses[:, 0] += (cdf[:, 0] - lo) / (hi - lo)
+    masses[:, -1] += (hi - cdf[:, -1]) / (hi - lo)
+    return masses
+
 
 class TestKernels:
     def test_finite_rows_are_stochastic(self, chain_mdp):
@@ -216,6 +264,47 @@ class TestKernels:
     def test_rejects_a_non_finite_sigma(self, sigma):
         with pytest.raises(ValueError, match="sigma must be positive and finite"):
             fqlab.mdp_from_config({"kind": "gaussian", "kernel_sigma": sigma})
+
+    def test_rejects_a_mean_with_no_mass_in_the_unit_interval(self):
+        # at s = 0, a = 0 the mean is -0.125: 125 sigma below 0, where the
+        # double-precision cdf reads 0 at both ends of [0, 1]
+        mdp = fqlab.mdp_from_config({"kind": "gaussian", "kernel_sigma": 0.001})
+        with pytest.raises(ValueError, match="no mass in"):
+            build_oracle(mdp, resolution=21)
+        with pytest.raises(ValueError, match="no mass in"):
+            mdp.kernel.sample(np.random.default_rng(0), np.zeros((1, 1)), np.zeros(1))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_a_mean_that_is_not_finite(self, bad):
+        kernel = mdp_module.TruncatedGaussianKernel(
+            lambda s, a: np.where(np.asarray(a) > 0.5, bad, s[:, 0]), sigma=0.2)
+        with pytest.raises(ValueError, match="no mass in"):
+            kernel.node_transition((np.linspace(0.0, 1.0, 5),), np.array([0.0, 1.0]))
+        with pytest.raises(ValueError, match="no mass in"):
+            kernel.sample(np.random.default_rng(0), np.full((2, 1), 0.5), np.array([0.0, 1.0]))
+
+    @given(_repeated_means(), st.floats(0.1, 5.0), st.integers(2, 40))
+    def test_cell_masses_match_a_per_row_reference(self, means, sigma, nodes):
+        axis = np.linspace(0.0, 1.0, nodes)
+        kernel = mdp_module.TruncatedGaussianKernel(lambda s, a: s[:, 0], sigma=sigma)
+        got = kernel._axis_masses(means, sigma, axis)
+        ref = np.concatenate([_cell_masses_reference(means[i:i + 1], sigma, axis)
+                              for i in range(len(means))])
+        assert got.tobytes() == ref.tobytes()
+
+    def test_one_cdf_row_per_distinct_mean(self, monkeypatch):
+        # the rough-reward mean ignores the action: 22,539 (node, action)
+        # pairs hold 2,049 distinct means, each a row of 2,049 + 3 cdf points
+        evaluated = []
+
+        def counting_ndtr(a):
+            evaluated.append(np.size(a))
+            return ndtr_port(a)
+
+        ndtr_port = mdp_module._ndtr
+        monkeypatch.setattr(mdp_module, "_ndtr", counting_ndtr)
+        build_oracle(fqlab.make_rough_reward_mdp(0.5, 0.0), resolution=2049)
+        assert sum(evaluated) == 2049 * 2052
 
     def test_sampler_draws_the_per_axis_reference_bits(self):
         # the reference: scipy's ndtr/ndtri, one axis at a time, one draw per axis
