@@ -89,6 +89,8 @@ class ExperimentConfig:
             raise ValueError("every n and every K must be at least 1")
         if not (0.0 < self.alpha < np.inf and 0.0 < self.epsilon < np.inf):  # NaN fails too
             raise ValueError("alpha and epsilon must be finite and positive")
+        if not self.p > 0.0:  # NaN fails too
+            raise ValueError(f"p must be positive, got {self.p!r}")
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
         if not (self.jobs >= 1 and self.residual_samples >= 1):
@@ -283,8 +285,12 @@ class SweepSetup:
 
 def sweep_setup(cfg: ExperimentConfig) -> SweepSetup:
     """Build the MDP, one grid oracle populated for each mode in cfg.modes,
-    the concentration estimate and the residual samples."""
+    the concentration estimate and the residual samples.  Without cfg.arch,
+    every n's architecture is picked first, so inadmissible rates fail here."""
     mdp = mdp_from_config(cfg.mdp)
+    if cfg.arch is None:
+        for n in cfg.n_values:
+            architecture_for(n, cfg.alpha, cfg.p, mdp.dim)
     policy = UniformPolicy(mdp.n_actions)
     seconds, oracles = {}, {}
     with _timed(seconds, "build_oracle"):

@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import reduce
 from pathlib import Path
 from typing import Callable
 
@@ -17,6 +18,8 @@ import numpy as np
 import numpy.random  # noqa: F401
 
 from .besov import _weierstrass_axis
+
+DEFAULT_RESOLUTION = {1: 201, 2: 51}  # oracle grid nodes per axis, by state_dim
 
 
 def pair_with_actions(states: np.ndarray, action_grid: np.ndarray):
@@ -39,8 +42,19 @@ def _sample_rows(rng, probs):
     return np.argmax(u[:, None] <= cum, axis=1)
 
 
+def _axis_weights(axis):
+    # trapezoid node weights: half cells at the ends
+    w = np.empty(len(axis))
+    w[1:-1] = 0.5 * (axis[2:] - axis[:-2])
+    w[0] = 0.5 * (axis[1] - axis[0])
+    w[-1] = 0.5 * (axis[-1] - axis[-2])
+    return w
+
+
 # ---------------------------------------------------------------------------
-# transition kernels
+# transition kernels: each is its state space too, with the initial law rho
+# uniform on it (initial_states draws from rho; grid lays out the oracle's
+# state axes and puts rho on their nodes)
 
 
 class DenseNextOp:
@@ -103,7 +117,7 @@ class FiniteChainKernel:
     Next states are always members of ``nodes``.
     """
 
-    is_finite = True
+    state_dim = 1
 
     def __init__(self, nodes: np.ndarray, m_left: np.ndarray, m_right: np.ndarray | None = None):
         self.nodes = np.asarray(nodes, dtype=float)
@@ -115,6 +129,17 @@ class FiniteChainKernel:
                 raise ValueError("transition matrix shape does not match node count")
             if np.any(m < 0) or not np.allclose(m.sum(axis=1), 1.0, atol=1e-9):
                 raise ValueError("transition matrix rows must be probability vectors")
+
+    def _rho(self):
+        return np.full(len(self.nodes), 1.0 / len(self.nodes))
+
+    def initial_states(self, rng, n):
+        idx = rng.choice(len(self.nodes), size=n, p=self._rho())  # p= fixes the seeded draws
+        return self.nodes[idx][:, None]
+
+    def grid(self, resolution=None):
+        """The nodes themselves, at mass 1/S each; resolution is ignored."""
+        return (self.nodes.copy(),), self._rho()
 
     def matrix(self, action_values: np.ndarray) -> np.ndarray:
         a = np.asarray(action_values, dtype=float)
@@ -253,14 +278,27 @@ class TruncatedGaussianKernel:
     Gaussian has no mass in [0,1] in double precision.
     """
 
-    is_finite = False
-
     def __init__(self, mean_fn: Callable, sigma, state_dim: int = 1):
+        if state_dim not in DEFAULT_RESOLUTION:
+            raise ValueError(f"truncated Gaussian kernels support state_dim 1 or 2, got {state_dim!r}")
         self.mean_fn = mean_fn  # (states, action_values) -> (B, state_dim) means
         self.sigma = np.broadcast_to(np.asarray(sigma, dtype=float), (state_dim,)).copy()
         self.state_dim = state_dim
         if not np.all((self.sigma > 0) & np.isfinite(self.sigma)):
             raise ValueError(f"sigma must be positive and finite, got {sigma!r}")
+
+    def initial_states(self, rng, n):
+        return rng.random((n, self.state_dim))
+
+    def grid(self, resolution=None):
+        """resolution (default DEFAULT_RESOLUTION) nodes per axis on [0,1], and
+        rho on them: the product trapezoid weights over their sum."""
+        g = resolution or DEFAULT_RESOLUTION[self.state_dim]
+        if g < 2:
+            raise ValueError("need at least 2 grid nodes per axis")
+        axes = tuple(np.linspace(0.0, 1.0, g) for _ in range(self.state_dim))
+        weights = reduce(np.multiply.outer, map(_axis_weights, axes)).ravel()  # row-major like nodes
+        return axes, weights / weights.sum()
 
     def _means(self, states, action_values):
         m = np.asarray(self.mean_fn(states, action_values), dtype=float)
@@ -306,54 +344,18 @@ class TruncatedGaussianKernel:
             m = self._means(*pair_with_actions(axis[:, None], action_grid))
             masses = self._axis_masses(m[:, 0], self.sigma[0], axis)
             return DenseNextOp(masses.reshape(len(axis), len(action_grid), len(axis)))
-        if self.state_dim == 2:
-            ax0, ax1 = state_axes
-            shape = (len(ax0), len(ax1), len(action_grid))
-            nodes = np.stack(np.meshgrid(ax0, ax1, indexing="ij"), axis=-1).reshape(-1, 2)
-            c = self._means(*pair_with_actions(nodes, action_grid)).reshape(*shape, 2)
-            if not ((c[..., 0] == c[:, :1, :, 0]).all() and (c[..., 1] == c[:1, :, :, 1]).all()):
-                raise ValueError("2-d means must be axis-local: the axis-k mean may "
-                                 "depend only on s_k and the action")
-            # tabulate only the G0*A and G1*A distinct rows
-            m0 = self._axis_masses(c[:, 0, :, 0].ravel(), self.sigma[0], ax0)
-            m1 = self._axis_masses(c[0, :, :, 1].ravel(), self.sigma[1], ax1)
-            return SeparableNextOp(m0.reshape(shape[0], shape[2], -1),
-                                   m1.reshape(shape[1], shape[2], -1))
-        raise ValueError("tabulated transitions support state_dim <= 2 only")
-
-
-# ---------------------------------------------------------------------------
-# initial-state distributions
-
-
-class FiniteInit:
-    """Uniform distribution over a finite node set."""
-
-    def __init__(self, nodes):
-        self.nodes = np.asarray(nodes, dtype=float)
-        self.probs = np.full(len(self.nodes), 1.0 / len(self.nodes))
-
-    def sample(self, rng, n):
-        idx = rng.choice(len(self.nodes), size=n, p=self.probs)  # p= fixes the seeded draws
-        return self.nodes[idx][:, None]
-
-    def mass_on_nodes(self, nodes, node_weights):
-        if len(nodes) != len(self.nodes) or not np.allclose(nodes[:, 0], self.nodes):
-            raise ValueError("grid nodes must coincide with the finite support")
-        return self.probs.copy()
-
-
-class UniformInit:
-    """Uniform density on [0,1]^state_dim."""
-
-    def __init__(self, state_dim: int = 1):
-        self.state_dim = state_dim
-
-    def sample(self, rng, n):
-        return rng.random((n, self.state_dim))
-
-    def mass_on_nodes(self, nodes, node_weights):
-        return node_weights / node_weights.sum()
+        ax0, ax1 = state_axes
+        shape = (len(ax0), len(ax1), len(action_grid))
+        nodes = np.stack(np.meshgrid(ax0, ax1, indexing="ij"), axis=-1).reshape(-1, 2)
+        c = self._means(*pair_with_actions(nodes, action_grid)).reshape(*shape, 2)
+        if not ((c[..., 0] == c[:, :1, :, 0]).all() and (c[..., 1] == c[:1, :, :, 1]).all()):
+            raise ValueError("2-d means must be axis-local: the axis-k mean may "
+                             "depend only on s_k and the action")
+        # tabulate only the G0*A and G1*A distinct rows
+        m0 = self._axis_masses(c[:, 0, :, 0].ravel(), self.sigma[0], ax0)
+        m1 = self._axis_masses(c[0, :, :, 1].ravel(), self.sigma[1], ax1)
+        return SeparableNextOp(m0.reshape(shape[0], shape[2], -1),
+                               m1.reshape(shape[1], shape[2], -1))
 
 
 # ---------------------------------------------------------------------------
@@ -424,22 +426,19 @@ class SyntheticMdp:
     noise_kind "uniform", realized rewards add uniform noise of half-width
     min(reward_noise, mean, 1-mean), staying in [0,1] with the stated mean;
     "bernoulli" draws r in {0,1} with P(1) = mean, the maximal-variance
-    reward distribution for that mean (reward_noise is ignored).
+    reward distribution for that mean (reward_noise is ignored).  The kernel
+    is the state space: it draws the initial states and lays out the oracle grid.
     """
 
-    state_dim: int
     gamma: float
     reward_mean: Callable
     reward_noise: float
     kernel: object
-    init_dist: object
     action_grid: np.ndarray
     noise_kind: str = "uniform"
 
     def __post_init__(self):
         self.action_grid = np.asarray(self.action_grid, dtype=float)
-        if self.state_dim < 1:
-            raise ValueError("state_dim must be at least 1")
         if not (0.0 <= self.gamma < 1.0):
             raise ValueError("discount must satisfy 0 <= gamma < 1")
         if not (0.0 <= self.reward_noise <= 0.5):
@@ -450,6 +449,10 @@ class SyntheticMdp:
             raise ValueError("action grid must lie in [0,1]")
         if self.noise_kind not in ("uniform", "bernoulli"):
             raise ValueError("noise_kind must be 'uniform' or 'bernoulli'")
+
+    @property
+    def state_dim(self) -> int:
+        return self.kernel.state_dim
 
     @property
     def dim(self) -> int:
@@ -556,7 +559,7 @@ def sample_visitation(mdp: SyntheticMdp, eta: Policy, n: int, seed: int) -> Offl
         raise ValueError("geometric horizon undefined at gamma = 1")
     rng = np.random.default_rng(seed)
     horizons = rng.geometric(1.0 - mdp.gamma, size=n) - 1
-    states = mdp.init_dist.sample(rng, n)
+    states = mdp.kernel.initial_states(rng, n)
 
     out_s = np.empty((n, mdp.state_dim))
     out_a = np.empty(n)
@@ -603,11 +606,8 @@ def make_finite_mdp(matrix, node_rewards, gamma, n_actions=2, noise=0.0) -> Synt
     def reward(states, actions):
         return node_rewards[kernel.node_index(states)]
 
-    return SyntheticMdp(
-        state_dim=1, gamma=gamma, reward_mean=reward, reward_noise=noise,
-        kernel=kernel, init_dist=FiniteInit(nodes),
-        action_grid=np.linspace(0.0, 1.0, n_actions),
-    )
+    return SyntheticMdp(gamma=gamma, reward_mean=reward, reward_noise=noise, kernel=kernel,
+                        action_grid=np.linspace(0.0, 1.0, n_actions))
 
 
 def _drift_matrices(n_states):
@@ -638,11 +638,8 @@ def make_chain_mdp(n_states=5, gamma=0.9, n_actions=11, noise=0.1,
         base = 0.25 + 0.5 * states[:, 0] + 0.25 * np.sin(np.pi * np.asarray(actions))
         return (1.0 - gamma) * base
 
-    return SyntheticMdp(
-        state_dim=1, gamma=gamma, reward_mean=reward, reward_noise=noise,
-        kernel=kernel, init_dist=FiniteInit(nodes),
-        action_grid=np.linspace(0.0, 1.0, n_actions), noise_kind=noise_kind,
-    )
+    return SyntheticMdp(gamma=gamma, reward_mean=reward, reward_noise=noise, kernel=kernel,
+                        action_grid=np.linspace(0.0, 1.0, n_actions), noise_kind=noise_kind)
 
 
 def make_gaussian_mdp(gamma=0.9, sigma=0.15, n_actions=11, noise=0.05,
@@ -656,15 +653,12 @@ def make_gaussian_mdp(gamma=0.9, sigma=0.15, n_actions=11, noise=0.05,
     action, as TruncatedGaussianKernel requires on a 2-d grid, so the grid
     oracle's SeparableNextOp contracts one axis at a time.
     """
-    if state_dim == 1:
-        def mean_fn(s, a):
-            return s[:, 0] + 0.25 * (np.asarray(a) - 0.5)
-    elif state_dim == 2:
-        def mean_fn(s, a):
-            drift = 0.25 * (np.asarray(a) - 0.5)
-            return np.stack([s[:, 0] + drift, 0.85 * s[:, 1] + 0.075], axis=1)
-    else:
-        raise ValueError("gaussian MDPs support state_dim in {1, 2}")
+    def mean_fn(s, a):
+        drift = 0.25 * (np.asarray(a) - 0.5)
+        if state_dim == 1:
+            return s[:, 0] + drift
+        return np.stack([s[:, 0] + drift, 0.85 * s[:, 1] + 0.075], axis=1)
+
     kernel = TruncatedGaussianKernel(mean_fn=mean_fn, sigma=sigma, state_dim=state_dim)
 
     def reward(states, actions):
@@ -673,11 +667,8 @@ def make_gaussian_mdp(gamma=0.9, sigma=0.15, n_actions=11, noise=0.05,
             base = 0.5 + (base - 0.5) * np.cos(0.5 * np.pi * states[:, 1])
         return (1.0 - gamma) * base
 
-    return SyntheticMdp(
-        state_dim=state_dim, gamma=gamma, reward_mean=reward, reward_noise=noise,
-        kernel=kernel, init_dist=UniformInit(state_dim),
-        action_grid=np.linspace(0.0, 1.0, n_actions),
-    )
+    return SyntheticMdp(gamma=gamma, reward_mean=reward, reward_noise=noise, kernel=kernel,
+                        action_grid=np.linspace(0.0, 1.0, n_actions))
 
 
 def make_rough_reward_mdp(alpha=0.5, gamma=0.0, n_actions=11, sigma=0.15) -> SyntheticMdp:
@@ -695,11 +686,8 @@ def make_rough_reward_mdp(alpha=0.5, gamma=0.0, n_actions=11, sigma=0.15) -> Syn
         return np.clip((v - w_lo) / (w_hi - w_lo), 0.0, 1.0)
 
     kernel = TruncatedGaussianKernel(mean_fn=lambda s, a: s[:, 0], sigma=sigma, state_dim=1)
-    return SyntheticMdp(
-        state_dim=1, gamma=gamma, reward_mean=reward, reward_noise=0.0,
-        kernel=kernel, init_dist=UniformInit(1),
-        action_grid=np.linspace(0.0, 1.0, n_actions),
-    )
+    return SyntheticMdp(gamma=gamma, reward_mean=reward, reward_noise=0.0, kernel=kernel,
+                        action_grid=np.linspace(0.0, 1.0, n_actions))
 
 
 # kind: (factory, the config keys it takes, fixed arguments).  Defaults live

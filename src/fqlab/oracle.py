@@ -4,13 +4,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
-from functools import reduce
 
 import numpy as np
 
 from .mdp import Policy, SyntheticMdp, pair_with_actions, state_action_inputs
 
-DEFAULT_RESOLUTION = {1: 201, 2: 51}
 F_VALUE_CAP = 10.0  # reject candidate functions outside [-10, 10] before quadrature
 VISITATION_TAIL = 1e-14  # tabulate_visitation stops once gamma^t falls below this
 SWEEP_MARGIN = 50  # value iteration may run this many sweeps past the contraction bound
@@ -18,27 +16,6 @@ SWEEP_MARGIN = 50  # value iteration may run this many sweeps past the contracti
 
 class OracleError(RuntimeError):
     pass
-
-
-def _state_axes(mdp: SyntheticMdp, resolution):
-    kernel = mdp.kernel
-    if kernel.is_finite:
-        return (kernel.nodes.copy(),)
-    if mdp.state_dim not in DEFAULT_RESOLUTION:
-        raise OracleError("grid oracles support state_dim <= 2 only")
-    g = resolution or DEFAULT_RESOLUTION[mdp.state_dim]
-    if g < 2:
-        raise ValueError("need at least 2 grid nodes per axis")
-    return tuple(np.linspace(0.0, 1.0, g) for _ in range(mdp.state_dim))
-
-
-def _axis_weights(axis):
-    # trapezoid node weights: half cells at the ends
-    w = np.empty(len(axis))
-    w[1:-1] = 0.5 * (axis[2:] - axis[:-2])
-    w[0] = 0.5 * (axis[1] - axis[0])
-    w[-1] = 0.5 * (axis[-1] - axis[-2])
-    return w
 
 
 @dataclass(frozen=True)
@@ -53,7 +30,7 @@ class GridOracle:
     mdp: SyntheticMdp
     state_axes: tuple
     nodes: np.ndarray           # (S, state_dim) state grid nodes
-    node_weights: np.ndarray    # (S,) quadrature weights (counting measure if finite)
+    rho: np.ndarray             # (S,) initial-state law on the nodes
     action_grid: np.ndarray
     next_op: object
     rewards: np.ndarray         # (S, A) mean rewards on the grid
@@ -69,9 +46,6 @@ class GridOracle:
     @property
     def populated(self):
         return self.q is not None
-
-    def init_mass(self):
-        return self.mdp.init_dist.mass_on_nodes(self.nodes, self.node_weights)
 
     def x_grid(self):
         """All (state, action) grid points as network inputs, row-major in (node, action)."""
@@ -100,7 +74,7 @@ class GridOracle:
 
     def value_of(self, q_table, policy: Policy | None):
         """Initial-state value by quadrature: E_rho[ aggregated q ]."""
-        return float(self.init_mass() @ self.aggregate(q_table, policy))
+        return float(self.rho @ self.aggregate(q_table, policy))
 
     def interpolator(self, table):
         """Multilinear interpolant of a (S, A) table over the full input cube."""
@@ -136,19 +110,14 @@ def _multilinear(axes, vals, pts):
 
 
 def build_oracle(mdp: SyntheticMdp, resolution: int | None = None, tol: float = 1e-8) -> GridOracle:
-    """Assemble the grid, quadrature weights, transition table, and rewards."""
-    axes = _state_axes(mdp, resolution)
+    """Assemble the kernel's grid and initial law, the transition table, and rewards."""
+    axes, rho = mdp.kernel.grid(resolution)
     mesh = np.meshgrid(*axes, indexing="ij")
     nodes = np.stack([m.ravel() for m in mesh], axis=-1)
-    # counting measure on a finite chain, else the product of the per-axis
-    # trapezoid weights, row-major like nodes
-    weights = (np.ones(len(nodes)) if mdp.kernel.is_finite
-               else reduce(np.multiply.outer, map(_axis_weights, axes)).ravel())
-
     next_op = mdp.kernel.node_transition(axes, mdp.action_grid)
     rewards = np.asarray(mdp.reward_mean(*pair_with_actions(nodes, mdp.action_grid)),
                          dtype=float).reshape(len(nodes), len(mdp.action_grid))
-    return GridOracle(mdp=mdp, state_axes=axes, nodes=nodes, node_weights=weights,
+    return GridOracle(mdp=mdp, state_axes=axes, nodes=nodes, rho=rho,
                       action_grid=mdp.action_grid.copy(), next_op=next_op, rewards=rewards, tol=tol)
 
 
@@ -214,10 +183,9 @@ def subopt(oracle: GridOracle, estimate) -> float:
     if isinstance(estimate, Policy):
         if oracle.target is not None:
             raise OracleError("policy sub-optimality needs the optimal-target oracle")
-        rho = oracle.init_mass()
         v_star = oracle.q.max(axis=1)
         picked = oracle.q[np.arange(oracle.n_nodes), estimate.act(oracle.nodes)]
-        return float(rho @ (v_star - picked))
+        return float(oracle.rho @ (v_star - picked))
     return abs(oracle_value(oracle) - float(estimate))
 
 
@@ -245,20 +213,26 @@ class ConcentrationReport:
                  "policies and horizons were tabulated")
 
 
+def _occupancies(oracle: GridOracle, policy: Policy):
+    """The (S, A) occupancies of policy from rho at t = 0, 1, ..., each pushed
+    through the tabulated kernel when the next one is asked for."""
+    probs = policy.probs(oracle.nodes)
+    occ = oracle.rho[:, None] * probs
+    while True:
+        yield occ
+        occ = oracle.next_op.push(occ)[:, None] * probs
+
+
 def tabulate_visitation(oracle: GridOracle, eta: Policy) -> np.ndarray:
     """Discounted visitation mass on the grid by explicit geometric-series summation."""
-    mdp = oracle.mdp
-    rho = oracle.init_mass()
-    eta_probs = eta.probs(oracle.nodes)
-    occ = rho[:, None] * eta_probs
-    mu = (1.0 - mdp.gamma) * occ.copy()
-    if mdp.gamma > 0.0:
-        t_max = int(np.ceil(np.log(VISITATION_TAIL) / np.log(mdp.gamma)))
-        coef = 1.0 - mdp.gamma
-        for _ in range(t_max):
-            coef *= mdp.gamma
-            nxt = oracle.next_op.push(occ)
-            occ = nxt[:, None] * eta_probs
+    gamma = oracle.mdp.gamma
+    occupancies = _occupancies(oracle, eta)
+    mu = (1.0 - gamma) * next(occupancies)
+    if gamma > 0.0:
+        t_max = int(np.ceil(np.log(VISITATION_TAIL) / np.log(gamma)))
+        coef = 1.0 - gamma
+        for occ in itertools.islice(occupancies, t_max):
+            coef *= gamma
             mu += coef * occ
     return mu
 
@@ -283,13 +257,9 @@ def estimate_concentration(oracle: GridOracle, eta: Policy, probes: list,
     undefined = []
     defined = mu >= 1e-12
     for pi_idx, probe in enumerate(probes):
-        probe_probs = probe.probs(oracle.nodes)
-        occ = oracle.init_mass()[:, None] * probe_probs
-        t_prev = 0
-        for t in horizons:
-            for _ in range(t - t_prev):
-                occ = oracle.next_op.push(occ)[:, None] * probe_probs
-            t_prev = t
+        for t, occ in zip(range(horizons[-1] + 1), _occupancies(oracle, probe)):
+            if t not in horizons:
+                continue
             bad = (~defined) & (occ > 1e-12)
             for cell in zip(*np.nonzero(bad)):
                 undefined.append((pi_idx, t, cell))

@@ -69,6 +69,8 @@ def architecture_for(n: int, alpha: float, p: float, d: int) -> ArchitectureSpec
         raise ValueError("need n >= 2")
     if d < 1:
         raise ValueError("need d >= 1")
+    if not p > 0:  # NaN fails too
+        raise ValueError(f"need p > 0, got {p!r}")
     if not alpha > d / min(p, 2.0):
         raise ValueError("inadmissible parameters: need alpha > d / min(p, 2)")
     excess = d * max(1.0 / p - 1.0 / (1 + math.floor(alpha)), 0.0)

@@ -1,13 +1,37 @@
+import ctypes
+import hashlib
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import fqlab
+from fqlab import harness
 from fqlab.cli import main
+
+# report.csv sha256 of `fqlab report` on the toy benchmark configs, recorded
+# with numpy 2.4.6 on OpenBLAS's SkylakeX core: the bytes hold for that build
+# and core only (another core sums the matmuls in another order)
+GOLDEN_NUMPY, GOLDEN_CORE = "2.4.6", "SkylakeX"
+GOLDEN_REPORTS = {
+    "sweep_chain_ope": "42456d2708d22061bc0aeb00f93c5874d686bbc95effcfc0cd578383780f6d75",
+    "sweep_gauss2d": "7b76b141ff0200675325112abb9f7f9d22e5c26175af4cdc6717dfdf0c99e9f1",
+}
+TOY_CONFIGS = Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "toy"
+
+
+def _openblas_core():
+    """The core type scipy-openblas picked at load time, or None without it."""
+    for lib in harness._openblas_libraries():
+        get = getattr(lib, "scipy_openblas_get_corename64_", None)
+        if get is not None:
+            get.argtypes, get.restype = [], ctypes.c_char_p
+            return get().decode()
+    return None
 
 
 class TestGenData:
@@ -45,6 +69,13 @@ class TestRunFqi:
         with pytest.raises(ValueError, match="sigma must be positive and finite"):
             main(["run-fqi", "--mdp", str(mdp), "--n", "256", "--K", "2", "--out", str(out),
                   "--epochs", "2", "--restarts", "1"])
+        assert not out.exists()
+
+    def test_a_p_that_is_not_positive_fails_before_any_output(self, tmp_path):
+        out = tmp_path / "run"
+        with pytest.raises(ValueError, match="p must be positive"):
+            main(["run-fqi", "--mdp", "chain5", "--n", "64", "--K", "1", "--p", "0",
+                  "--out", str(out)])
         assert not out.exists()
 
     def test_an_mdp_file_that_is_not_a_json_object_fails_before_any_output(self, tmp_path):
@@ -144,6 +175,16 @@ class TestRademacherCli:
 
 
 class TestReportCommand:
+    @pytest.mark.parametrize("name", sorted(GOLDEN_REPORTS))
+    def test_toy_benchmark_reports_keep_their_recorded_bytes(self, tmp_path, name):
+        here = (np.__version__, _openblas_core())
+        if here != (GOLDEN_NUMPY, GOLDEN_CORE):
+            pytest.skip(f"bytes recorded with numpy {GOLDEN_NUMPY} on OpenBLAS core "
+                        f"{GOLDEN_CORE}; this is numpy {here[0]} on core {here[1]}")
+        main(["report", "--config", str(TOY_CONFIGS / f"{name}.json"), "--out", str(tmp_path)])
+        digest = hashlib.sha256((tmp_path / "report.csv").read_bytes()).hexdigest()
+        assert digest == GOLDEN_REPORTS[name]
+
     def test_sweep_from_config(self, tmp_path):
         cfg = {
             "mdp": {"kind": "chain5"},

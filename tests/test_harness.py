@@ -269,7 +269,7 @@ class TestReportEmission:
         n_actions = len(oracle.action_grid)
         where = payload["kappa_argmax"]
         probe = harness.default_probes(n_actions)[where["probe"]].probs(oracle.nodes)
-        occ = oracle.init_mass()[:, None] * probe
+        occ = oracle.rho[:, None] * probe
         for _ in range(where["horizon"]):
             occ = oracle.next_op.push(occ)[:, None] * probe
         mu = fqlab.tabulate_visitation(oracle, UniformPolicy(n_actions))
@@ -335,6 +335,8 @@ class TestConfigValidation:
         ({"delta": 1.5}, "delta"), ({"delta": float("nan")}, "delta"),
         ({"jobs": 0}, "jobs and residual_samples"),
         ({"residual_samples": 0}, "jobs and residual_samples"),
+        ({"p": 0.0}, "p must be positive"), ({"p": -1.0}, "p must be positive"),
+        ({"p": float("nan")}, "p must be positive"),
     ])
     def test_degenerate_rate_hint_and_count_settings_rejected_before_any_oracle(
             self, monkeypatch, overrides, message):
@@ -345,6 +347,21 @@ class TestConfigValidation:
         monkeypatch.setattr(harness, "build_oracle", no_build)
         with pytest.raises(ValueError, match=message):
             run_sweep(tiny_config(n_values=(256,), seeds=(0,), **overrides))
+
+    @pytest.mark.parametrize("overrides,message", [
+        ({"n_values": (256, 1)}, "need n >= 2"),
+        ({"alpha": 0.5, "p": 2.0}, "inadmissible"),  # alpha <= d / min(p, 2) at d = 2
+    ], ids=["one_sample", "inadmissible_rate"])
+    def test_an_architecture_the_selector_rejects_fails_before_any_oracle(
+            self, monkeypatch, overrides, message):
+        # without arch, a cell picks its architecture after the oracles and
+        # kappa are built, and an error there would abort the sweep
+        def no_build(*args, **kwargs):
+            raise AssertionError("oracle built for a degenerate config")
+
+        monkeypatch.setattr(harness, "build_oracle", no_build)
+        with pytest.raises(ValueError, match=message):
+            run_sweep(tiny_config(seeds=(0,), arch=None, **overrides))
 
     def test_split_shorter_than_k_rejected_before_any_oracle(self, monkeypatch):
         def no_build(*args, **kwargs):

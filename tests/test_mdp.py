@@ -1,6 +1,5 @@
 import json
 import re
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +10,7 @@ from scipy.stats import chi2, truncnorm
 
 import fqlab
 import fqlab.mdp as mdp_module
-from fqlab.mdp import (FiniteChainKernel, FiniteInit, UniformPolicy, pair_with_actions,
+from fqlab.mdp import (FiniteChainKernel, UniformPolicy, pair_with_actions,
                        state_action_inputs)
 from fqlab.oracle import build_oracle
 
@@ -58,11 +57,6 @@ class TestGeometricHorizonSampler:
             assert np.all(states == 0.5)
         np.testing.assert_allclose(data.rewards, 0.5)
         assert set(np.round(data.actions, 6)) <= {0.0, 1.0}
-
-    def test_a_zero_dimensional_state_space_is_rejected(self):
-        # no kernel and no grid oracle serves state_dim 0
-        with pytest.raises(ValueError, match="state_dim must be at least 1"):
-            replace(fqlab.make_single_state_mdp(), state_dim=0)
 
     def test_chain_frequencies_match_brute_force(self, chain_mdp, uniform_pi):
         n = 100_000
@@ -252,6 +246,35 @@ class TestKernels:
     def test_finite_rows_are_stochastic(self, chain_mdp):
         mats = chain_mdp.kernel.matrix(chain_mdp.action_grid)
         np.testing.assert_allclose(mats.sum(axis=-1), 1.0, atol=1e-12)
+
+    def test_a_zero_dimensional_state_space_is_rejected(self):
+        # a kernel's state space is [0,1] or [0,1]^2: nothing else has an oracle grid
+        for state_dim in (0, 3):
+            with pytest.raises(ValueError, match="support state_dim 1 or 2"):
+                mdp_module.TruncatedGaussianKernel(lambda s, a: s, 0.1, state_dim=state_dim)
+
+    @pytest.mark.parametrize("cfg", ["chain5", "single_state", {"kind": "gaussian"},
+                                     {"kind": "gaussian", "state_dim": 2}],
+                             ids=["chain5", "single_state", "gaussian1d", "gaussian2d"])
+    def test_initial_draws_follow_the_oracle_rho(self, cfg):
+        # the kernel both draws the initial states and puts rho on the oracle grid
+        mdp = fqlab.mdp_from_config(cfg)
+        oracle = build_oracle(mdp)
+        assert abs(oracle.rho.sum() - 1.0) <= 1e-15
+        if isinstance(mdp.kernel, FiniteChainKernel):
+            assert np.all(oracle.rho == 1.0 / len(mdp.kernel.nodes))
+        n = 100_000
+        draws = mdp.kernel.initial_states(np.random.default_rng(20), n)
+        assert draws.shape == (n, mdp.state_dim)
+        # bin each coordinate to its node's cell, whose edges are the midpoints
+        # between nodes; row-major, like the oracle's nodes
+        cell = np.ravel_multi_index(
+            [np.searchsorted(0.5 * (ax[1:] + ax[:-1]), x) for ax, x in zip(oracle.state_axes, draws.T)],
+            tuple(len(ax) for ax in oracle.state_axes))
+        counts = np.bincount(cell, minlength=oracle.n_nodes)
+        expected = n * oracle.rho
+        stat = float(((counts - expected) ** 2 / expected).sum())
+        assert stat <= (chi2.ppf(0.999, oracle.n_nodes - 1) if oracle.n_nodes > 1 else 0.0)
 
     @pytest.mark.parametrize("kind", ["gaussian", "rough_reward"])
     @pytest.mark.parametrize("nodes", [101, 201])

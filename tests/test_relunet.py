@@ -521,6 +521,12 @@ class TestArchitectureSelector:
         with pytest.raises(ValueError):
             architecture_for(1, 1.0, float("inf"), 1)   # n too small
 
+    @pytest.mark.parametrize("p", [0.0, -1.0, np.nan])
+    def test_rejects_a_p_that_is_not_positive(self, p):
+        # p = 0 would divide by zero, and a negative p passes the admissibility check
+        with pytest.raises(ValueError, match="need p > 0"):
+            architecture_for(100, 4.0, p, 1)
+
     def test_resolution_monotone_in_n(self):
         specs = [architecture_for(n, 1.0, float("inf"), 1)
                  for n in (10, 100, 1000, 10**4, 10**5)]
