@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import comb
+from numbers import Integral
 from pathlib import Path
 
 import numpy as np
@@ -295,10 +296,15 @@ def estimate_smoothness_exponent(f: FunctionOnGrid, order: int, p: float) -> Smo
 # synthetic functions of prescribed smoothness
 
 
-def _weierstrass_axis(xs, alpha, terms=26, base=4.0):
-    a = base ** (-alpha)
-    k = np.arange(terms)
-    return ((a ** k)[None, :] * np.cos(np.pi * (base ** k)[None, :] * xs[:, None])).sum(axis=1)
+def _weierstrass_axis(xs, alpha):
+    a, k = 4.0 ** (-alpha), np.arange(26)
+    return ((a ** k)[None, :] * np.cos(np.pi * (4.0 ** k)[None, :] * xs[:, None])).sum(axis=1)
+
+
+def _check_resolution(resolution):
+    """ValueError unless resolution, a grid's nodes per axis, is None or an integer >= 2."""
+    if resolution is not None and not (isinstance(resolution, Integral) and resolution >= 2):
+        raise ValueError(f"resolution must be None or an integer >= 2, got {resolution!r}")
 
 
 def _normalize_unit(vals):
@@ -311,19 +317,20 @@ def _hat(x):
 
 
 def synth_function(kind: str, target_alpha: float, d: int = 1, seed: int = 0,
-                   resolution: int | None = None, p: float = 2.0) -> FunctionOnGrid:
+                   resolution: int | None = None) -> FunctionOnGrid:
     """Deterministic-by-seed test functions with a prescribed smoothness profile.
 
     kinds: "weierstrass" (lacunar cosine series, exponent target_alpha),
     "spline_series" (random hat-function series with dyadic coefficient decay
-    2^(-j (alpha + 1/2 - 1/p))), and "piecewise_spiky" (smooth bump plus one
-    localized cusp of lower exponent, for inhomogeneity experiments).
+    2^(-j (alpha + 1/2 - 1/p)) at p = 2), and "piecewise_spiky" (smooth bump
+    plus one localized cusp of lower exponent, for inhomogeneity experiments).
     """
     if d not in (1, 2):
         raise ValueError("synthetic functions support d in {1, 2}")
     if kind == "weierstrass" and not (0.0 < target_alpha <= 2.0):
         raise ValueError("weierstrass alpha must lie in (0, 2]")
-    g = resolution or (4097 if d == 1 else 257)
+    _check_resolution(resolution)
+    g = (4097 if d == 1 else 257) if resolution is None else resolution
     axes = tuple(np.linspace(0.0, 1.0, g) for _ in range(d))
     rng = np.random.default_rng(seed)
 
@@ -332,7 +339,7 @@ def synth_function(kind: str, target_alpha: float, d: int = 1, seed: int = 0,
         return FunctionOnGrid(axes, per_axis[0] if d == 1 else np.multiply.outer(*per_axis))
     if kind == "spline_series":
         levels = max(2, int(np.log2(g - 1)) - 2)
-        decay = target_alpha + 0.5 - 1.0 / p
+        decay = target_alpha + 0.5 - 1.0 / 2.0  # not target_alpha: the sum rounds
         axis_vals = []
         for ax in axes:
             v = np.zeros(len(ax))
@@ -391,12 +398,11 @@ class ClosureReport:
                  "verification of closure over the whole class")
 
 
-def diagnose_dynamic_closure(mdp, oracle, nets, policies, params: BesovParams,
-                             order: int = 1) -> ClosureReport:
+def diagnose_dynamic_closure(mdp, oracle, nets, policies, params: BesovParams) -> ClosureReport:
     """Apply each policy's Bellman operator to each network (a callable or an
-    (S, A) table) and measure the image's smoothness exponent and Besov
-    seminorm on the oracle grid; mdp must be the MDP the oracle was built from
-    (ValueError otherwise)."""
+    (S, A) table) and measure the image's first-order smoothness exponent and
+    Besov seminorm on the oracle grid; mdp must be the MDP the oracle was
+    built from (ValueError otherwise)."""
     from .oracle import apply_bellman
 
     if oracle.mdp is not mdp:
@@ -408,7 +414,7 @@ def diagnose_dynamic_closure(mdp, oracle, nets, policies, params: BesovParams,
         for pi, policy in enumerate(policies):
             image = apply_bellman(oracle, net, policy)
             fog = FunctionOnGrid(axes, image.reshape(shape))
-            est = estimate_smoothness_exponent(fog, order, params.p)
+            est = estimate_smoothness_exponent(fog, 1, params.p)
             semi = besov_seminorm(fog, params)
             entries.append(ClosureEntry(ni, pi, est, semi))
     exponents = [e.estimate.exponent for e in entries if not e.estimate.saturated]

@@ -17,7 +17,8 @@ import numpy as np
 
 from .fqi import FqiConfig, decomposition_bound, measure_bellman_residuals, run_lsvi
 from .mdp import FixedActionPolicy, UniformPolicy, mdp_from_config, sample_visitation
-from .oracle import build_oracle, estimate_concentration, ground_truth, subopt
+from .oracle import (GridOracle, build_oracle, estimate_concentration, ground_truth,
+                     max_sweeps, subopt)
 from .rademacher import rate_exponent
 from .relunet import ArchitectureSpec, TrainConfig, TrainingDiverged, architecture_for
 
@@ -288,6 +289,7 @@ def sweep_setup(cfg: ExperimentConfig) -> SweepSetup:
     the concentration estimate and the residual samples.  Without cfg.arch,
     every n's architecture is picked first, so inadmissible rates fail here."""
     mdp = mdp_from_config(cfg.mdp)
+    max_sweeps(mdp.gamma, GridOracle.tol)  # build_oracle's tol: a gamma near 1 fails here
     if cfg.arch is None:
         for n in cfg.n_values:
             architecture_for(n, cfg.alpha, cfg.p, mdp.dim)

@@ -293,9 +293,7 @@ class TruncatedGaussianKernel:
     def grid(self, resolution=None):
         """resolution (default DEFAULT_RESOLUTION) nodes per axis on [0,1], and
         rho on them: the product trapezoid weights over their sum."""
-        g = resolution or DEFAULT_RESOLUTION[self.state_dim]
-        if g < 2:
-            raise ValueError("need at least 2 grid nodes per axis")
+        g = DEFAULT_RESOLUTION[self.state_dim] if resolution is None else resolution
         axes = tuple(np.linspace(0.0, 1.0, g) for _ in range(self.state_dim))
         weights = reduce(np.multiply.outer, map(_axis_weights, axes)).ravel()  # row-major like nodes
         return axes, weights / weights.sum()
@@ -597,9 +595,12 @@ def make_single_state_mdp(gamma=0.5, reward=0.5, n_actions=2, noise=0.0) -> Synt
 
 
 def make_finite_mdp(matrix, node_rewards, gamma, n_actions=2, noise=0.0) -> SyntheticMdp:
-    """Finite chain with action-independent transitions and rewards given per node."""
+    """Finite chain with action-independent transitions and rewards given per
+    node; a reward that is not in [0, 1] (NaN included) raises ValueError."""
     matrix = np.asarray(matrix, dtype=float)
     node_rewards = np.asarray(node_rewards, dtype=float)
+    if not np.all((node_rewards >= 0.0) & (node_rewards <= 1.0)):
+        raise ValueError(f"node rewards must lie in [0, 1], got {node_rewards.tolist()}")
     nodes = np.linspace(0.0, 1.0, len(node_rewards)) if len(node_rewards) > 1 else np.array([0.5])
     kernel = FiniteChainKernel(nodes, matrix)
 

@@ -7,11 +7,16 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .besov import _check_resolution
 from .mdp import Policy, SyntheticMdp, pair_with_actions, state_action_inputs
 
 F_VALUE_CAP = 10.0  # reject candidate functions outside [-10, 10] before quadrature
 VISITATION_TAIL = 1e-14  # tabulate_visitation stops once gamma^t falls below this
 SWEEP_MARGIN = 50  # value iteration may run this many sweeps past the contraction bound
+# the largest sweep budget max_sweeps grants: a sweep of the largest default grid
+# (2-d gaussian, 51^2 nodes x 11 actions) took 0.37 ms on 2 shared Xeon cores, so
+# the cap is about 20 s per solve; gamma 0.999 needs 25,366 sweeps at tol 1e-8
+MAX_SWEEPS = 50_000
 
 
 class OracleError(RuntimeError):
@@ -109,8 +114,15 @@ def _multilinear(axes, vals, pts):
     return out
 
 
-def build_oracle(mdp: SyntheticMdp, resolution: int | None = None, tol: float = 1e-8) -> GridOracle:
-    """Assemble the kernel's grid and initial law, the transition table, and rewards."""
+def build_oracle(mdp: SyntheticMdp, resolution: int | None = None,
+                 tol: float = GridOracle.tol) -> GridOracle:
+    """Assemble the kernel's grid and initial law, the transition table, and rewards.
+
+    resolution is the nodes per state axis of a Gaussian kernel's grid (None:
+    DEFAULT_RESOLUTION); a chain's grid is its nodes, whatever the resolution.
+    A resolution that is not None or an integer >= 2 raises ValueError.
+    """
+    _check_resolution(resolution)
     axes, rho = mdp.kernel.grid(resolution)
     mesh = np.meshgrid(*axes, indexing="ij")
     nodes = np.stack([m.ravel() for m in mesh], axis=-1)
@@ -133,12 +145,18 @@ def apply_bellman(oracle: GridOracle, f, policy: Policy | None = None) -> np.nda
 
 
 def max_sweeps(gamma: float, tol: float) -> int:
+    """Value-iteration sweeps that reach tol from Q = 0, plus SWEEP_MARGIN; a
+    budget above MAX_SWEEPS (gamma too near 1) raises ValueError."""
     if gamma == 0.0:
         return 2 + SWEEP_MARGIN
     target = tol * (1.0 - gamma)
     if target >= 1.0:
         return 1 + SWEEP_MARGIN
-    return int(np.ceil(np.log(target) / np.log(gamma))) + SWEEP_MARGIN
+    sweeps = int(np.ceil(np.log(target) / np.log(gamma))) + SWEEP_MARGIN
+    if sweeps > MAX_SWEEPS:
+        raise ValueError(f"gamma {gamma} needs {sweeps} value-iteration sweeps to reach tol "
+                         f"{tol}, above the cap of {MAX_SWEEPS}")
+    return sweeps
 
 
 def ground_truth(oracle: GridOracle, policy: Policy | None = None) -> GridOracle:

@@ -123,18 +123,18 @@ _STACK_ELEMENTS = 1 << 22
 ASCENT_LR = 0.1        # step size of the localized ascent
 ASCENT_PENALTY = 10.0  # weight of the hinge penalty outside the ball
 ASCENT_RESTARTS = 2    # perturbed starts per sign draw
+ASCENT_STEPS = 120     # ascent steps per candidate
 
 
 def localized_rademacher(spec: ArchitectureSpec, anchor: ReluNetwork, radius: float,
-                         xs, mu_samples, sigma_draws: int, seed: int,
-                         ascent_steps: int = 120) -> RademacherEstimate:
+                         xs, mu_samples, sigma_draws: int, seed: int) -> RademacherEstimate:
     """Rademacher average of {f - anchor : f feasible, ||f - anchor||^2 <= radius}.
 
-    The squared norm is Monte-Carlo estimated on mu_samples.  Ascent (step
-    ASCENT_LR, ASCENT_RESTARTS perturbed starts per draw) maximizes the signed
-    correlation with a hinge penalty of weight ASCENT_PENALTY outside the ball;
-    candidates are accepted only if the evaluated norm is inside the ball, and
-    the zero difference (f = anchor) is always feasible, so the estimate is >= 0.
+    The squared norm is Monte-Carlo estimated on mu_samples.  Ascent (ASCENT_STEPS
+    steps of ASCENT_LR, ASCENT_RESTARTS perturbed starts per draw) maximizes the
+    signed correlation with a hinge penalty of weight ASCENT_PENALTY outside the
+    ball; candidates are accepted only if the evaluated norm is inside the ball,
+    and the zero difference (f = anchor) is always feasible, so the estimate is >= 0.
 
     Every restart of every sign draw is one candidate network; the candidates
     ascend in lockstep as one stacked network, in chunks of whole draws, and
@@ -177,7 +177,7 @@ def localized_rademacher(spec: ArchitectureSpec, anchor: ReluNetwork, radius: fl
         work_mu = _Workspace(anchor._dims, m, (len(params),))
         cache_xs = _forward(weights, biases, z_xs, reuse=work_xs.cache)
         cache_mu = _forward(weights, biases, z_mu, reuse=work_mu.cache)
-        for step in range(ascent_steps):
+        for step in range(ASCENT_STEPS):
             diff_mu = cache_mu[0] - anchor_mu
             over = np.mean(diff_mu ** 2, axis=-1) > radius
             grad = _output_gradient(weights, cache_xs[1], cache_xs[2], w_xs, work_xs)
@@ -188,7 +188,7 @@ def localized_rademacher(spec: ArchitectureSpec, anchor: ReluNetwork, radius: fl
                 np.add(grad, pen, out=grad, where=over[:, None])
             grad *= ASCENT_LR
             params += grad
-            checkpoint = (step + 1) % 20 == 0 or step + 1 == ascent_steps
+            checkpoint = (step + 1) % 20 == 0 or step + 1 == ASCENT_STEPS
             if checkpoint:
                 for row in params:
                     _clip_and_prune(row, anchor.weight_bound, anchor.sparsity)

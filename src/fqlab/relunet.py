@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 _MAGIC = b"FQLNET01\x02"  # the network record's magic, then its version
+LR_DECAY = 0.05  # the training step decays geometrically to this fraction of its start
 
 
 class TrainingDiverged(RuntimeError):
@@ -94,14 +95,13 @@ class TrainConfig:
     curvature estimate of the initialization (twice the mean squared
     activation norm feeding the output layer), so values below 2 cannot
     overshoot the head subspace at the start regardless of the width.  The
-    step then decays geometrically to learning_rate * lr_decay across the
+    step then decays geometrically to LR_DECAY times its start across the
     epochs.  Constraints are re-projected every projection_period steps and at
     termination.  restarts independent random initializations are trained and
     the lowest-loss one returned.
     """
 
     learning_rate: float = 1.0
-    lr_decay: float = 0.05
     epochs: int = 300
     projection_period: int = 50
     restarts: int = 3
@@ -109,8 +109,8 @@ class TrainConfig:
     batch_size: int | None = None  # None = full batch
 
     def __post_init__(self):
-        if not (self.learning_rate > 0 and 0 < self.lr_decay <= 1):  # also rejects NaN
-            raise ValueError("learning_rate must be positive and lr_decay in (0, 1]")
+        if not self.learning_rate > 0:  # also rejects NaN
+            raise ValueError("learning_rate must be positive")
         if self.epochs < 0:
             raise ValueError("epochs must be nonnegative")
         if self.restarts < 1:
@@ -464,7 +464,7 @@ def fit_least_squares(net: ReluNetwork, xs, ys, cfg: TrainConfig) -> ReluNetwork
             y_batch = y_ord[start:start + batch]
             work = works[len(y_batch)]
             cache = _forward(cand.weights, cand.biases, z_ord[start:start + batch], work.cache)
-            lr = base_step * cfg.lr_decay ** (step / max(1, total_steps - 1))
+            lr = base_step * LR_DECAY ** (step / max(1, total_steps - 1))
             _, grad = _mse_gradient(cand.weights, cache, y_batch, work)
             if grad is None:  # non-finite loss
                 break

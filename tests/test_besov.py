@@ -411,11 +411,11 @@ class TestSynthFunctions:
         assert f.values.shape == (65, 65)
 
     @staticmethod
-    def spline_series_reference(alpha, d, seed, g, p=2.0):
+    def spline_series_reference(alpha, d, seed, g):
         """Every hat added over the whole grid, one hat at a time."""
         ax = np.linspace(0.0, 1.0, g)
         rng = np.random.default_rng(seed)
-        levels, decay = max(2, int(np.log2(g - 1)) - 2), alpha + 0.5 - 1.0 / p
+        levels, decay = max(2, int(np.log2(g - 1)) - 2), alpha + 0.5 - 1.0 / 2.0  # p = 2
         axis_vals = []
         for _ in range(d):
             v = np.zeros(g)
@@ -442,6 +442,11 @@ class TestSynthFunctions:
             synth_function("nope", 0.5)
         with pytest.raises(ValueError):
             synth_function("weierstrass", 3.0)
+
+    @pytest.mark.parametrize("resolution", [0, 1, 3.5, float("nan"), True])
+    def test_rejects_a_resolution_that_is_not_none_or_an_integer_of_at_least_two(self, resolution):
+        with pytest.raises(ValueError, match=f"integer >= 2, got {resolution!r}"):
+            synth_function("spline_series", 0.5, resolution=resolution)
 
 
 class TestImmutability:

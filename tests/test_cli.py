@@ -2,6 +2,7 @@ import ctypes
 import hashlib
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,7 @@ import pytest
 
 import fqlab
 from fqlab import harness
-from fqlab.cli import main
+from fqlab.cli import build_parser, main
 
 # report.csv sha256 of `fqlab report` on the toy benchmark configs, recorded
 # with numpy 2.4.6 on OpenBLAS's SkylakeX core: the bytes hold for that build
@@ -32,6 +33,19 @@ def _openblas_core():
             get.argtypes, get.restype = [], ctypes.c_char_p
             return get().decode()
     return None
+
+
+def test_every_command_in_the_readme_parses():
+    """Each `fqlab ...` line of README's "Command line" block, continuation
+    lines joined, parses as written, so a flag the CLI drops fails here."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line\n\n```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line)[1:] for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("fqlab ")]
+    assert [argv[0] for argv in commands] == ["gen-data", "run-fqi", "measure-rates",
+                                              "analyze-smoothness", "rademacher", "report"]
+    for argv in commands:
+        build_parser().parse_args(argv)
 
 
 class TestGenData:
@@ -208,6 +222,25 @@ class TestReportCommand:
         payload = json.loads((out / "report.json").read_text())
         assert payload["audit"]["violation_count"] == 0
 
+    @pytest.mark.parametrize("mdp, message", [
+        ({"kind": "gaussian", "gamma": 0.999999}, "32236226 value-iteration sweeps"),
+        ({"kind": "single_state", "reward": 2}, "node rewards"),
+        ({"kind": "single_state", "reward": -1}, "node rewards"),
+        ({"kind": "single_state", "reward": float("nan")}, "node rewards")],
+        ids=["gamma_near_one", "reward_2", "reward_-1", "reward_nan"])
+    def test_a_degenerate_mdp_fails_before_any_oracle_or_output(self, tmp_path, monkeypatch,
+                                                                 mdp, message):
+        def no_build(*args, **kwargs):
+            raise AssertionError("oracle built for a degenerate config")
+
+        monkeypatch.setattr(harness, "build_oracle", no_build)
+        cfg_path = tmp_path / "sweep.json"
+        cfg_path.write_text(json.dumps({"mdp": mdp, "n_values": [32], "k_values": [1],
+                                        "seeds": [0], "train": {"epochs": 2}}))
+        with pytest.raises(ValueError, match=message):
+            main(["report", "--config", str(cfg_path), "--out", str(tmp_path / "rep")])
+        assert not (tmp_path / "rep").exists()
+
     @pytest.mark.parametrize("section,key", [(None, "ope_return"), ("train", "epoch"),
                                              ("arch", "depth")])
     def test_unknown_config_key_rejected(self, tmp_path, section, key):
@@ -229,15 +262,16 @@ class TestReportCommand:
             main(["report", "--config", str(cfg_path), "--out", str(tmp_path / "rep"), *jobs])
         assert not (tmp_path / "rep").exists()
 
-    @pytest.mark.parametrize("train", [{"lr_decay": -0.5}, {"lr_decay": 2.0},
-                                       {"learning_rate": float("nan")}])
-    def test_an_untrainable_step_fails_before_any_output(self, tmp_path, train):
+    @pytest.mark.parametrize("train, message", [
+        ({"lr_decay": 0.05}, r"unknown train keys \['lr_decay'\]"),  # a constant, LR_DECAY
+        ({"learning_rate": float("nan")}, "learning_rate must be positive")])
+    def test_an_untrainable_step_fails_before_any_output(self, tmp_path, train, message):
         cfg = {"mdp": "chain5", "n_values": [256], "k_values": [2], "seeds": [0],
                "arch": {"height": 2, "width": 8, "sparsity": 1000000, "weight_bound": 8.0},
                "train": dict(train, epochs=2)}
         cfg_path = tmp_path / "sweep.json"
         cfg_path.write_text(json.dumps(cfg))
-        with pytest.raises(ValueError, match="learning_rate must be positive and lr_decay"):
+        with pytest.raises(ValueError, match=message):
             main(["report", "--config", str(cfg_path), "--out", str(tmp_path / "rep")])
         assert not (tmp_path / "rep").exists()
 

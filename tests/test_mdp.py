@@ -105,6 +105,13 @@ class TestRewards:
         assert set(np.unique(r)) <= {0.0, 1.0}
         assert abs((r - mean).mean()) < 4 * np.sqrt(np.mean(mean * (1 - mean)) / len(r))
 
+    @pytest.mark.parametrize("reward", [2.0, -1.0, float("nan"), float("inf")])
+    def test_a_node_reward_outside_the_unit_interval_is_rejected(self, reward):
+        with pytest.raises(ValueError, match=r"node rewards must lie in \[0, 1\]"):
+            fqlab.make_finite_mdp([[0.5, 0.5], [0.5, 0.5]], [0.5, reward], gamma=0.9)
+        with pytest.raises(ValueError, match=r"node rewards must lie in \[0, 1\]"):
+            fqlab.mdp_from_config({"kind": "single_state", "reward": reward})
+
 
 _HEADER_NAMES = ["s0", "s1", "s2", "a", "sp0", "sp1", "sp2", "r", "x", ""]
 

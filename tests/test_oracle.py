@@ -11,9 +11,11 @@ from hypothesis.extra import numpy as hnp
 from scipy.interpolate import RegularGridInterpolator
 
 import fqlab
-from fqlab.mdp import (FixedActionPolicy, TruncatedGaussianKernel, UniformPolicy,
+import fqlab.oracle as oracle_module
+from fqlab.harness import default_probes
+from fqlab.mdp import (DenseNextOp, FixedActionPolicy, TruncatedGaussianKernel, UniformPolicy,
                        pair_with_actions)
-from fqlab.oracle import (SWEEP_MARGIN, OracleError, _multilinear, apply_bellman,
+from fqlab.oracle import (MAX_SWEEPS, SWEEP_MARGIN, OracleError, _multilinear, apply_bellman,
                           build_oracle, estimate_concentration, ground_truth, max_sweeps,
                           oracle_value, subopt, tabulate_visitation)
 
@@ -130,6 +132,22 @@ class TestGroundTruth:
         g, tol = 0.9, 1e-6
         expected = int(np.ceil(np.log(tol * (1 - g)) / np.log(g)))
         assert max_sweeps(g, tol) == expected + SWEEP_MARGIN
+
+    def test_max_sweeps_caps_a_gamma_near_one(self):
+        assert max_sweeps(0.999, 1e-8) == 25_366 <= MAX_SWEEPS
+        with pytest.raises(ValueError, match="gamma 0.999999 needs 32236226 value-iteration "
+                                             "sweeps to reach tol 1e-08, above the cap of 50000"):
+            max_sweeps(0.999999, 1e-8)
+
+    def test_ground_truth_checks_the_cap_before_any_sweep(self, monkeypatch):
+        oracle = build_oracle(fqlab.make_single_state_mdp(gamma=0.99999))
+
+        def no_sweep(*args):
+            raise AssertionError("value iteration started past the sweep cap")
+
+        monkeypatch.setattr(oracle_module, "apply_bellman", no_sweep)
+        with pytest.raises(ValueError, match="above the cap"):
+            ground_truth(oracle)
 
 
 class TestFrozenOracle:
@@ -283,6 +301,86 @@ class TestConcentration:
     def test_rejects_negative_horizon(self, chain_mdp, uniform_pi):
         with pytest.raises(ValueError, match="horizon"):
             estimate_concentration(build_oracle(chain_mdp), uniform_pi, [uniform_pi], [0, -3])
+
+
+class TestResolution:
+    """build_oracle takes None or an integer >= 2 nodes per axis, for every kernel."""
+
+    @pytest.mark.parametrize("kind", ["gaussian", "chain5"])
+    @pytest.mark.parametrize("resolution", [0, 1, 3.5, float("nan"), True, "41"])
+    def test_anything_else_raises_naming_it(self, kind, resolution):
+        with pytest.raises(ValueError, match=f"integer >= 2, got {resolution!r}"):
+            build_oracle(fqlab.mdp_from_config(kind), resolution)
+
+    def test_the_smallest_grid_and_numpy_integers_build(self):
+        oracle = build_oracle(fqlab.make_gaussian_mdp(), np.int64(2))
+        assert oracle.n_nodes == 2 and oracle.rho.tolist() == [0.5, 0.5]
+
+    def test_a_chain_keeps_its_nodes(self, chain_mdp):
+        assert build_oracle(chain_mdp, 41).n_nodes == build_oracle(chain_mdp).n_nodes == 5
+
+
+def chain_oracle_with(probs, gamma):
+    """The grid oracle of an S-node chain (rho uniform on the nodes) whose
+    next_op is DenseNextOp(probs), probs[x, a, y] = P(y | x, a)."""
+    s, a, _ = probs.shape
+    mdp = fqlab.make_finite_mdp(np.full((s, s), 1.0 / s), np.full(s, 0.5), gamma, n_actions=a)
+    return dataclasses.replace(build_oracle(mdp), next_op=DenseNextOp(probs))
+
+
+def exact_kappa(oracle, mu, horizons):
+    """max over t in horizons and cells (s, a) of reach_t[s] / mu[s, a], where
+    reach_t[s] = max over all policies of P(s_t = s), by backward reachability
+    for every target node at once: W_0 = I, W_{k+1}[x, s] = max_a sum_y
+    P[x, a, y] W_k[y, s], reach_t = rho W_t.  A Markov deterministic policy
+    attains each reach_t[s] (Puterman 1994), so this bounds every policy's
+    occupancy ratio over those horizons."""
+    probs = oracle.next_op.probs
+    w, kappa = np.eye(len(probs)), 0.0
+    for t in range(max(horizons) + 1):
+        if t in horizons:
+            kappa = max(kappa, float(np.max((oracle.rho @ w)[:, None] / mu)))
+        w = np.einsum("xay,ys->xas", probs, w).max(axis=1)
+    return kappa
+
+
+class TestExactConcentration:
+    """estimate_concentration is a lower estimate: kappa_hat never exceeds the
+    exact kappa over the same horizons."""
+
+    def test_kappa_hat_is_at_most_the_exact_kappa(self, softmax_policy):
+        @given(st.integers(1, 6), st.integers(1, 4), st.floats(0.0, 0.95),
+               st.sets(st.integers(0, 12), min_size=1), st.integers(0, 2 ** 32 - 1))
+        def check(n_states, n_actions, gamma, horizons, seed):
+            rng = np.random.default_rng(seed)
+            # sparse random rows: about half the entries are 0, one is always positive
+            shape = (n_states, n_actions, n_states)
+            probs = rng.random(shape) * (rng.random(shape) < 0.5)
+            probs[np.arange(n_states)[:, None], np.arange(n_actions),
+                  rng.integers(n_states, size=shape[:2])] += 0.1
+            probs /= probs.sum(axis=-1, keepdims=True)
+            oracle = chain_oracle_with(probs, gamma)
+            # a softmax has full support
+            eta = softmax_policy(rng.uniform(-3, 3, (1, n_actions)), rng.uniform(-3, 3, n_actions))
+            rep = estimate_concentration(oracle, eta, default_probes(n_actions), horizons)
+            assert rep.undefined_cells == []
+            assert rep.kappa_hat <= exact_kappa(oracle, rep.mu, horizons) * (1 + 1e-12)
+
+        check()
+
+    def test_strict_where_the_probes_cannot_switch_action(self):
+        # node 2 is entered only from node 1 under action 1, and node 1 only
+        # from node 0 under action 0; node 2 returns to node 0.  Every start
+        # reaches node 2 at t = 3 by switching action; of the probes, the first
+        # action never enters node 2, the last keeps node 0 where it is, and the
+        # uniform one gets there with probability at most 1/4 from any start
+        e = np.eye(3)
+        probs = np.stack([[e[1], e[0]], [e[0], e[2]], [e[0], e[0]]])
+        oracle = chain_oracle_with(probs, 0.5)
+        rep = estimate_concentration(oracle, UniformPolicy(2), default_probes(2), range(6))
+        kappa = exact_kappa(oracle, rep.mu, range(6))
+        assert kappa == pytest.approx(1.0 / rep.mu[2, 0], rel=1e-12)  # reach_3[2] = 1
+        assert rep.kappa_hat < 0.6 * kappa  # 4.67 against 8.40
 
 
 class TestVisitationMassProperty:

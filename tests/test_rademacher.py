@@ -129,11 +129,12 @@ class TestLocalizedRademacher:
             with pytest.raises(ValueError, match="disagrees"):
                 localized_rademacher(other, anchor, 0.5, xs, mu, 3, 0)
 
-    def test_one_layer_anchor_has_no_width_to_check(self, setup):
+    def test_one_layer_anchor_has_no_width_to_check(self, setup, monkeypatch):
         _, _, xs, mu = setup
         spec = ArchitectureSpec(height=1, width=8, sparsity=10**4, weight_bound=5.0)
         anchor = ReluNetwork.random(2, spec, np.random.default_rng(0))
-        est = localized_rademacher(spec, anchor, 0.5, xs, mu, 2, 0, ascent_steps=20)
+        monkeypatch.setattr(rademacher, "ASCENT_STEPS", 20)
+        est = localized_rademacher(spec, anchor, 0.5, xs, mu, 2, 0)
         assert est.value >= 0.0
 
 
@@ -193,9 +194,11 @@ def headed_anchor(spec, rng, input_dim=2, clamp=True):
     return net
 
 
-def stacked_and_reference(spec, anchor, radius, xs, mu, draws, seed, **kw):
-    est = localized_rademacher(spec, anchor, radius, xs, mu, draws, seed, **kw)
-    ref = reference_localized(anchor, radius, xs, mu, draws, seed, **kw)
+def stacked_and_reference(spec, anchor, radius, xs, mu, draws, seed, ascent_steps=120):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rademacher, "ASCENT_STEPS", ascent_steps)
+        est = localized_rademacher(spec, anchor, radius, xs, mu, draws, seed)
+    ref = reference_localized(anchor, radius, xs, mu, draws, seed, ascent_steps=ascent_steps)
     assert est.per_draw.tobytes() == ref[0].tobytes()
     assert est.value == ref[1]
     assert est.bias_note == ref[2]
@@ -303,8 +306,9 @@ class TestSplitDraws:
     @pytest.mark.parametrize("draws", [1, 2, 3, 10])
     def test_localized(self, small, monkeypatch, draws, workers):
         spec, anchor, xs, mu = small
+        monkeypatch.setattr(rademacher, "ASCENT_STEPS", 40)  # before the fork: workers inherit it
         forks, _ = self.split_matches_one_process(monkeypatch, lambda: localized_rademacher(
-            spec, anchor, 0.02, xs, mu, draws, 12, ascent_steps=40), workers)
+            spec, anchor, 0.02, xs, mu, draws, 12), workers)
         # the parent computes one part, the workers the others
         assert forks == ([min(workers, draws) - 1] if draws > 1 else [])
 
@@ -321,16 +325,18 @@ class TestSplitDraws:
         spec, anchor, xs, mu = small
         # three draws of two restarts per chunk: seven draws take three chunks
         monkeypatch.setattr(rademacher, "_STACK_ELEMENTS", 3 * 2 * len(mu) * spec.width)
+        monkeypatch.setattr(rademacher, "ASCENT_STEPS", 40)
         forks, _ = self.split_matches_one_process(monkeypatch, lambda: localized_rademacher(
-            spec, anchor, 0.02, xs, mu, 7, 12, ascent_steps=40), workers)
+            spec, anchor, 0.02, xs, mu, 7, 12), workers)
         assert forks == [workers - 1, workers - 1]  # the one-draw chunk runs here
 
     @pytest.mark.parametrize("workers", [2, 3])
     def test_all_candidates_rejected(self, small, monkeypatch, workers):
         # the stacked-ascent case: every part rejects, so the caveat stays
         spec, anchor, xs, mu = small
+        monkeypatch.setattr(rademacher, "ASCENT_STEPS", 40)
         _, est = self.split_matches_one_process(monkeypatch, lambda: localized_rademacher(
-            spec, anchor, 1e-12, xs, mu, 3, 10, ascent_steps=40), workers)
+            spec, anchor, 1e-12, xs, mu, 3, 10), workers)
         assert "no ascent candidate" in est.bias_note
 
     @pytest.mark.parametrize("workers", [2, 3])
@@ -338,16 +344,18 @@ class TestSplitDraws:
         # only draw 1, which a worker ascends, has a candidate inside the ball:
         # the parent's part rejects, and the caveat must not appear
         spec, anchor, xs, mu = small
+        monkeypatch.setattr(rademacher, "ASCENT_STEPS", 40)
         _, est = self.split_matches_one_process(monkeypatch, lambda: localized_rademacher(
-            spec, anchor, 0.004, xs, mu, 3, 11, ascent_steps=40), workers)
+            spec, anchor, 0.004, xs, mu, 3, 11), workers)
         assert est.bias_note == "trained supremum: lower estimate of the true sup"
         assert est.per_draw[0] == est.per_draw[2] == 0.0 < est.per_draw[1]
 
     @pytest.mark.parametrize("workers", [2, 3])
     def test_penalty_binds_for_some_candidates_only(self, small, monkeypatch, workers):
         spec, anchor, xs, mu = small
+        monkeypatch.setattr(rademacher, "ASCENT_STEPS", 60)
         self.split_matches_one_process(monkeypatch, lambda: localized_rademacher(
-            spec, anchor, 2e-4, xs, mu, 3, 9, ascent_steps=60), workers)
+            spec, anchor, 2e-4, xs, mu, 3, 9), workers)
 
 
 class TestSplitFailures:
@@ -360,11 +368,11 @@ class TestSplitFailures:
         spec = ArchitectureSpec(height=2, width=8, sparsity=10**4, weight_bound=5.0)
         return spec, headed_anchor(spec, rng), rng.random((32, 2)), rng.random((64, 2))
 
-    def estimators(self, small):
+    def estimators(self, small, monkeypatch):
         spec, anchor, xs, mu = small
         cls = NetworkFunctionClass(spec, TrainConfig(epochs=5, restarts=1), input_dim=2)
-        return {"localized": lambda: localized_rademacher(spec, anchor, 0.02, xs, mu, 4, 0,
-                                                          ascent_steps=20),
+        monkeypatch.setattr(rademacher, "ASCENT_STEPS", 20)
+        return {"localized": lambda: localized_rademacher(spec, anchor, 0.02, xs, mu, 4, 0),
                 "empirical": lambda: empirical_rademacher(cls, xs, 4, 0)}
 
     def fail_in_workers(self, monkeypatch, name, failure):
@@ -390,7 +398,7 @@ class TestSplitFailures:
         self.fail_in_workers(monkeypatch, kernel, diverge)
         before = blas_thread_counts()
         with pytest.raises(TrainingDiverged, match="all 1 restart"):
-            self.estimators(small)[which]()
+            self.estimators(small, monkeypatch)[which]()
         assert multiprocessing.active_children() == []
         assert blas_thread_counts() == before
 
@@ -402,7 +410,7 @@ class TestSplitFailures:
         self.fail_in_workers(monkeypatch, kernel, lambda: os._exit(3))
         before = blas_thread_counts()
         with pytest.raises(BrokenProcessPool):
-            self.estimators(small)[which]()
+            self.estimators(small, monkeypatch)[which]()
         assert multiprocessing.active_children() == []
         assert blas_thread_counts() == before
 
@@ -417,10 +425,11 @@ class TestSplitFallbacks:
         spec = ArchitectureSpec(height=2, width=8, sparsity=10**4, weight_bound=5.0)
         anchor, xs, mu = headed_anchor(spec, rng), rng.random((32, 2)), rng.random((64, 2))
         cls = NetworkFunctionClass(spec, TrainConfig(epochs=5, restarts=1), input_dim=2)
-        return [lambda: localized_rademacher(spec, anchor, 0.02, xs, mu, 4, 1, ascent_steps=20),
+        return [lambda: localized_rademacher(spec, anchor, 0.02, xs, mu, 4, 1),
                 lambda: empirical_rademacher(cls, xs, 4, 1)]
 
     def split(self, estimators, monkeypatch):
+        monkeypatch.setattr(rademacher, "ASCENT_STEPS", 20)  # for the rest of the test
         forks = forks_with_cores(monkeypatch, 2)
         out = [estimate_bytes(estimate()) for estimate in estimators]
         assert forks == [1, 1]
