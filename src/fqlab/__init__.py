@@ -5,8 +5,8 @@ exercise the surrounding convergence theory."""
 from .besov import (BesovParams, FunctionOnGrid, besov_seminorm, diagnose_dynamic_closure,
                     estimate_smoothness_exponent, modulus_of_smoothness, synth_function,
                     translation_difference)
-from .fqi import (FqiConfig, FqiTrace, greedy_policy, decomposition_bound,
-                  measure_bellman_residuals, run_exact_lsvi, run_lsvi)
+from .fqi import (FqiTrace, decomposition_bound, measure_bellman_residuals, run_exact_lsvi,
+                  run_lsvi)
 from .harness import (CellRecord, ExperimentConfig, audit_decomposition, run_sweep,
                       write_report)
 from .mdp import (FiniteChainKernel, FixedActionPolicy, GreedyPolicy, OfflineDataset,
@@ -15,7 +15,7 @@ from .mdp import (FiniteChainKernel, FixedActionPolicy, GreedyPolicy, OfflineDat
                   make_rough_reward_mdp, make_single_state_mdp, mdp_from_config,
                   sample_visitation)
 from .oracle import (GridOracle, apply_bellman, build_oracle, estimate_concentration,
-                     ground_truth, oracle_value, subopt, tabulate_visitation)
+                     ground_truth, subopt, tabulate_visitation)
 from .rademacher import (FiniteFunctionClass, NetworkFunctionClass, RateExponents,
                          SubRootSpec, empirical_rademacher, localized_rademacher,
                          rate_exponent, sub_root_fixed_point)

@@ -92,8 +92,8 @@ class BesovParams:
 
     def __post_init__(self):
         # negated comparisons, so that NaN fails them too
-        if not self.alpha > 0:
-            raise ValueError("alpha must be positive")
+        if not 0 < self.alpha < np.inf:
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha!r}")
         if not (self.p >= 1 and self.q >= 1):
             raise ValueError("p and q must be >= 1")
 
@@ -245,8 +245,6 @@ def modulus_of_smoothness(f: FunctionOnGrid, order: int, p: float, t_grid) -> Mo
 def besov_seminorm(f: FunctionOnGrid, params: BesovParams) -> float:
     """Scale-aggregated modulus: the q-integral of omega_r(t)/t^alpha over
     41 log-spaced t from the grid step up to 1 (max over t when q is infinite)."""
-    if params.alpha >= params.order:
-        raise ValueError("difference order too small for alpha")
     curve = modulus_of_smoothness(f, params.order, params.p, np.geomspace(f.min_step, 1.0, 41))
     t = curve.t_values[::-1]
     ratio = curve.omega_values[::-1] / t ** params.alpha

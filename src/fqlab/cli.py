@@ -83,7 +83,7 @@ def cmd_run_fqi(args):
     setup = sweep_setup(cfg)
     (cell,) = cfg.cells()
     rec = CellRecord(*cell, kappa_hat=setup.kappa_hat)
-    result, trace, residuals = run_attempt(cfg, setup, rec)
+    estimate, trace, residuals = run_attempt(cfg, setup, rec)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -95,12 +95,12 @@ def cmd_run_fqi(args):
     payload.update({key: getattr(rec, key) for key in
                     ("subopt", "kappa_hat", "bound_rhs", "bound_slack", "max_residual")})
     if args.mode == "ope":
-        payload["value"] = result.estimate
+        payload["value"] = estimate
     else:
         payload["greedy_action_by_state_node"] = (
-            result.estimate.act(setup.oracles["opl"].nodes).tolist())
+            estimate.act(setup.oracles["opl"].nodes).tolist())
     (out / "result.json").write_text(json.dumps(payload, indent=2) + "\n")
-    result.q_final.save(out / "q_final.net")
+    trace.q_iterates[-1].save(out / "q_final.net")
     print(f"subopt={rec.subopt:.6f} bound_rhs={rec.bound_rhs:.6f} -> {out}")
 
 

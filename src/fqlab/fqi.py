@@ -13,26 +13,6 @@ from .relunet import (ArchitectureSpec, ReluNetwork, TrainConfig, TrainingDiverg
 
 
 @dataclass
-class FqiConfig:
-    """One value-iteration run: K regression passes over the offline data.
-
-    data_mode "reuse" fits every iterate on the full dataset; "split" shuffles
-    once (seeded) and fits iterate k on fold k of K contiguous equal blocks.
-    """
-
-    iterations: int
-    arch: ArchitectureSpec
-    train: TrainConfig
-    data_mode: str = "reuse"
-
-    def __post_init__(self):
-        if self.iterations < 1:
-            raise ValueError("need at least one iteration")
-        if self.data_mode not in ("reuse", "split"):
-            raise ValueError("data_mode must be 'reuse' or 'split'")
-
-
-@dataclass
 class FqiTrace:
     """Per-run record: the frozen iterates Q_0..Q_K and their training losses."""
 
@@ -44,31 +24,11 @@ class FqiTrace:
             raise ValueError("expected one training loss per fitted iterate")
 
 
-@dataclass
-class FqiResult:
-    """estimate is what subopt scores: E_rho,pi[Q_K] for the oracle's target
-    policy pi (OPE), or the greedy policy of Q_K for the optimal target (OPL)."""
-
-    estimate: float | Policy
-    q_final: ReluNetwork
-
-
 def _target(oracle: GridOracle) -> Policy | None:
     """The populated oracle's target policy, None for the optimal target."""
     if not oracle.populated:
         raise ValueError("need an oracle populated by ground_truth: it names the target")
     return oracle.target
-
-
-def greedy_policy(net: ReluNetwork, action_grid: np.ndarray) -> GreedyPolicy:
-    """Greedy readout of a frozen network on the action grid, first index on ties."""
-    grid = np.asarray(action_grid, dtype=float)
-
-    def q_on_actions(states):
-        pts = state_action_inputs(*pair_with_actions(states, grid))
-        return net.forward(pts).reshape(len(states), len(grid))
-
-    return GreedyPolicy(q_on_actions, len(grid))
 
 
 def _split_folds(n: int, k_folds: int, seed: int):
@@ -82,18 +42,26 @@ def _split_folds(n: int, k_folds: int, seed: int):
     return np.array_split(perm, k_folds)
 
 
-def run_lsvi(data: OfflineDataset, cfg: FqiConfig, oracle: GridOracle):
+def run_lsvi(data: OfflineDataset, oracle: GridOracle, arch: ArchitectureSpec,
+             train: TrainConfig, iterations: int, data_mode: str = "reuse"):
     """Iterated least-squares regression of Bellman targets onto the network class.
 
-    Returns (FqiResult, FqiTrace).  Q_0 is the zero network projected into the
-    architecture; iterate k regresses r_i + gamma * continuation(Q_{k-1}, s'_i)
-    on the data (or on fold k in split mode), with gamma, the action grid and
-    the target of the populated oracle (ValueError if unpopulated).  The OPE
-    readout integrates on the oracle's grid.
+    Returns (estimate, FqiTrace).  estimate is what subopt scores: E_rho,pi[Q_K]
+    for the populated oracle's target pi (OPE), integrated on the oracle's grid,
+    or the greedy policy of Q_K for the optimal target (OPL).  Q_0 is the zero
+    network projected into arch; iterate k = 1..iterations regresses
+    r_i + gamma * continuation(Q_{k-1}, s'_i) on the data, with gamma, the
+    action grid and the target of the oracle (ValueError if unpopulated).
+    data_mode "reuse" fits every iterate on the full data; "split" shuffles once
+    (seeded by train.seed) and fits iterate k on fold k of K contiguous equal
+    blocks.  iterations below 1 or another data_mode raises ValueError.
     """
+    if iterations < 1:
+        raise ValueError("need at least one iteration")
+    if data_mode not in ("reuse", "split"):
+        raise ValueError("data_mode must be 'reuse' or 'split'")
     policy = _target(oracle)
-    k_iter = cfg.iterations
-    folds = _split_folds(data.n, k_iter, cfg.train.seed) if cfg.data_mode == "split" else None
+    folds = _split_folds(data.n, iterations, train.seed) if data_mode == "split" else None
 
     mdp = oracle.mdp
     grid = mdp.action_grid
@@ -104,11 +72,11 @@ def run_lsvi(data: OfflineDataset, cfg: FqiConfig, oracle: GridOracle):
     if policy is not None:
         pi_probs = policy.probs(data.next_states)
 
-    q = ReluNetwork.zeros(mdp.dim, cfg.arch).projected()
+    q = ReluNetwork.zeros(mdp.dim, arch).projected()
     iterates = [q]
-    losses = np.empty(k_iter)
+    losses = np.empty(iterations)
     cache = None  # every Q_{k-1} is evaluated into the arrays of the first pass
-    for k in range(1, k_iter + 1):
+    for k in range(1, iterations + 1):
         prev = iterates[-1]
         cache = _forward(prev.weights, prev.biases, z_next, cache)
         if prev.output_clamp:
@@ -120,12 +88,12 @@ def run_lsvi(data: OfflineDataset, cfg: FqiConfig, oracle: GridOracle):
             cont = q_next.max(axis=1)
         ys = data.rewards + mdp.gamma * cont
         idx = folds[k - 1] if folds is not None else slice(None)
-        if cfg.train.epochs == 0:
+        if train.epochs == 0:
             q = iterates[-1]  # no steps: every iterate stays at the zero initialization
         else:
-            seed_k = int(np.random.SeedSequence([cfg.train.seed, k]).generate_state(1)[0])
-            train_k = replace(cfg.train, seed=seed_k)
-            init = ReluNetwork.random(mdp.dim, cfg.arch, np.random.default_rng(seed_k))
+            seed_k = int(np.random.SeedSequence([train.seed, k]).generate_state(1)[0])
+            train_k = replace(train, seed=seed_k)
+            init = ReluNetwork.random(mdp.dim, arch, np.random.default_rng(seed_k))
             try:
                 q = fit_least_squares(init, xs_all[idx], ys[idx], train_k)
             except TrainingDiverged as exc:
@@ -133,12 +101,11 @@ def run_lsvi(data: OfflineDataset, cfg: FqiConfig, oracle: GridOracle):
         losses[k - 1] = q.mse(xs_all[idx], ys[idx])
         iterates.append(q)
 
-    q_final = iterates[-1]
     if policy is not None:
-        estimate = oracle.value_of(oracle.tabulate(q_final.forward), policy)
+        estimate = oracle.value_of(oracle.tabulate(q.forward), policy)
     else:
-        estimate = greedy_policy(q_final, grid)
-    return FqiResult(estimate, q_final), FqiTrace(q_iterates=iterates, train_losses=losses)
+        estimate = GreedyPolicy(q, grid)
+    return estimate, FqiTrace(q_iterates=iterates, train_losses=losses)
 
 
 def measure_bellman_residuals(trace: FqiTrace, oracle: GridOracle, mu_samples) -> np.ndarray:

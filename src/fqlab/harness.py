@@ -11,11 +11,12 @@ from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, dataclass, field, replace
 from functools import cache, partial
 from itertools import product
+from numbers import Integral
 from pathlib import Path
 
 import numpy as np
 
-from .fqi import FqiConfig, decomposition_bound, measure_bellman_residuals, run_lsvi
+from .fqi import decomposition_bound, measure_bellman_residuals, run_lsvi
 from .mdp import FixedActionPolicy, UniformPolicy, mdp_from_config, sample_visitation
 from .oracle import (GridOracle, build_oracle, estimate_concentration, ground_truth,
                      max_sweeps, subopt)
@@ -49,8 +50,9 @@ class ExperimentConfig:
     JSON file path.  When arch is None, each cell picks its architecture from
     the rate-driven selector using (alpha, p) and the cell's sample count.
     epsilon/delta feed the reported sample-size hint only; nothing is gated
-    on it.  Degenerate axes, horizons, rate and hint parameters and counts
-    raise ValueError here, before any oracle is built.
+    on it.  Degenerate axes, horizons, rate and hint parameters and counts,
+    and a count, seed or horizon that is a bool or not an integer, raise
+    ValueError here, before any oracle is built.
     """
 
     mdp: dict | str = field(default_factory=lambda: {"kind": "chain5"})
@@ -80,6 +82,14 @@ class ExperimentConfig:
                            (self.data_modes, "data_modes")):
             if len(axis) == 0:
                 raise ValueError(f"sweep axis {name} must be nonempty")
+        steps = () if self.train_steps_target is None else (self.train_steps_target,)
+        for name, values in (("n_values", self.n_values), ("k_values", self.k_values),
+                             ("seeds", self.seeds), ("probe_horizons", self.probe_horizons),
+                             ("jobs", (self.jobs,)), ("residual_samples", (self.residual_samples,)),
+                             ("train_steps_target", steps)):
+            bad = [v for v in values if isinstance(v, bool) or not isinstance(v, Integral)]
+            if bad:
+                raise ValueError(f"{name} must hold integers, got {bad[0]!r}")
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError("seeds must be distinct")
         if not set(self.modes) <= {"ope", "opl"}:
@@ -315,7 +325,7 @@ def sweep_setup(cfg: ExperimentConfig) -> SweepSetup:
 
 def run_attempt(cfg: ExperimentConfig, setup: SweepSetup, rec: CellRecord):
     """One attempt at the cell rec names, seeded with rec.seed: fills rec's
-    numbers and stage seconds and returns (FqiResult, FqiTrace, residuals).
+    numbers and stage seconds and returns run_lsvi's (estimate, trace) and the residuals.
     A diverged fit raises TrainingDiverged and leaves rec's numbers as they were."""
     oracle = setup.oracles[rec.mode]
     mdp = oracle.mdp
@@ -326,21 +336,19 @@ def run_attempt(cfg: ExperimentConfig, setup: SweepSetup, rec: CellRecord):
         steps_per_epoch = (per_fit + batch - 1) // batch
         epochs = max(1, int(np.ceil(cfg.train_steps_target / steps_per_epoch)))
         train = replace(train, epochs=epochs)
-    fqi_cfg = FqiConfig(
-        iterations=rec.K, train=train, data_mode=rec.data_mode,
-        arch=cfg.arch or architecture_for(rec.n, cfg.alpha, cfg.p, mdp.dim))
+    arch = cfg.arch or architecture_for(rec.n, cfg.alpha, cfg.p, mdp.dim)
     with _timed(vars(rec), "sampling_s"):
         data = sample_visitation(mdp, setup.policy, rec.n, rec.seed)
     with _timed(vars(rec), "run_lsvi_s"):
-        result, trace = run_lsvi(data, fqi_cfg, oracle)
+        estimate, trace = run_lsvi(data, oracle, arch, train, rec.K, rec.data_mode)
     with _timed(vars(rec), "residuals_s"):
         resid = measure_bellman_residuals(trace, oracle, setup.mu_samples)
-    rec.subopt = subopt(oracle, result.estimate)
+    rec.subopt = subopt(oracle, estimate)
     rec.max_residual = float(resid.max())
     rec.bound_rhs = decomposition_bound(rec.mode, setup.kappa_hat, mdp.gamma, rec.K, rec.max_residual)
     rec.bound_slack = rec.bound_rhs - rec.subopt
     rec.final_train_loss = float(trace.train_losses[-1])
-    return result, trace, resid
+    return estimate, trace, resid
 
 
 def run_cell(cfg: ExperimentConfig, setup: SweepSetup, cell) -> CellRecord:

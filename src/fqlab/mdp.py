@@ -137,9 +137,11 @@ class FiniteChainKernel:
         idx = rng.choice(len(self.nodes), size=n, p=self._rho())  # p= fixes the seeded draws
         return self.nodes[idx][:, None]
 
-    def grid(self, resolution=None):
-        """The nodes themselves, at mass 1/S each; resolution is ignored."""
-        return (self.nodes.copy(),), self._rho()
+    def grid(self, action_grid, resolution=None):
+        """The nodes themselves at mass 1/S each, and the (S, A, S) transition
+        table on them; resolution is ignored."""
+        probs = np.transpose(self.matrix(action_grid), (1, 0, 2))
+        return (self.nodes.copy(),), self._rho(), DenseNextOp(probs)
 
     def matrix(self, action_values: np.ndarray) -> np.ndarray:
         a = np.asarray(action_values, dtype=float)
@@ -153,14 +155,6 @@ class FiniteChainKernel:
         rows = mats[np.arange(len(states)), self.node_index(states)]
         nxt = _sample_rows(rng, rows)
         return self.nodes[nxt][:, None]
-
-    def node_transition(self, state_axes, action_grid) -> DenseNextOp:
-        (axis,) = state_axes
-        if len(axis) != len(self.nodes) or not np.allclose(axis, self.nodes):
-            raise ValueError("oracle grid must coincide with the chain nodes")
-        mats = self.matrix(np.asarray(action_grid))  # (A, S, S)
-        probs = np.transpose(mats, (1, 0, 2))
-        return DenseNextOp(probs)
 
 
 # Cephes' normal cdf and its inverse (Moshier 1989) with scipy.special's bits: its operation order,
@@ -273,9 +267,9 @@ class TruncatedGaussianKernel:
     positive and finite; node-cell masses come from the Gaussian cdf, so
     tabulated transition rows sum to one up to rounding (within 4 ulp of 1 on
     the presets' grids).  On a 2-d grid the axis-k mean may depend only on
-    s_k and the action; node_transition rejects means that couple the axes.
-    Both node_transition and sample reject a mean that is not finite or whose
-    Gaussian has no mass in [0,1] in double precision.
+    s_k and the action; grid rejects means that couple the axes.  Both grid
+    and sample reject a mean that is not finite or whose Gaussian has no mass
+    in [0,1] in double precision.
     """
 
     def __init__(self, mean_fn: Callable, sigma, state_dim: int = 1):
@@ -290,13 +284,14 @@ class TruncatedGaussianKernel:
     def initial_states(self, rng, n):
         return rng.random((n, self.state_dim))
 
-    def grid(self, resolution=None):
-        """resolution (default DEFAULT_RESOLUTION) nodes per axis on [0,1], and
-        rho on them: the product trapezoid weights over their sum."""
+    def grid(self, action_grid, resolution=None):
+        """resolution (default DEFAULT_RESOLUTION) nodes per axis on [0,1], rho
+        on them (the product trapezoid weights over their sum), and the
+        next-state operator of the cell masses on them."""
         g = DEFAULT_RESOLUTION[self.state_dim] if resolution is None else resolution
         axes = tuple(np.linspace(0.0, 1.0, g) for _ in range(self.state_dim))
         weights = reduce(np.multiply.outer, map(_axis_weights, axes)).ravel()  # row-major like nodes
-        return axes, weights / weights.sum()
+        return axes, weights / weights.sum(), self._next_op(axes, action_grid)
 
     def _means(self, states, action_values):
         m = np.asarray(self.mean_fn(states, action_values), dtype=float)
@@ -335,7 +330,7 @@ class TruncatedGaussianKernel:
         masses[:, -1] += (hi - cdf[:, -1]) / (hi - lo)
         return masses
 
-    def node_transition(self, state_axes, action_grid):
+    def _next_op(self, state_axes, action_grid):
         action_grid = np.asarray(action_grid, dtype=float)
         if self.state_dim == 1:
             (axis,) = state_axes
@@ -397,16 +392,17 @@ class FixedActionPolicy(Policy):
 class GreedyPolicy(Policy):
     """argmax over the action grid of a state-action value function.
 
-    q_fn maps a batch of states to a (batch, n_actions) value table; ties
-    break toward the smallest action index.
+    q maps (s, a) input rows to values, as a network or an oracle
+    interpolant does; ties break toward the smallest action index.
     """
 
-    def __init__(self, q_fn: Callable, n_actions: int):
-        self.q_fn = q_fn
-        self.n_actions = n_actions
+    def __init__(self, q: Callable, action_grid: np.ndarray):
+        self.q = q
+        self.action_grid = np.asarray(action_grid, dtype=float)
 
     def probs(self, states):
-        q = np.asarray(self.q_fn(states), dtype=float)
+        pts = state_action_inputs(*pair_with_actions(states, self.action_grid))
+        q = np.asarray(self.q(pts), dtype=float).reshape(len(states), len(self.action_grid))
         p = np.zeros_like(q)
         p[np.arange(len(q)), np.argmax(q, axis=1)] = 1.0
         return p

@@ -116,17 +116,16 @@ def _multilinear(axes, vals, pts):
 
 def build_oracle(mdp: SyntheticMdp, resolution: int | None = None,
                  tol: float = GridOracle.tol) -> GridOracle:
-    """Assemble the kernel's grid and initial law, the transition table, and rewards.
+    """Assemble the kernel's grid, initial law and next-state operator, and the rewards.
 
     resolution is the nodes per state axis of a Gaussian kernel's grid (None:
     DEFAULT_RESOLUTION); a chain's grid is its nodes, whatever the resolution.
     A resolution that is not None or an integer >= 2 raises ValueError.
     """
     _check_resolution(resolution)
-    axes, rho = mdp.kernel.grid(resolution)
+    axes, rho, next_op = mdp.kernel.grid(mdp.action_grid, resolution)
     mesh = np.meshgrid(*axes, indexing="ij")
     nodes = np.stack([m.ravel() for m in mesh], axis=-1)
-    next_op = mdp.kernel.node_transition(axes, mdp.action_grid)
     rewards = np.asarray(mdp.reward_mean(*pair_with_actions(nodes, mdp.action_grid)),
                          dtype=float).reshape(len(nodes), len(mdp.action_grid))
     return GridOracle(mdp=mdp, state_axes=axes, nodes=nodes, rho=rho,
@@ -183,13 +182,6 @@ def ground_truth(oracle: GridOracle, policy: Policy | None = None) -> GridOracle
     return replace(oracle, q=q, target=policy, sweep_deltas=deltas)
 
 
-def oracle_value(oracle: GridOracle) -> float:
-    """V under the populated target: E_rho,pi[Q^pi] or E_rho[max_a Q*]."""
-    if not oracle.populated:
-        raise OracleError("oracle not populated")
-    return oracle.value_of(oracle.q, oracle.target)
-
-
 def subopt(oracle: GridOracle, estimate) -> float:
     """Sub-optimality of a value estimate (float) or a learned policy.
 
@@ -204,7 +196,7 @@ def subopt(oracle: GridOracle, estimate) -> float:
         v_star = oracle.q.max(axis=1)
         picked = oracle.q[np.arange(oracle.n_nodes), estimate.act(oracle.nodes)]
         return float(oracle.rho @ (v_star - picked))
-    return abs(oracle_value(oracle) - float(estimate))
+    return abs(oracle.value_of(oracle.q, oracle.target) - float(estimate))
 
 
 # ---------------------------------------------------------------------------

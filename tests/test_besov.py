@@ -292,6 +292,11 @@ class TestBesovParams:
         with pytest.raises(ValueError, match="alpha|p and q"):
             BesovParams(**kwargs)
 
+    def test_rejects_an_infinite_alpha(self):
+        # floor(inf) has no integer difference order
+        with pytest.raises(ValueError, match="alpha must be positive and finite"):
+            BesovParams(alpha=np.inf)
+
 
 class TestSeminorm:
     def test_constant_zero_seminorm_norm_is_abs(self):

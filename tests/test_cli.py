@@ -145,6 +145,16 @@ class TestAnalyzeSmoothness:
             main(["analyze-smoothness", flag, "nan", "--out", str(out)])
         assert not out.exists()
 
+    def test_an_infinite_alpha_fails_before_any_output(self, tmp_path, capsys):
+        src = tmp_path / "g.csv"
+        fqlab.synth_function("weierstrass", 0.5, resolution=65).save_csv(src)
+        out = tmp_path / "smooth.json"
+        with pytest.raises(ValueError, match="alpha must be positive and finite"):
+            main(["analyze-smoothness", "--input", str(src), "--alpha", "inf",
+                  "--out", str(out)])
+        assert not out.exists()
+        assert capsys.readouterr().out == ""
+
     @pytest.mark.parametrize("order", ["0", "-1", "5000"])
     def test_a_difference_order_the_grid_cannot_take_fails_before_any_output(
             self, tmp_path, order):

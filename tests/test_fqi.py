@@ -4,8 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import fqlab
-from fqlab.fqi import (FqiConfig, greedy_policy, decomposition_bound,
-                       measure_bellman_residuals, run_exact_lsvi, run_lsvi)
+from fqlab.fqi import decomposition_bound, measure_bellman_residuals, run_exact_lsvi, run_lsvi
 from fqlab.harness import ExperimentConfig, run_sweep
 from fqlab.mdp import UniformPolicy
 from fqlab.oracle import (apply_bellman, build_oracle, estimate_concentration, ground_truth,
@@ -34,23 +33,27 @@ def net_from_table(oracle, table):
 
 
 class TestRunLsvi:
-    def test_k_zero_rejected(self, compact_arch, fast_train):
-        with pytest.raises(ValueError):
-            FqiConfig(iterations=0, arch=compact_arch, train=fast_train)
+    @pytest.mark.parametrize("iterations,data_mode,message", [
+        (0, "reuse", "at least one iteration"), (1, "splits", "data_mode")])
+    def test_k_zero_and_unknown_data_mode_rejected(self, chain_mdp, chain_oracle_pi, uniform_pi,
+                                                   compact_arch, fast_train, iterations,
+                                                   data_mode, message):
+        data = fqlab.sample_visitation(chain_mdp, uniform_pi, 50, seed=0)
+        with pytest.raises(ValueError, match=message):
+            run_lsvi(data, chain_oracle_pi, compact_arch, fast_train, iterations, data_mode)
 
     def test_unpopulated_oracle_rejected(self, chain_mdp, uniform_pi, compact_arch, fast_train):
         # the populated oracle names the Bellman target; a bare grid names none
         data = fqlab.sample_visitation(chain_mdp, uniform_pi, 50, seed=0)
-        cfg = FqiConfig(iterations=1, arch=compact_arch, train=fast_train)
         with pytest.raises(ValueError):
-            run_lsvi(data, cfg, build_oracle(chain_mdp))
+            run_lsvi(data, build_oracle(chain_mdp), compact_arch, fast_train, 1)
 
     def test_zero_epochs_returns_zero_value(self, chain_mdp, chain_oracle_pi,
                                             uniform_pi, compact_arch):
         data = fqlab.sample_visitation(chain_mdp, uniform_pi, 200, seed=0)
-        cfg = FqiConfig(iterations=1, arch=compact_arch, train=TrainConfig(epochs=0, seed=0))
-        result, trace = run_lsvi(data, cfg, chain_oracle_pi)
-        assert result.estimate == 0.0
+        estimate, trace = run_lsvi(data, chain_oracle_pi, compact_arch,
+                                   TrainConfig(epochs=0, seed=0), 1)
+        assert estimate == 0.0
         assert len(trace.q_iterates) == 2
         assert trace.q_iterates[-1].nnz() == 0
 
@@ -59,13 +62,11 @@ class TestRunLsvi:
         eta = UniformPolicy(mdp.n_actions)
         oracle = ground_truth(build_oracle(mdp), None)
         data = fqlab.sample_visitation(mdp, eta, 8000, seed=1)
-        cfg = FqiConfig(iterations=1, arch=compact_arch,
-                        train=TrainConfig(epochs=250, restarts=2, learning_rate=1.8,
-                                          batch_size=512, seed=1))
-        result, trace = run_lsvi(data, cfg, oracle)
+        train = TrainConfig(epochs=250, restarts=2, learning_rate=1.8, batch_size=512, seed=1)
+        _, trace = run_lsvi(data, oracle, compact_arch, train, 1)
         held = fqlab.sample_visitation(mdp, eta, 2000, seed=99)
         mean_r = mdp.reward_mean(held.states, held.actions)
-        rmse = float(np.sqrt(np.mean((result.q_final.forward(held.x) - mean_r) ** 2)))
+        rmse = float(np.sqrt(np.mean((trace.q_iterates[-1].forward(held.x) - mean_r) ** 2)))
         assert rmse <= 0.05
 
     def test_chain_ope_beats_tolerance(self, chain_mdp, chain_oracle_pi, uniform_pi,
@@ -74,24 +75,20 @@ class TestRunLsvi:
         subs = []
         for seed in range(2):
             data = fqlab.sample_visitation(chain_mdp, uniform_pi, 4000, seed=seed)
-            cfg = FqiConfig(iterations=20, arch=compact_arch,
-                            train=fqlab.TrainConfig(epochs=200, restarts=1,
-                                                    learning_rate=1.5,
-                                                    batch_size=1024, seed=seed))
-            result, _ = run_lsvi(data, cfg, chain_oracle_pi)
-            subs.append(subopt(chain_oracle_pi, result.estimate))
+            train = fqlab.TrainConfig(epochs=200, restarts=1, learning_rate=1.5,
+                                      batch_size=1024, seed=seed)
+            estimate, _ = run_lsvi(data, chain_oracle_pi, compact_arch, train, 20)
+            subs.append(subopt(chain_oracle_pi, estimate))
         # K = 20 leaves an algorithmic tail of order gamma^K * V ~ 0.08 on top
         # of the statistical error; the acceptance-scale run uses K = 50
         assert np.mean(subs) <= 0.12
 
     def test_determinism(self, chain_mdp, chain_oracle_pi, uniform_pi, compact_arch):
         data = fqlab.sample_visitation(chain_mdp, uniform_pi, 1000, seed=3)
-        cfg = FqiConfig(iterations=3, arch=compact_arch,
-                        train=TrainConfig(epochs=15, restarts=1, batch_size=256,
-                                          learning_rate=1.2, seed=3))
-        r1, t1 = run_lsvi(data, cfg, chain_oracle_pi)
-        r2, t2 = run_lsvi(data, cfg, chain_oracle_pi)
-        assert r1.estimate == r2.estimate
+        train = TrainConfig(epochs=15, restarts=1, batch_size=256, learning_rate=1.2, seed=3)
+        e1, t1 = run_lsvi(data, chain_oracle_pi, compact_arch, train, 3)
+        e2, t2 = run_lsvi(data, chain_oracle_pi, compact_arch, train, 3)
+        assert e1 == e2
         np.testing.assert_array_equal(t1.train_losses, t2.train_losses)
         for a, b in zip(t1.q_iterates, t2.q_iterates):
             np.testing.assert_array_equal(a.params, b.params)
@@ -99,12 +96,10 @@ class TestRunLsvi:
     def test_opl_returns_greedy_of_final_iterate(self, chain_mdp, chain_oracle_star,
                                                  uniform_pi, compact_arch):
         data = fqlab.sample_visitation(chain_mdp, uniform_pi, 1000, seed=4)
-        cfg = FqiConfig(iterations=2, arch=compact_arch,
-                        train=TrainConfig(epochs=15, restarts=1, batch_size=256,
-                                          learning_rate=1.2, seed=4))
-        result, trace = run_lsvi(data, cfg, chain_oracle_star)
-        expected = greedy_policy(trace.q_iterates[-1], chain_mdp.action_grid)
-        np.testing.assert_array_equal(result.estimate.act(chain_oracle_star.nodes),
+        train = TrainConfig(epochs=15, restarts=1, batch_size=256, learning_rate=1.2, seed=4)
+        estimate, trace = run_lsvi(data, chain_oracle_star, compact_arch, train, 2)
+        expected = fqlab.GreedyPolicy(trace.q_iterates[-1], chain_mdp.action_grid)
+        np.testing.assert_array_equal(estimate.act(chain_oracle_star.nodes),
                                       expected.act(chain_oracle_star.nodes))
 
 
@@ -112,7 +107,7 @@ class TestGreedyPolicy:
     def test_tie_breaks_to_first_action(self, chain_mdp):
         arch = ArchitectureSpec(height=2, width=4, sparsity=100, weight_bound=5.0)
         net = ReluNetwork.zeros(2, arch)  # constant in the action
-        policy = greedy_policy(net, chain_mdp.action_grid)
+        policy = fqlab.GreedyPolicy(net, chain_mdp.action_grid)
         acts = policy.act(chain_mdp.kernel.nodes[:, None])
         np.testing.assert_array_equal(acts, 0)
 
@@ -120,18 +115,13 @@ class TestGreedyPolicy:
         grid = np.array([0.0, 0.5, 1.0])
         net = ReluNetwork([np.array([[0.0, 1.0]])], [np.array([0.0])],
                           sparsity=10, weight_bound=5.0, output_clamp=False)
-        policy = greedy_policy(net, grid)
+        policy = fqlab.GreedyPolicy(net, grid)
         acts = policy.act(np.random.default_rng(0).random((6, 1)))
         np.testing.assert_array_equal(acts, 2)
 
     def test_oracle_q_gives_zero_opl_subopt(self, chain_oracle_star, chain_mdp):
         interp = chain_oracle_star.interpolator(chain_oracle_star.q)
-        policy = fqlab.GreedyPolicy(
-            lambda states: interp(np.concatenate(
-                [np.repeat(states, chain_mdp.n_actions, axis=0),
-                 np.tile(chain_mdp.action_grid, len(states))[:, None]], axis=1)
-            ).reshape(len(states), chain_mdp.n_actions),
-            chain_mdp.n_actions)
+        policy = fqlab.GreedyPolicy(interp, chain_mdp.action_grid)
         assert subopt(chain_oracle_star, policy) <= 1e-9
 
 
@@ -169,10 +159,8 @@ class TestBellmanResiduals:
         # independent re-implementation: residual as a quadrature against the
         # tabulated visitation distribution, compared within 2 standard errors
         data = fqlab.sample_visitation(chain_mdp, uniform_pi, 3000, seed=6)
-        cfg = FqiConfig(iterations=3, arch=compact_arch,
-                        train=TrainConfig(epochs=30, restarts=1, batch_size=512,
-                                          learning_rate=1.5, seed=6))
-        _, trace = run_lsvi(data, cfg, chain_oracle_pi)
+        train = TrainConfig(epochs=30, restarts=1, batch_size=512, learning_rate=1.5, seed=6)
+        _, trace = run_lsvi(data, chain_oracle_pi, compact_arch, train, 3)
         m = 20000
         samples = self._mu_samples(chain_mdp, uniform_pi, m)
         rms = measure_bellman_residuals(trace, chain_oracle_pi, samples)
@@ -325,9 +313,8 @@ class TestReuseVsSplit:
     def test_split_needs_enough_data(self, chain_mdp, chain_oracle_pi, uniform_pi,
                                      compact_arch, fast_train):
         data = fqlab.sample_visitation(chain_mdp, uniform_pi, 5, seed=0)
-        cfg = FqiConfig(iterations=10, arch=compact_arch, train=fast_train, data_mode="split")
         with pytest.raises(ValueError):
-            run_lsvi(data, cfg, chain_oracle_pi)
+            run_lsvi(data, chain_oracle_pi, compact_arch, fast_train, 10, "split")
 
     def test_gamma_zero_sample_size_effect(self, compact_arch):
         # at gamma = 0 the modes differ only in regression sample size; with a

@@ -11,7 +11,7 @@ import pytest
 import fqlab
 import fqlab.harness as harness
 import fqlab.oracle as oracle_module
-from fqlab.fqi import FqiConfig, decomposition_bound, measure_bellman_residuals, run_lsvi
+from fqlab.fqi import decomposition_bound, measure_bellman_residuals, run_lsvi
 from fqlab.harness import (RETRY_SEED_OFFSET, AuditSummary, CellRecord, ExperimentConfig,
                            ExperimentReport, audit_decomposition, run_sweep,
                            sample_size_hint, write_report)
@@ -89,9 +89,8 @@ class TestRunSweep:
         pi = UniformPolicy(mdp.n_actions)
         oracle = fqlab.ground_truth(fqlab.build_oracle(mdp), pi)
         data = fqlab.sample_visitation(mdp, pi, 512, seed=3)
-        fqi_cfg = FqiConfig(iterations=3, arch=cfg.arch, train=replace(cfg.train, seed=3))
-        result, trace = run_lsvi(data, fqi_cfg, oracle)
-        direct = fqlab.subopt(oracle, result.estimate)
+        estimate, _ = run_lsvi(data, oracle, cfg.arch, replace(cfg.train, seed=3), 3)
+        direct = fqlab.subopt(oracle, estimate)
         assert rec.subopt == pytest.approx(direct, abs=1e-12)
 
     def test_single_state_sweep_runs_on_its_one_node_chain(self, monkeypatch, tmp_path):
@@ -165,8 +164,8 @@ class TestRunSweep:
         class Captured(Exception):
             pass
 
-        def capture(data, fqi_cfg, oracle):
-            raise Captured(fqi_cfg.train)
+        def capture(data, oracle, arch, train, iterations, data_mode):
+            raise Captured(train)
 
         monkeypatch.setattr(harness, "run_lsvi", capture)
         cfg = tiny_config(n_values=(10_000,), k_values=(10,), seeds=(0,),
@@ -347,6 +346,32 @@ class TestConfigValidation:
         monkeypatch.setattr(harness, "build_oracle", no_build)
         with pytest.raises(ValueError, match=message):
             run_sweep(tiny_config(n_values=(256,), seeds=(0,), **overrides))
+
+    @pytest.mark.parametrize("overrides,message", [
+        ({"n_values": (64.7,)}, "n_values must hold integers, got 64.7"),
+        ({"n_values": (True,)}, "n_values must hold integers, got True"),
+        ({"k_values": (2.5,)}, "k_values must hold integers, got 2.5"),
+        ({"seeds": (0.9,)}, "seeds must hold integers, got 0.9"),
+        ({"seeds": (0.1, 0.9)}, "seeds must hold integers, got 0.1"),
+        ({"probe_horizons": (0.5, 1.5)}, "probe_horizons must hold integers, got 0.5"),
+        ({"jobs": 1.5}, "jobs must hold integers, got 1.5"),
+        ({"residual_samples": 64.5}, "residual_samples must hold integers, got 64.5"),
+        ({"train_steps_target": 600.5}, "train_steps_target must hold integers, got 600.5"),
+        ({"train_steps_target": True}, "train_steps_target must hold integers, got True"),
+    ])
+    def test_a_count_seed_or_horizon_that_is_not_an_integer_fails_before_any_oracle(
+            self, monkeypatch, overrides, message):
+        # unchecked, int() would truncate each of these or a later step would raise TypeError
+        def no_build(*args, **kwargs):
+            raise AssertionError("oracle built for a degenerate config")
+
+        monkeypatch.setattr(harness, "build_oracle", no_build)
+        with pytest.raises(ValueError, match=message):
+            run_sweep(tiny_config(**{"n_values": (256,), "seeds": (0,), **overrides}))
+
+    def test_numpy_integer_counts_are_taken(self):
+        cfg = tiny_config(n_values=(np.int64(256),), seeds=(np.int32(0),), jobs=np.int64(1))
+        assert list(cfg.cells()) == [(256, 3, 0, "ope", "reuse")]
 
     @pytest.mark.parametrize("overrides,message", [
         ({"n_values": (256, 1)}, "need n >= 2"),

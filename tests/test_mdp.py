@@ -287,7 +287,7 @@ class TestKernels:
     @pytest.mark.parametrize("nodes", [101, 201])
     def test_gaussian_masses_sum_to_one(self, kind, nodes):
         mdp = fqlab.mdp_from_config(kind)
-        op = mdp.kernel.node_transition((np.linspace(0, 1, nodes),), mdp.action_grid)
+        _, _, op = mdp.kernel.grid(mdp.action_grid, nodes)
         assert np.abs(op.probs.sum(axis=-1) - 1.0).max() <= 4 * np.finfo(float).eps
 
     @pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
@@ -309,7 +309,7 @@ class TestKernels:
         kernel = mdp_module.TruncatedGaussianKernel(
             lambda s, a: np.where(np.asarray(a) > 0.5, bad, s[:, 0]), sigma=0.2)
         with pytest.raises(ValueError, match="no mass in"):
-            kernel.node_transition((np.linspace(0.0, 1.0, 5),), np.array([0.0, 1.0]))
+            kernel.grid(np.array([0.0, 1.0]), 5)
         with pytest.raises(ValueError, match="no mass in"):
             kernel.sample(np.random.default_rng(0), np.full((2, 1), 0.5), np.array([0.0, 1.0]))
 

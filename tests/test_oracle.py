@@ -12,12 +12,13 @@ from scipy.interpolate import RegularGridInterpolator
 
 import fqlab
 import fqlab.oracle as oracle_module
+from fqlab.fqi import decomposition_bound
 from fqlab.harness import default_probes
 from fqlab.mdp import (DenseNextOp, FixedActionPolicy, TruncatedGaussianKernel, UniformPolicy,
                        pair_with_actions)
 from fqlab.oracle import (MAX_SWEEPS, SWEEP_MARGIN, OracleError, _multilinear, apply_bellman,
                           build_oracle, estimate_concentration, ground_truth, max_sweeps,
-                          oracle_value, subopt, tabulate_visitation)
+                          subopt, tabulate_visitation)
 
 
 class TestApplyBellman:
@@ -91,7 +92,7 @@ class TestGroundTruth:
         mdp = fqlab.make_single_state_mdp(gamma=0.5, reward=0.5)
         oracle = ground_truth(build_oracle(mdp), UniformPolicy(2))
         np.testing.assert_allclose(oracle.q, 1.0, atol=1e-7)
-        assert abs(oracle_value(oracle) - 1.0) < 1e-7
+        assert abs(oracle.value_of(oracle.q, oracle.target) - 1.0) < 1e-7
 
     def test_gamma_zero_is_reward(self):
         mdp = fqlab.make_chain_mdp(gamma=0.0, noise=0.0)
@@ -168,16 +169,12 @@ class TestFrozenOracle:
 
 class TestSubopt:
     def test_exact_value_gives_zero(self, chain_oracle_pi):
-        assert subopt(chain_oracle_pi, oracle_value(chain_oracle_pi)) == 0.0
+        value = chain_oracle_pi.value_of(chain_oracle_pi.q, chain_oracle_pi.target)
+        assert subopt(chain_oracle_pi, value) == 0.0
 
     def test_greedy_on_oracle_q_is_optimal(self, chain_oracle_star, chain_mdp):
         interp = chain_oracle_star.interpolator(chain_oracle_star.q)
-        policy = fqlab.GreedyPolicy(
-            lambda states: interp(np.concatenate(
-                [np.repeat(states, 11, axis=0),
-                 np.tile(chain_mdp.action_grid, len(states))[:, None]],
-                axis=1)).reshape(len(states), 11),
-            chain_mdp.n_actions)
+        policy = fqlab.GreedyPolicy(interp, chain_mdp.action_grid)
         assert subopt(chain_oracle_star, policy) <= 1e-9
 
     def test_zero_estimate_on_single_state(self):
@@ -328,6 +325,16 @@ def chain_oracle_with(probs, gamma):
     return dataclasses.replace(build_oracle(mdp), next_op=DenseNextOp(probs))
 
 
+def random_chain_probs(rng, n_states, n_actions):
+    """A random sparse (S, A, S) transition table: about half the entries are 0,
+    and one in each row is always positive."""
+    shape = (n_states, n_actions, n_states)
+    probs = rng.random(shape) * (rng.random(shape) < 0.5)
+    probs[np.arange(n_states)[:, None], np.arange(n_actions),
+          rng.integers(n_states, size=shape[:2])] += 0.1
+    return probs / probs.sum(axis=-1, keepdims=True)
+
+
 def exact_kappa(oracle, mu, horizons):
     """max over t in horizons and cells (s, a) of reach_t[s] / mu[s, a], where
     reach_t[s] = max over all policies of P(s_t = s), by backward reachability
@@ -353,13 +360,7 @@ class TestExactConcentration:
                st.sets(st.integers(0, 12), min_size=1), st.integers(0, 2 ** 32 - 1))
         def check(n_states, n_actions, gamma, horizons, seed):
             rng = np.random.default_rng(seed)
-            # sparse random rows: about half the entries are 0, one is always positive
-            shape = (n_states, n_actions, n_states)
-            probs = rng.random(shape) * (rng.random(shape) < 0.5)
-            probs[np.arange(n_states)[:, None], np.arange(n_actions),
-                  rng.integers(n_states, size=shape[:2])] += 0.1
-            probs /= probs.sum(axis=-1, keepdims=True)
-            oracle = chain_oracle_with(probs, gamma)
+            oracle = chain_oracle_with(random_chain_probs(rng, n_states, n_actions), gamma)
             # a softmax has full support
             eta = softmax_policy(rng.uniform(-3, 3, (1, n_actions)), rng.uniform(-3, 3, n_actions))
             rep = estimate_concentration(oracle, eta, default_probes(n_actions), horizons)
@@ -381,6 +382,49 @@ class TestExactConcentration:
         kappa = exact_kappa(oracle, rep.mu, range(6))
         assert kappa == pytest.approx(1.0 / rep.mu[2, 0], rel=1e-12)  # reach_3[2] = 1
         assert rep.kappa_hat < 0.6 * kappa  # 4.67 against 8.40
+
+
+class TestExactOplDecomposition:
+    """fqi.decomposition_bound("opl", ...) against approximate value iteration
+    Q_k = T* Q_{k-1} + eps_k from Q_0 = 0 on random chains, with every
+    quantity exact on the grid: the greedy policy of Q_K reads the interpolant
+    of its table, which is the table itself on the grid nodes."""
+
+    # The error propagation of the greedy policy's loss (Munos & Szepesvari
+    # 2008) reaches the state-action laws of every horizon t >= 1.  exact_kappa
+    # takes horizons 0..HORIZON, where the weight gamma^t of the largest gamma
+    # drawn is down to 1e-4 (0.95^180); more horizons could only raise it, so
+    # a pass here is a pass for the bound with the supremum over all horizons.
+    HORIZON = 180
+
+    def test_opl_bound_holds(self, softmax_policy):
+        @given(st.integers(1, 6), st.integers(1, 4), st.floats(0.05, 0.95),
+               st.integers(1, 30), st.floats(0.0, 2.0), st.integers(0, 2 ** 32 - 1))
+        def check(n_states, n_actions, gamma, iterations, scale, seed):
+            rng = np.random.default_rng(seed)
+            # mean rewards in [0, 1 - gamma], so Q* lies in [0, 1]
+            grid = dataclasses.replace(
+                chain_oracle_with(random_chain_probs(rng, n_states, n_actions), gamma),
+                rewards=rng.uniform(0.0, 1.0 - gamma, (n_states, n_actions)), tol=1e-12)
+            oracle = ground_truth(grid, None)
+            # |eps| <= scale (1 - gamma) keeps every |Q_k| <= 3
+            top = scale * (1.0 - gamma)
+            residuals = rng.uniform(-top, top, (iterations, n_states, n_actions))
+            q = np.zeros_like(oracle.rewards)
+            for eps in residuals:
+                q = apply_bellman(oracle, q) + eps
+            # the data policy: a softmax has full support
+            eta = softmax_policy(rng.uniform(-3, 3, (1, n_actions)), rng.uniform(-3, 3, n_actions))
+            mu = tabulate_visitation(oracle, eta)
+            max_residual = max(float(np.sqrt(np.sum(mu * eps ** 2))) for eps in residuals)
+            kappa = exact_kappa(oracle, mu, range(self.HORIZON + 1))
+            greedy = fqlab.GreedyPolicy(oracle.interpolator(q), oracle.action_grid)
+            bound = decomposition_bound("opl", kappa, gamma, iterations, max_residual)
+            # oracle.q is within gamma tol / (1 - gamma) of Q*, and subopt reads it twice
+            accuracy = 2 * oracle.tol / (1 - gamma) + 1e-14
+            assert subopt(oracle, greedy) <= bound + accuracy
+
+        check()
 
 
 class TestVisitationMassProperty:
@@ -479,9 +523,10 @@ class TestTwoDimensionalStates:
         actions = np.linspace(0.0, 1.0, n_actions)
         if coupling:
             with pytest.raises(ValueError, match="axis-local"):
-                kernel.node_transition(axes, actions)
+                kernel._next_op(axes, actions)
             return
-        op = kernel.node_transition(axes, actions)
+        # g0 != g1 is no grid a resolution lays out: tabulate on the axes directly
+        op = kernel._next_op(axes, actions)
         # reference: one (node, action) row per axis straight from the means
         nodes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2)
         m = mean_fn(*pair_with_actions(nodes, actions))
