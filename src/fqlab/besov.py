@@ -109,8 +109,6 @@ class ModulusCurve:
 
     t_values: np.ndarray        # descending
     omega_values: np.ndarray
-    order: int
-    p: float
 
     def __post_init__(self):
         self.t_values = np.asarray(self.t_values, dtype=float)
@@ -124,8 +122,9 @@ class ModulusCurve:
             raise ValueError("modulus must be nonincreasing along the descending t grid")
 
 
-def translation_difference(f: FunctionOnGrid, h_steps: int, order: int, axis: int = 0) -> FunctionOnGrid:
-    """Order-r binomial difference with step h_steps grid cells along one axis.
+def translation_difference(f: FunctionOnGrid, h_steps: int, order: int, axis: int = 0) -> np.ndarray:
+    """Order-r binomial difference with step h_steps grid cells along one axis,
+    as an array over the first len - order * h_steps nodes of that axis.
 
     Evaluated only where the shifted argument stays inside the grid; raises if
     the valid subgrid is empty.
@@ -134,16 +133,9 @@ def translation_difference(f: FunctionOnGrid, h_steps: int, order: int, axis: in
         raise ValueError("order must be >= 1")
     if h_steps < 1:
         raise ValueError("step must be a positive number of grid cells")
-    valid = f.values.shape[axis] - order * h_steps
-    if valid < 1:
+    if f.values.shape[axis] - order * h_steps < 1:
         raise ValueError("step too large: empty valid subgrid")
-    out = _difference_values(f.values, h_steps, order, axis)
-    if valid < 4:
-        # below FunctionOnGrid's resolution floor; hand back raw values
-        return out
-    new_axes = list(f.axes)
-    new_axes[axis] = f.axes[axis][:valid]
-    return FunctionOnGrid(tuple(new_axes), out)
+    return _difference_values(f.values, h_steps, order, axis)
 
 
 def _difference_values(values: np.ndarray, h_steps: int, order: int, axis: int) -> np.ndarray:
@@ -239,13 +231,15 @@ def modulus_of_smoothness(f: FunctionOnGrid, order: int, p: float, t_grid) -> Mo
         hs, sup_norms = _step_norm_table(f, order, p)
         omega = sup_norms[np.searchsorted(hs, t_grid * (1 + 1e-12), side="right")]
     order_desc = np.argsort(-t_grid, kind="stable")
-    return ModulusCurve(t_grid[order_desc], omega[order_desc], order, p)
+    return ModulusCurve(t_grid[order_desc], omega[order_desc])
 
 
 def besov_seminorm(f: FunctionOnGrid, params: BesovParams) -> float:
     """Scale-aggregated modulus: the q-integral of omega_r(t)/t^alpha over
     41 log-spaced t from the grid step up to 1 (max over t when q is infinite)."""
     curve = modulus_of_smoothness(f, params.order, params.p, np.geomspace(f.min_step, 1.0, 41))
+    # t ** alpha on this reversed, strided view runs libm's pow; on a contiguous
+    # array numpy's AVX-512 power can differ from it in the last bit
     t = curve.t_values[::-1]
     ratio = curve.omega_values[::-1] / t ** params.alpha
     if np.isinf(params.q):
@@ -263,14 +257,8 @@ class SmoothnessEstimate:
     """
 
     exponent: float | None
-    order: int
     saturated: bool
-    curve: ModulusCurve | None = None
-
-    def __str__(self):
-        if self.saturated:
-            return f"exponent >= {self.order}"
-        return f"exponent ~= {self.exponent:.3f}"
+    curve: ModulusCurve
 
 
 def estimate_smoothness_exponent(f: FunctionOnGrid, order: int, p: float) -> SmoothnessEstimate:
@@ -285,9 +273,9 @@ def estimate_smoothness_exponent(f: FunctionOnGrid, order: int, p: float) -> Smo
     t, om = curve.t_values[::-1][2:-2], curve.omega_values[::-1][2:-2]
     usable = om > 1e-12
     if usable.sum() < 5:
-        return SmoothnessEstimate(None, order, True, curve)
+        return SmoothnessEstimate(None, True, curve)
     slope = np.polyfit(np.log(t[usable]), np.log(om[usable]), 1)[0]
-    return SmoothnessEstimate(float(np.clip(slope, 0.0, order)), order, False, curve)
+    return SmoothnessEstimate(float(np.clip(slope, 0.0, order)), False, curve)
 
 
 # ---------------------------------------------------------------------------
@@ -384,14 +372,12 @@ class ClosureReport:
     """Smoothness of Bellman images of a batch of networks.
 
     A finite batch cannot verify the closure property over the whole class;
-    the report states the batch size and only summarizes what was measured.
+    the report holds one entry per measured image and only summarizes those.
     """
 
     entries: list
     min_exponent: float | None
     max_seminorm: float
-    batch_size: int
-    params: BesovParams
     note: str = ("finite diagnostic batch: consistency evidence only, not a "
                  "verification of closure over the whole class")
 
@@ -417,5 +403,4 @@ def diagnose_dynamic_closure(mdp, oracle, nets, policies, params: BesovParams) -
             entries.append(ClosureEntry(ni, pi, est, semi))
     exponents = [e.estimate.exponent for e in entries if not e.estimate.saturated]
     return ClosureReport(entries=entries, min_exponent=min(exponents) if exponents else None,
-                         max_seminorm=max(e.seminorm for e in entries),
-                         batch_size=len(entries), params=params)
+                         max_seminorm=max(e.seminorm for e in entries))

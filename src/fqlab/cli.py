@@ -152,11 +152,13 @@ def cmd_rademacher(args):
     kind, _, spec_arg = args.cls.partition(":")
     if kind == "finite":
         values = np.loadtxt(spec_arg, delimiter=",", ndmin=2)
+        n = values.shape[1]
         est = empirical_rademacher(FiniteFunctionClass(values), None,
                                    args.draws, args.seed)
     elif kind == "net":
         spec = _build(ArchitectureSpec, _load_json(spec_arg), "arch")
-        xs = rng.random((args.n_points, args.input_dim))
+        n = args.n_points
+        xs = rng.random((n, args.input_dim))
         train = TrainConfig(epochs=60, restarts=1, learning_rate=0.3)
         if args.radius is not None:
             anchor = ReluNetwork.random(args.input_dim, spec,
@@ -170,7 +172,7 @@ def cmd_rademacher(args):
     else:
         raise SystemExit("--class must look like finite:<csv> or net:<spec.json>")
     payload = {"value": est.value, "stderr": est.stderr, "method": est.sup_method,
-               "bias_note": est.bias_note, "n": est.n, "draws": est.sigma_draws}
+               "bias_note": est.bias_note, "n": n, "draws": args.draws}
     text = json.dumps(payload, indent=2)
     if args.out:
         Path(args.out).write_text(text + "\n")

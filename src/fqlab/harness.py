@@ -50,9 +50,9 @@ class ExperimentConfig:
     JSON file path.  When arch is None, each cell picks its architecture from
     the rate-driven selector using (alpha, p) and the cell's sample count.
     epsilon/delta feed the reported sample-size hint only; nothing is gated
-    on it.  Degenerate axes, horizons, rate and hint parameters and counts,
-    and a count, seed or horizon that is a bool or not an integer, raise
-    ValueError here, before any oracle is built.
+    on it.  Empty axes, degenerate rate and hint parameters, and a count, seed
+    or horizon that is a bool, not an integer or below its least value (0 for
+    seeds and horizons, 1 for the rest) raise ValueError here, before any oracle.
     """
 
     mdp: dict | str = field(default_factory=lambda: {"kind": "chain5"})
@@ -77,37 +77,33 @@ class ExperimentConfig:
     train_steps_target: int | None = None
 
     def __post_init__(self):
-        for axis, name in ((self.n_values, "n_values"), (self.k_values, "k_values"),
-                           (self.seeds, "seeds"), (self.modes, "modes"),
-                           (self.data_modes, "data_modes")):
-            if len(axis) == 0:
-                raise ValueError(f"sweep axis {name} must be nonempty")
+        for name in ("n_values", "k_values", "seeds", "modes", "data_modes", "probe_horizons"):
+            if len(getattr(self, name)) == 0:
+                raise ValueError(f"{name} must be nonempty")
         steps = () if self.train_steps_target is None else (self.train_steps_target,)
-        for name, values in (("n_values", self.n_values), ("k_values", self.k_values),
-                             ("seeds", self.seeds), ("probe_horizons", self.probe_horizons),
-                             ("jobs", (self.jobs,)), ("residual_samples", (self.residual_samples,)),
-                             ("train_steps_target", steps)):
+        # one row per count field: its values and their least value
+        for name, values, least in (
+                ("n_values", self.n_values, 1), ("k_values", self.k_values, 1),
+                ("seeds", self.seeds, 0), ("probe_horizons", self.probe_horizons, 0),
+                ("jobs", (self.jobs,), 1), ("residual_samples", (self.residual_samples,), 1),
+                ("train_steps_target", steps, 1)):
             bad = [v for v in values if isinstance(v, bool) or not isinstance(v, Integral)]
             if bad:
                 raise ValueError(f"{name} must hold integers, got {bad[0]!r}")
+            if min(values, default=least) < least:
+                raise ValueError(f"{name} must be at least {least}, got {min(values)!r}")
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError("seeds must be distinct")
         if not set(self.modes) <= {"ope", "opl"}:
             raise ValueError(f"modes must be 'ope' or 'opl', got {self.modes}")
         if not set(self.data_modes) <= {"reuse", "split"}:
             raise ValueError(f"data_modes must be 'reuse' or 'split', got {self.data_modes}")
-        if min(self.n_values) < 1 or min(self.k_values) < 1:
-            raise ValueError("every n and every K must be at least 1")
         if not (0.0 < self.alpha < np.inf and 0.0 < self.epsilon < np.inf):  # NaN fails too
             raise ValueError("alpha and epsilon must be finite and positive")
         if not self.p > 0.0:  # NaN fails too
             raise ValueError(f"p must be positive, got {self.p!r}")
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
-        if not (self.jobs >= 1 and self.residual_samples >= 1):
-            raise ValueError("jobs and residual_samples must be at least 1")
-        if len(self.probe_horizons) == 0 or min(self.probe_horizons) < 0:
-            raise ValueError("probe_horizons must be nonempty, every horizon at least 0")
         if "split" in self.data_modes and min(self.n_values) < max(self.k_values):
             raise ValueError("split mode needs n >= K in every cell")
         if (self.train_steps_target is not None and "split" in self.data_modes
@@ -334,7 +330,7 @@ def run_attempt(cfg: ExperimentConfig, setup: SweepSetup, rec: CellRecord):
         per_fit = rec.n // rec.K if rec.data_mode == "split" else rec.n
         batch = min(train.batch_size or per_fit, per_fit)
         steps_per_epoch = (per_fit + batch - 1) // batch
-        epochs = max(1, int(np.ceil(cfg.train_steps_target / steps_per_epoch)))
+        epochs = int(np.ceil(cfg.train_steps_target / steps_per_epoch))
         train = replace(train, epochs=epochs)
     arch = cfg.arch or architecture_for(rec.n, cfg.alpha, cfg.p, mdp.dim)
     with _timed(vars(rec), "sampling_s"):

@@ -22,20 +22,18 @@ class RademacherEstimate:
     """
 
     value: float
-    n: int
-    sigma_draws: int
     sup_method: str                 # "exhaustive" | "trained"
     stderr: float
-    bias_note: str | None = None
-    per_draw: np.ndarray | None = None
+    bias_note: str | None
+    per_draw: np.ndarray
 
 
-def _estimate(sups: np.ndarray, n: int, exhaustive=False, caveat="") -> RademacherEstimate:
+def _estimate(sups: np.ndarray, exhaustive=False, caveat="") -> RademacherEstimate:
     """Mean of the per-draw suprema and its standard error; a trained
     supremum carries the bias note, followed by caveat."""
     draws = len(sups)
     return RademacherEstimate(
-        value=float(sups.mean()), n=n, sigma_draws=draws,
+        value=float(sups.mean()),
         sup_method="exhaustive" if exhaustive else "trained",
         stderr=float(sups.std(ddof=1) / math.sqrt(draws)) if draws > 1 else 0.0,
         bias_note=None if exhaustive else "trained supremum: lower estimate of the true sup" + caveat,
@@ -110,11 +108,11 @@ def empirical_rademacher(function_class, xs, sigma_draws: int, seed: int) -> Rad
     sigmas = (rng.choice([-1.0, 1.0], size=n) for _ in range(sigma_draws))
     if finite:
         sups = [function_class.sup_correlation(sigma) for sigma in sigmas]
-        return _estimate(np.array(sups), n, exhaustive=True)
+        return _estimate(np.array(sups), exhaustive=True)
     sigmas = list(sigmas)
     parts = _in_parts(lambda lo, hi: [function_class.sup_correlation(
         sigmas[i], xs, seed=int(seed) * 1000003 + i) for i in range(lo, hi)], sigma_draws)
-    return _estimate(np.array([s for part in parts for s in part]), n)
+    return _estimate(np.array([s for part in parts for s in part]))
 
 
 # the ascent stacks whole sign draws until candidates x max(n, m) x width
@@ -226,7 +224,7 @@ def localized_rademacher(spec: ArchitectureSpec, anchor: ReluNetwork, radius: fl
         sups[start:start + len(sigmas)] = [b for best, _ in parts for b in best]
         rejected_all = rejected_all and not any(accepted for _, accepted in parts)
     caveat = "; no ascent candidate stayed inside the radius (estimate is the anchor's 0)"
-    return _estimate(sups, n, caveat=caveat if rejected_all else "")
+    return _estimate(sups, caveat=caveat if rejected_all else "")
 
 
 # ---------------------------------------------------------------------------

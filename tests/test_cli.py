@@ -22,7 +22,11 @@ GOLDEN_REPORTS = {
     "sweep_chain_ope": "42456d2708d22061bc0aeb00f93c5874d686bbc95effcfc0cd578383780f6d75",
     "sweep_gauss2d": "7b76b141ff0200675325112abb9f7f9d22e5c26175af4cdc6717dfdf0c99e9f1",
 }
-TOY_CONFIGS = Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "toy"
+# sha256 of the operation texts, joined by newlines, of the full theory_rates
+# benchmark at input set 0, recorded with the same numpy build and core
+GOLDEN_THEORY = "308afdfbaa87c9abbcc03b1d2193d845be5b3969cf31fdd005340deb6c9c0df3"
+BENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TOY_CONFIGS = BENCH / "configs" / "toy"
 
 
 def _openblas_core():
@@ -33,6 +37,13 @@ def _openblas_core():
             get.argtypes, get.restype = [], ctypes.c_char_p
             return get().decode()
     return None
+
+
+def skip_off_the_golden_build():
+    here = (np.__version__, _openblas_core())
+    if here != (GOLDEN_NUMPY, GOLDEN_CORE):
+        pytest.skip(f"bits recorded with numpy {GOLDEN_NUMPY} on OpenBLAS core "
+                    f"{GOLDEN_CORE}; this is numpy {here[0]} on core {here[1]}")
 
 
 def test_every_command_in_the_readme_parses():
@@ -175,6 +186,20 @@ class TestRademacherCli:
         payload = json.loads(out.read_text())
         assert payload["method"] == "exhaustive"
         assert abs(payload["value"] - np.sqrt(2 / (np.pi * 50))) < 0.02
+        assert (payload["n"], payload["draws"]) == (50, 500)
+
+    def test_net_class_trained(self, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(
+            {"height": 2, "width": 6, "sparsity": 10000, "weight_bound": 5.0}))
+        out = tmp_path / "rad.json"
+        main(["rademacher", "--class", f"net:{spec}", "--draws", "3",
+              "--n-points", "24", "--seed", "0", "--out", str(out)])
+        payload = json.loads(out.read_text())
+        assert set(payload) == {"value", "stderr", "method", "bias_note", "n", "draws"}
+        assert payload["method"] == "trained"
+        assert (payload["n"], payload["draws"]) == (24, 3)
+        assert payload["value"] >= 0
 
     def test_net_class_localized(self, tmp_path):
         spec = tmp_path / "spec.json"
@@ -188,7 +213,6 @@ class TestRademacherCli:
         assert payload["method"] == "trained"
         assert "lower estimate" in payload["bias_note"]
 
-
     def test_net_class_spec_with_an_unknown_key_is_rejected(self, tmp_path):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({"height": 2, "widht": 6}))
@@ -201,13 +225,41 @@ class TestRademacherCli:
 class TestReportCommand:
     @pytest.mark.parametrize("name", sorted(GOLDEN_REPORTS))
     def test_toy_benchmark_reports_keep_their_recorded_bytes(self, tmp_path, name):
-        here = (np.__version__, _openblas_core())
-        if here != (GOLDEN_NUMPY, GOLDEN_CORE):
-            pytest.skip(f"bytes recorded with numpy {GOLDEN_NUMPY} on OpenBLAS core "
-                        f"{GOLDEN_CORE}; this is numpy {here[0]} on core {here[1]}")
+        skip_off_the_golden_build()
         main(["report", "--config", str(TOY_CONFIGS / f"{name}.json"), "--out", str(tmp_path)])
         digest = hashlib.sha256((tmp_path / "report.csv").read_bytes()).hexdigest()
         assert digest == GOLDEN_REPORTS[name]
+
+    def test_full_theory_benchmark_keeps_its_recorded_bits(self, tmp_path, monkeypatch):
+        # the full config, as the toy one misses last-bit changes: besov_seminorm's
+        # t ** alpha on a contiguous array moves one seminorm's last digit
+        skip_off_the_golden_build()
+        monkeypatch.syspath_prepend(str(BENCH))
+        import workloads
+
+        theory = workloads.make("theory_rates", 0, False, tmp_path)
+        theory.run()
+        ops, _ = theory.check()
+        text = "\n".join(op["text"] for op in ops)
+        assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_THEORY
+
+    @pytest.mark.parametrize("flags,jobs", [([], 1), (["--jobs", "2"], 2)])
+    def test_the_jobs_flag_overrides_the_configs_jobs(self, tmp_path, monkeypatch, flags, jobs):
+        seen = []
+
+        class Stop(Exception):
+            pass
+
+        def spy(cfg):
+            seen.append(cfg.jobs)
+            raise Stop
+
+        monkeypatch.setattr(harness, "run_sweep", spy)
+        cfg_path = tmp_path / "sweep.json"
+        cfg_path.write_text(json.dumps({"mdp": {"kind": "chain5"}, "jobs": 1}))
+        with pytest.raises(Stop):
+            main(["report", "--config", str(cfg_path), "--out", str(tmp_path / "rep")] + flags)
+        assert seen == [jobs]
 
     def test_sweep_from_config(self, tmp_path):
         cfg = {

@@ -207,6 +207,18 @@ class TestAudit:
         assert not audit.violations
         assert audit.min_slack == pytest.approx(0.9 ** 5 / np.sqrt(0.1))
 
+    def test_a_negative_slack_is_a_violation_and_a_failed_cell_is_not_checked(self):
+        negative = CellRecord(n=100, K=10, seed=0, mode="ope", data_mode="reuse",
+                              subopt=0.5, bound_rhs=0.25, bound_slack=-0.25)
+        failed = CellRecord(n=100, K=10, seed=1, mode="ope", data_mode="reuse",
+                            bound_slack=-1.0, failed=True)
+        report = ExperimentReport(config=tiny_config(), records=[negative, failed],
+                                  kappa_hat=2.0, rate_fits=[], theory={}, sizing_hint={})
+        audit = audit_decomposition(report)
+        assert audit.cells_checked == 1
+        assert audit.violations == [negative]
+        assert audit.min_slack == -0.25
+
     def test_tail_shrinks_with_iterations(self):
         r10 = decomposition_bound("opl", 2.0, 0.9, 10, 0.02)
         r300 = decomposition_bound("opl", 2.0, 0.9, 300, 0.02)
@@ -332,8 +344,8 @@ class TestConfigValidation:
         ({"alpha": float("inf")}, "alpha and epsilon"), ({"epsilon": 0.0}, "alpha and epsilon"),
         ({"epsilon": float("nan")}, "alpha and epsilon"), ({"delta": 0.0}, "delta"),
         ({"delta": 1.5}, "delta"), ({"delta": float("nan")}, "delta"),
-        ({"jobs": 0}, "jobs and residual_samples"),
-        ({"residual_samples": 0}, "jobs and residual_samples"),
+        ({"jobs": 0}, "jobs must be at least 1, got 0"),
+        ({"residual_samples": 0}, "residual_samples must be at least 1, got 0"),
         ({"p": 0.0}, "p must be positive"), ({"p": -1.0}, "p must be positive"),
         ({"p": float("nan")}, "p must be positive"),
     ])
@@ -368,6 +380,24 @@ class TestConfigValidation:
         monkeypatch.setattr(harness, "build_oracle", no_build)
         with pytest.raises(ValueError, match=message):
             run_sweep(tiny_config(**{"n_values": (256,), "seeds": (0,), **overrides}))
+
+    @pytest.mark.parametrize("overrides,message", [
+        ({"n_values": (256, 0)}, "n_values must be at least 1, got 0"),
+        ({"k_values": (0,)}, "k_values must be at least 1, got 0"),
+        ({"seeds": (0, -1)}, "seeds must be at least 0, got -1"),
+        ({"probe_horizons": (-3, 0)}, "probe_horizons must be at least 0, got -3"),
+        ({"train_steps_target": 0}, "train_steps_target must be at least 1, got 0"),
+        ({"train_steps_target": -5}, "train_steps_target must be at least 1, got -5"),
+    ])
+    def test_a_count_below_its_least_value_fails_before_any_oracle(
+            self, monkeypatch, overrides, message):
+        # a negative seed used to abort the sweep in its first cell, after the
+        # oracle was built, and a target below 1 trained every fit for one epoch
+        builds = []
+        monkeypatch.setattr(harness, "build_oracle", lambda *a, **kw: builds.append(a))
+        with pytest.raises(ValueError, match=message):
+            run_sweep(tiny_config(**{"n_values": (256,), "seeds": (0,), **overrides}))
+        assert builds == []
 
     def test_numpy_integer_counts_are_taken(self):
         cfg = tiny_config(n_values=(np.int64(256),), seeds=(np.int32(0),), jobs=np.int64(1))

@@ -1,5 +1,6 @@
 import json
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -495,3 +496,18 @@ class TestStateActionPoints:
     def test_zero_dimensional_states(self):
         pts = state_action_inputs(*pair_with_actions(np.zeros((2, 0)), np.array([0.0, 1.0])))
         np.testing.assert_array_equal(pts, [[0.0], [1.0], [0.0], [1.0]])
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"reward_noise": 0.6}, "reward noise scale"),
+    ({"reward_noise": -0.1}, "reward noise scale"),
+    ({"action_grid": np.array([])}, "nonempty 1-d"),
+    ({"action_grid": np.array([[0.0, 1.0]])}, "nonempty 1-d"),
+    ({"action_grid": np.array([0.0, 1.5])}, r"lie in \[0,1\]"),
+    ({"action_grid": np.array([-0.5, 0.5])}, r"lie in \[0,1\]"),
+    ({"noise_kind": "gaussian"}, "noise_kind"),
+], ids=["noise_high", "noise_negative", "empty_grid", "grid_2d", "grid_above_1",
+        "grid_below_0", "noise_kind"])
+def test_a_synthetic_mdp_setting_out_of_its_range_raises(change, message):
+    with pytest.raises(ValueError, match=message):
+        replace(fqlab.make_chain_mdp(), **change)

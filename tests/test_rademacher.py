@@ -621,3 +621,14 @@ class TestRateExponents:
         dims = [1, 2, 3, 4, 6]
         stats_d = [rate_exponent(2.0, d).stat_exponent for d in dims]
         assert all(x > y for x, y in zip(stats_d, stats_d[1:]))
+
+
+@pytest.mark.parametrize("values, message", [
+    (np.zeros(5), r"\(n_functions, n_points\) matrix"),
+    (np.zeros((2, 3, 1)), r"\(n_functions, n_points\) matrix"),
+    ([[0.0, np.nan]], "non-finite"),
+    ([[np.inf, 0.0]], "non-finite"),
+], ids=["1d", "3d", "nan", "inf"])
+def test_a_finite_class_of_bad_values_raises(values, message):
+    with pytest.raises(ValueError, match=message):
+        FiniteFunctionClass(values)

@@ -696,3 +696,17 @@ class TestParameterLayout:
         assert same_bits(back.params, net.params)
         back.params[:] = 0.0
         assert np.all(back.weights[0] == 0.0) and not np.all(net.weights[0] == 0.0)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: TrainConfig(epochs=-1), "epochs must be nonnegative"),
+    (lambda: TrainConfig(restarts=0), "at least one restart"),
+    (lambda: TrainConfig(projection_period=0), "projection_period must be positive"),
+    (lambda: TrainConfig(batch_size=0), "batch_size must be positive"),
+    (lambda: small_spec(height=0), "height, width, sparsity must be positive"),
+    (lambda: small_spec(width=0), "height, width, sparsity must be positive"),
+    (lambda: small_spec(sparsity=0), "height, width, sparsity must be positive"),
+], ids=["epochs", "restarts", "projection_period", "batch_size", "height", "width", "sparsity"])
+def test_a_setting_out_of_its_range_raises(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
